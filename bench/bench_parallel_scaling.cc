@@ -1,6 +1,6 @@
-// Parallel-scaling bench: wall-clock of the three parallelized
-// initialization hot paths (sharded token-index build, per-profile block
-// filtering, PPS meta-blocking edge weighting) plus the sharded-serving
+// Parallel-scaling bench: wall-clock of the parallelized initialization
+// paths (the blocking workflow, whose per-profile block filtering runs on
+// threads, and PPS meta-blocking edge weighting) plus the sharded-serving
 // initialization (ShardedEngine: hash partition + one engine per shard,
 // constructed concurrently) at 1/2/4/8 threads on the synthetic
 // DBpedia-style dataset, reporting speedup over the 1-thread run. The
@@ -42,7 +42,6 @@ double Seconds(std::chrono::steady_clock::time_point start) {
 }
 
 struct Timing {
-  double token_blocking = 0.0;
   double workflow = 0.0;
   double engine_init = 0.0;
   double sharded_init = 0.0;
@@ -53,14 +52,6 @@ Timing Measure(const DatasetBundle& dataset, std::size_t num_threads,
   Timing best;
   for (int r = 0; r < repeat; ++r) {
     Timing run;
-    {
-      TokenBlockingOptions options;
-      options.num_threads = num_threads;
-      const auto start = std::chrono::steady_clock::now();
-      BlockCollection blocks = TokenBlocking(dataset.store, options);
-      run.token_blocking = Seconds(start);
-      if (blocks.empty()) std::printf("(empty collection?)\n");
-    }
     {
       TokenWorkflowOptions options;
       options.num_threads = num_threads;
@@ -89,7 +80,6 @@ Timing Measure(const DatasetBundle& dataset, std::size_t num_threads,
     } else {
       // Best-of-repeat is per path: each reported wall-clock is the
       // minimum across repeats (the BENCH.md contract for wall_ms).
-      best.token_blocking = std::min(best.token_blocking, run.token_blocking);
       best.workflow = std::min(best.workflow, run.workflow);
       best.engine_init = std::min(best.engine_init, run.engine_init);
       best.sharded_init = std::min(best.sharded_init, run.sharded_init);
@@ -152,7 +142,7 @@ int main(int argc, char** argv) {
     std::printf("  measured %zu thread(s)\n", num_threads);
   }
 
-  TextTable table({"threads", "token blocking", "full workflow",
+  TextTable table({"threads", "full workflow",
                    "PPS init (incl. workflow)",
                    "sharded init (S=" + std::to_string(num_shards) + ")",
                    "init speedup"});
@@ -162,7 +152,6 @@ int main(int argc, char** argv) {
             ? timings[0].engine_init / timings[t].engine_init
             : 0.0;
     table.AddRow({std::to_string(thread_counts[t]),
-                  FormatDouble(timings[t].token_blocking, 3) + "s",
                   FormatDouble(timings[t].workflow, 3) + "s",
                   FormatDouble(timings[t].engine_init, 3) + "s",
                   FormatDouble(timings[t].sharded_init, 3) + "s",
@@ -183,8 +172,6 @@ int main(int argc, char** argv) {
                            seconds * 1000.0,
                            seconds > 0 ? base / seconds : 0.0, shards});
       };
-      add("token_blocking", timings[t].token_blocking,
-          timings[0].token_blocking, 1);
       add("workflow", timings[t].workflow, timings[0].workflow, 1);
       add("pps_init", timings[t].engine_init, timings[0].engine_init, 1);
       add("sharded_init", timings[t].sharded_init, timings[0].sharded_init,

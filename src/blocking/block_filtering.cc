@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
+#include "blocking/profile_index.h"
 #include "core/types.h"
 #include "parallel/parallel_for.h"
 
@@ -13,65 +14,62 @@ namespace sper {
 
 BlockCollection BlockFiltering(const BlockCollection& input,
                                const BlockFilteringOptions& options) {
-  // Pass 1: collect, per profile, the blocks it appears in. Profile ids
-  // are dense, so a plain vector indexed by id suffices; the membership
-  // scan streams over the CSR member array once.
   ProfileId num_profiles = 0;
   for (ProfileId p : input.all_members()) {
     num_profiles = std::max(num_profiles, p + 1);
   }
-  std::vector<std::vector<BlockId>> profile_blocks(num_profiles);
-  for (BlockId b = 0; b < input.size(); ++b) {
-    for (ProfileId p : input.members(b)) {
-      profile_blocks[p].push_back(b);
-    }
-  }
+  const ProfileIndex index(input, num_profiles);
 
-  // Pass 2 (parallel over profiles): rank each profile's blocks by size
-  // (ties on block id for determinism), keep the ceil(ratio*|B_i|)
-  // smallest, and leave the survivors sorted by id for the membership
-  // test of pass 3. Each profile owns its slot — no shared writes.
-  ParallelFor(num_profiles, options.num_threads, [&](std::size_t p) {
-    std::vector<BlockId>& blocks = profile_blocks[p];
-    std::sort(blocks.begin(), blocks.end(), [&](BlockId a, BlockId b) {
-      const std::size_t sa = input.block_size(a);
-      const std::size_t sb = input.block_size(b);
-      if (sa != sb) return sa < sb;
-      return a < b;
-    });
-    const std::size_t retained = static_cast<std::size_t>(
-        std::ceil(options.ratio * static_cast<double>(blocks.size())));
-    if (retained < blocks.size()) blocks.resize(retained);
-    std::sort(blocks.begin(), blocks.end());
-  });
+  // A block's rank is (|b|, id) packed into one integer: smaller blocks
+  // first, block id as the deterministic tie.
+  const auto rank = [&input](BlockId b) {
+    return (static_cast<std::uint64_t>(input.block_size(b)) << 32) | b;
+  };
 
-  // Pass 3 (parallel over blocks): rebuild every block with only the
-  // retained memberships, then append the survivors in block-id order.
-  std::vector<std::vector<ProfileId>> filtered(input.size());
-  ParallelFor(input.size(), options.num_threads, [&](std::size_t b) {
-    for (ProfileId p : input.members(static_cast<BlockId>(b))) {
-      if (std::binary_search(profile_blocks[p].begin(),
-                             profile_blocks[p].end(),
-                             static_cast<BlockId>(b))) {
-        filtered[b].push_back(p);
-      }
-    }
-  });
+  // Pass 1 (parallel over profiles): each profile's cut is the rank of its
+  // ceil(ratio*|B_i|)-th smallest block, so it stays in block b iff
+  // rank(b) <= cut. A block holding the profile has |b| >= 1, so cut 0
+  // keeps none and UINT64_MAX keeps all. Each profile owns its slot.
+  std::vector<std::uint64_t> cuts(num_profiles, UINT64_MAX);
+  ParallelForChunks(
+      num_profiles, options.num_threads,
+      [&](std::size_t /*chunk*/, IndexRange range) {
+        std::vector<std::uint64_t> ranks;
+        for (std::size_t p = range.begin; p < range.end; ++p) {
+          std::span<const BlockId> blocks =
+              index.BlocksOf(static_cast<ProfileId>(p));
+          // Written so that a NaN or negative ratio retains nothing and a
+          // huge one everything, with no out-of-range conversion.
+          const double wanted =
+              std::ceil(options.ratio * static_cast<double>(blocks.size()));
+          if (wanted >= static_cast<double>(blocks.size())) continue;
+          if (!(wanted >= 1.0)) {
+            cuts[p] = 0;
+            continue;
+          }
+          const std::size_t retained = static_cast<std::size_t>(wanted);
+          ranks.clear();
+          for (BlockId b : blocks) ranks.push_back(rank(b));
+          std::nth_element(ranks.begin(), ranks.begin() + (retained - 1),
+                           ranks.end());
+          cuts[p] = ranks[retained - 1];
+        }
+      });
 
-  std::vector<std::uint64_t> cardinalities(input.size(), 0);
-  std::size_t kept_blocks = 0, kept_members = 0, kept_key_bytes = 0;
-  for (BlockId b = 0; b < input.size(); ++b) {
-    cardinalities[b] = input.ComputeCardinality(filtered[b]);
-    if (cardinalities[b] == 0) continue;
-    ++kept_blocks;
-    kept_members += filtered[b].size();
-    kept_key_bytes += input.key(b).size();
-  }
+  // Pass 2: rebuild every block with the members whose cut admits it, in
+  // block-id order; blocks left without a comparison are dropped. The
+  // input's totals bound the output's, so nothing reallocates.
   BlockCollection out(input.er_type(), input.split_index());
-  out.Reserve(kept_blocks, kept_members, kept_key_bytes);
+  out.Reserve(input.size(), input.total_members(), input.total_key_bytes());
+  std::vector<ProfileId> kept;
   for (BlockId b = 0; b < input.size(); ++b) {
-    if (cardinalities[b] == 0) continue;
-    out.Add(input.key(b), filtered[b]);
+    const std::uint64_t block_rank = rank(b);
+    kept.clear();
+    for (ProfileId p : input.members(b)) {
+      if (block_rank <= cuts[p]) kept.push_back(p);
+    }
+    if (out.ComputeCardinality(kept) == 0) continue;
+    out.Add(input.key(b), kept);
   }
   return out;
 }

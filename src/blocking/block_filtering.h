@@ -13,17 +13,18 @@ namespace sper {
 
 /// Options for Block Filtering.
 struct BlockFilteringOptions {
-  /// Every profile is kept in ceil(ratio * |B_i|) of its smallest blocks.
+  /// Every profile is kept in ceil(ratio * |B_i|) of its smallest blocks:
+  /// all of them at ratio >= 1, none at ratio 0.
   double ratio = 0.8;
-  /// Threads for the per-profile ranking and per-block rebuild passes
-  /// (0 or 1 = sequential). The result is identical at every thread count.
+  /// Threads for the per-profile cut pass (0 or 1 = sequential). The
+  /// result is identical at every thread count.
   std::size_t num_threads = 1;
 };
 
 /// Returns a new collection in which every profile appears only in its
-/// ceil(ratio*|B_i|) smallest blocks; blocks left without a valid
-/// comparison are dropped. Relative order of surviving blocks and of
-/// profiles inside blocks is preserved.
+/// ceil(ratio*|B_i|) smallest blocks, ranked by (|b|, block id); blocks
+/// left without a valid comparison are dropped. Relative order of
+/// surviving blocks and of profiles inside blocks is preserved.
 BlockCollection BlockFiltering(const BlockCollection& input,
                                const BlockFilteringOptions& options = {});
 

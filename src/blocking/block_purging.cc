@@ -1,7 +1,5 @@
 #include "blocking/block_purging.h"
 
-#include "parallel/parallel_for.h"
-
 namespace sper {
 
 BlockCollection BlockPurging(const BlockCollection& input,
@@ -9,46 +7,23 @@ BlockCollection BlockPurging(const BlockCollection& input,
                              const BlockPurgingOptions& options) {
   const double max_size =
       options.max_size_ratio * static_cast<double>(num_profiles);
-  // Scan/threshold pass over the CSR offsets (O(|B|), no member scan):
-  // per-chunk survivor counts/sizes accumulated on `num_threads` threads
-  // with static chunking, merged in chunk order — the totals (and the
-  // final collection) are identical at every thread count. The survivor
-  // collection is then built with zero reallocations.
-  struct ChunkTotals {
-    std::size_t blocks = 0;
-    std::size_t members = 0;
-    std::size_t key_bytes = 0;
+  const auto kept = [&](BlockId id) {
+    return !(static_cast<double>(input.block_size(id)) > max_size);
   };
-  const std::size_t num_chunks =
-      StaticChunks(input.size(), options.num_threads).size();
-  std::vector<ChunkTotals> totals(num_chunks);
-  ParallelForChunks(
-      input.size(), options.num_threads,
-      [&](std::size_t chunk, IndexRange range) {
-        // Accumulate on the stack and store once: adjacent vector
-        // elements share cache lines, and bumping them per block would
-        // false-share the whole scan.
-        ChunkTotals t;
-        for (BlockId id = range.begin; id < range.end; ++id) {
-          if (static_cast<double>(input.block_size(id)) > max_size) continue;
-          ++t.blocks;
-          t.members += input.block_size(id);
-          t.key_bytes += input.key(id).size();
-        }
-        totals[chunk] = t;
-      });
+  // One pass over the CSR offsets (O(|B|), no member scan) sizes the
+  // survivors, so the collection is built with zero reallocations.
   std::size_t kept_blocks = 0, kept_members = 0, kept_key_bytes = 0;
-  for (const ChunkTotals& t : totals) {
-    kept_blocks += t.blocks;
-    kept_members += t.members;
-    kept_key_bytes += t.key_bytes;
+  for (BlockId id = 0; id < input.size(); ++id) {
+    if (!kept(id)) continue;
+    ++kept_blocks;
+    kept_members += input.block_size(id);
+    kept_key_bytes += input.key(id).size();
   }
 
   BlockCollection out(input.er_type(), input.split_index());
   out.Reserve(kept_blocks, kept_members, kept_key_bytes);
   for (BlockId id = 0; id < input.size(); ++id) {
-    if (static_cast<double>(input.block_size(id)) > max_size) continue;
-    out.Add(input.key(id), input.members(id));
+    if (kept(id)) out.Add(input.key(id), input.members(id));
   }
   return out;
 }

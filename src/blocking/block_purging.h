@@ -14,15 +14,12 @@ namespace sper {
 struct BlockPurgingOptions {
   /// A block is purged when |b| > max_size_ratio * |P|.
   double max_size_ratio = 0.1;
-  /// Threads for the scan/threshold pass (survivor sizing + keep
-  /// decisions). The output collection is identical at every thread
-  /// count; the survivor build itself stays sequential (CSR append).
-  std::size_t num_threads = 1;
 };
 
 /// Returns a new collection without the purged blocks. `num_profiles` is
 /// |P| (total across both sources for Clean-Clean ER). Relative block
-/// order is preserved.
+/// order is preserved. Sequential: the decision reads only the |B| block
+/// sizes, too little work to pay for starting threads.
 BlockCollection BlockPurging(const BlockCollection& input,
                              std::size_t num_profiles,
                              const BlockPurgingOptions& options = {});

@@ -1,136 +1,155 @@
 #include "blocking/token_blocking.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <numeric>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
+#include <string_view>
 #include <vector>
-
-#include "parallel/parallel_for.h"
 
 namespace sper {
 
 namespace {
 
-using PostingsMap = std::unordered_map<std::string, std::vector<ProfileId>>;
+/// Dense token ids in order of first occurrence. The token bytes live in
+/// one arena; an open-addressing table of (hash tag, id) slots finds them.
+/// The hash only places slots: it never decides an id or an order.
+class TokenInterner {
+ public:
+  TokenInterner() : slots_(kInitialSlots) { offsets_.push_back(0); }
 
-/// Sequential reference build: profiles in id order, each contributing its
-/// distinct tokens, so postings arrive sorted and duplicate-free.
-PostingsMap BuildPostingsSequential(const ProfileStore& store,
-                                    const TokenBlockingOptions& options) {
-  PostingsMap postings;
-  postings.reserve(store.size() * 4);
-  for (const Profile& p : store.profiles()) {
-    for (std::string& token : DistinctProfileTokens(p, options.tokenizer)) {
-      postings[std::move(token)].push_back(p.id());
-    }
-  }
-  return postings;
-}
-
-/// One tokenized (token, profile) membership headed for a shard map.
-struct TokenEntry {
-  std::string token;
-  ProfileId profile = kInvalidProfile;
-};
-
-/// Parallel sharded build. Phase 1 tokenizes profiles in parallel (static
-/// profile chunks) and routes every token by hash into a per-(chunk,
-/// shard) bucket. Phase 2 builds the per-shard postings maps
-/// concurrently; shard s drains buckets [0][s], [1][s], ... in chunk
-/// order, so profiles arrive in id order and its postings are sorted and
-/// duplicate-free exactly like the sequential build's. Each bucket is
-/// written by one chunk thread and read by one shard thread (with a
-/// barrier between phases) — no shared mutation, and no rescanning of
-/// other shards' tokens. Shard assignment affects only which map holds a
-/// token, never the final collection: the caller merges all shards
-/// through one global lexicographic key sort.
-std::vector<PostingsMap> BuildPostingsSharded(
-    const ProfileStore& store, const TokenBlockingOptions& options) {
-  const std::size_t n = store.size();
-  const std::size_t num_shards = options.num_threads;
-  const std::size_t num_chunks = StaticChunks(n, options.num_threads).size();
-
-  std::vector<std::vector<std::vector<TokenEntry>>> buckets(
-      num_chunks, std::vector<std::vector<TokenEntry>>(num_shards));
-  ParallelForChunks(
-      n, options.num_threads, [&](std::size_t chunk, IndexRange range) {
-        std::vector<std::vector<TokenEntry>>& mine = buckets[chunk];
-        for (std::size_t i = range.begin; i < range.end; ++i) {
-          for (std::string& token : DistinctProfileTokens(
-                   store.profile(static_cast<ProfileId>(i)),
-                   options.tokenizer)) {
-            const std::size_t s =
-                std::hash<std::string>{}(token) % num_shards;
-            mine[s].push_back(
-                {std::move(token), static_cast<ProfileId>(i)});
-          }
-        }
-      });
-
-  std::vector<PostingsMap> shards(num_shards);
-  ParallelFor(num_shards, options.num_threads, [&](std::size_t s) {
-    PostingsMap& shard = shards[s];
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < num_chunks; ++c) total += buckets[c][s].size();
-    shard.reserve(total);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      for (TokenEntry& entry : buckets[c][s]) {
-        shard[std::move(entry.token)].push_back(entry.profile);
+  /// The id of `token`, assigning the next one when it is new.
+  std::uint32_t Intern(std::string_view token) {
+    const std::uint64_t hash = Hash(token);
+    const std::uint32_t tag = static_cast<std::uint32_t>(hash >> 32);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = hash & mask;
+    for (; slots_[s].id != kEmpty; s = (s + 1) & mask) {
+      if (slots_[s].tag == tag && key(slots_[s].id) == token) {
+        return slots_[s].id;
       }
     }
-  });
-  return shards;
-}
+    const std::uint32_t id = static_cast<std::uint32_t>(size());
+    slots_[s] = {id, tag};
+    arena_.append(token);
+    offsets_.push_back(arena_.size());
+    // Keep the table at most half full so probe runs stay short.
+    if (2 * size() > slots_.size()) Grow();
+    return id;
+  }
+
+  /// Number of distinct tokens.
+  std::size_t size() const { return offsets_.size() - 1; }
+
+  /// The token bytes of `id`.
+  std::string_view key(std::uint32_t id) const {
+    return std::string_view(arena_).substr(offsets_[id],
+                                           offsets_[id + 1] - offsets_[id]);
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+  static constexpr std::size_t kInitialSlots = 1 << 12;
+
+  struct Slot {
+    std::uint32_t id = kEmpty;
+    std::uint32_t tag = 0;
+  };
+
+  static std::uint64_t Hash(std::string_view token) {
+    return std::hash<std::string_view>{}(token);
+  }
+
+  void Grow() {
+    std::vector<Slot> slots(2 * slots_.size());
+    const std::size_t mask = slots.size() - 1;
+    for (std::uint32_t id = 0; id < size(); ++id) {
+      const std::uint64_t hash = Hash(key(id));
+      std::size_t s = hash & mask;
+      while (slots[s].id != kEmpty) s = (s + 1) & mask;
+      slots[s] = {id, static_cast<std::uint32_t>(hash >> 32)};
+    }
+    slots_ = std::move(slots);
+  }
+
+  std::string arena_;
+  std::vector<std::size_t> offsets_;  // size() + 1
+  std::vector<Slot> slots_;           // power-of-two size
+};
 
 }  // namespace
 
 BlockCollection TokenBlocking(const ProfileStore& store,
                               const TokenBlockingOptions& options) {
-  std::vector<PostingsMap> shards;
-  if (options.num_threads > 1) {
-    shards = BuildPostingsSharded(store, options);
-  } else {
-    shards.push_back(BuildPostingsSequential(store, options));
+  // Pass 1, profiles in id order: intern every token and record each
+  // profile's distinct token ids, counting the profiles of every token.
+  TokenInterner interner;
+  std::vector<std::uint32_t> occurrences;  // token ids, grouped by profile
+  std::vector<std::size_t> profile_ends;   // end of each profile's group
+  std::vector<ProfileId> last_profile;     // per token id
+  std::vector<std::uint64_t> offsets;      // per token id: profile count
+  profile_ends.reserve(store.size());
+  TokenScanner scanner(options.tokenizer);
+  for (const Profile& p : store.profiles()) {
+    const auto record = [&](std::string_view token) {
+      const std::uint32_t id = interner.Intern(token);
+      if (id == last_profile.size()) {
+        last_profile.push_back(kInvalidProfile);
+        offsets.push_back(0);
+      }
+      if (last_profile[id] == p.id()) return;
+      last_profile[id] = p.id();
+      ++offsets[id];
+      occurrences.push_back(id);
+    };
+    for (const Attribute& a : p.attributes()) {
+      scanner.ForEachToken(a.value, record);
+    }
+    profile_ends.push_back(occurrences.size());
   }
+  last_profile = {};
 
-  // Deterministic block order: sort all keys lexicographically across
-  // shards. Every token lives in exactly one shard, so keys are unique.
-  // The hash-order iteration below never reaches the output — the global
-  // key sort re-establishes a total order (allowlisted in
-  // tools/determinism_allowlist.txt).
-  struct KeyRef {
-    const std::string* key;
-    const std::vector<ProfileId>* ids;
+  // Pass 2: counts become CSR offsets, then one scatter in profile-id
+  // order leaves every token's postings sorted ascending.
+  const std::size_t num_tokens = interner.size();
+  offsets.push_back(0);
+  std::exclusive_scan(offsets.begin(), offsets.end(), offsets.begin(),
+                      std::uint64_t{0});
+  std::vector<ProfileId> postings(occurrences.size());
+  {
+    std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+    std::size_t k = 0;
+    for (ProfileId p = 0; p < profile_ends.size(); ++p) {
+      for (; k < profile_ends[p]; ++k) {
+        postings[cursor[occurrences[k]]++] = p;
+      }
+    }
+  }
+  occurrences = {};
+  const auto postings_of = [&](std::uint32_t id) {
+    return std::span<const ProfileId>(postings.data() + offsets[id],
+                                      postings.data() + offsets[id + 1]);
   };
-  std::vector<KeyRef> keys;
-  std::size_t total = 0;
-  for (const PostingsMap& shard : shards) total += shard.size();
-  keys.reserve(total);
-  for (const PostingsMap& shard : shards) {
-    for (const auto& [token, ids] : shard) keys.push_back({&token, &ids});
-  }
-  std::sort(keys.begin(), keys.end(),
-            [](const KeyRef& a, const KeyRef& b) { return *a.key < *b.key; });
 
-  // Emit straight into the CSR collection: size the flat arrays from the
-  // surviving postings, then append in key order — no intermediate
-  // per-block structures beyond the postings lists themselves.
+  // Pass 3: keep the tokens whose block yields a comparison, order them
+  // with one sort of their keys, and append them to the CSR collection.
   BlockCollection collection(store.er_type(), store.split_index());
-  std::vector<std::uint64_t> cardinalities(keys.size(), 0);
-  std::size_t kept_blocks = 0, kept_members = 0, kept_key_bytes = 0;
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    cardinalities[k] = collection.ComputeCardinality(*keys[k].ids);
-    if (cardinalities[k] == 0) continue;
-    ++kept_blocks;
-    kept_members += keys[k].ids->size();
-    kept_key_bytes += keys[k].key->size();
+  std::vector<std::uint32_t> kept;
+  std::size_t kept_members = 0, kept_key_bytes = 0;
+  for (std::uint32_t id = 0; id < num_tokens; ++id) {
+    if (collection.ComputeCardinality(postings_of(id)) == 0) continue;
+    kept.push_back(id);
+    kept_members += postings_of(id).size();
+    kept_key_bytes += interner.key(id).size();
   }
-  collection.Reserve(kept_blocks, kept_members, kept_key_bytes);
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    if (cardinalities[k] == 0) continue;
-    collection.Add(*keys[k].key, *keys[k].ids);
+  std::sort(kept.begin(), kept.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return interner.key(a) < interner.key(b);
+  });
+  collection.Reserve(kept.size(), kept_members, kept_key_bytes);
+  for (std::uint32_t id : kept) {
+    collection.Add(interner.key(id), postings_of(id));
   }
   return collection;
 }

@@ -18,16 +18,15 @@ namespace sper {
 struct TokenBlockingOptions {
   /// How attribute values are split into tokens.
   TokenizerOptions tokenizer;
-  /// Threads for the sharded token-index build (0 or 1 = sequential). The
-  /// resulting collection is identical at every thread count.
-  std::size_t num_threads = 1;
 };
 
 /// Builds the Token Blocking collection of a store. A token produces a
 /// block iff the block would yield at least one valid comparison (>= 2
 /// profiles for Dirty ER; >= 1 profile per source for Clean-Clean ER).
-/// Blocks are ordered by key for determinism; profiles inside a block are
-/// sorted ascending.
+/// Blocks are ordered by key; profiles inside a block are sorted
+/// ascending. One sequential pass interns every token into a dense id in
+/// order of first occurrence, so the result depends only on the store and
+/// the tokenizer options.
 BlockCollection TokenBlocking(const ProfileStore& store,
                               const TokenBlockingOptions& options = {});
 

@@ -50,9 +50,9 @@ struct EngineConfig {
   /// Progressive method to run.
   MethodId method = MethodId::kPps;
 
-  /// Threads used by the initialization phase (token-index build, block
-  /// filtering, edge weighting). Emission is always sequential — it is a
-  /// pull-based stream. 0 means "one thread".
+  /// Threads used by the initialization phase (block filtering, edge
+  /// weighting). Emission is always sequential — it is a pull-based
+  /// stream. 0 means "one thread".
   std::size_t num_threads = 1;
 
   /// Maximum number of comparisons Next() will emit; 0 = unlimited. This

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -105,6 +106,16 @@ Status ResolverOptions::Validate() const {
   if (method == MethodId::kPps && pps_kmax == 0) {
     return Status::InvalidArgument("pps_kmax must be > 0 for method PPS");
   }
+  const auto check_ratio = [](const char* name, double ratio) {
+    if (std::isfinite(ratio) && ratio >= 0.0) return Status::Ok();
+    return Status::InvalidArgument(std::string(name) +
+                                   " must be finite and >= 0, got " +
+                                   std::to_string(ratio));
+  };
+  SPER_RETURN_IF_ERROR(
+      check_ratio("workflow.filtering.ratio", workflow.filtering.ratio));
+  SPER_RETURN_IF_ERROR(check_ratio("workflow.purging.max_size_ratio",
+                                   workflow.purging.max_size_ratio));
   return Status::Ok();
 }
 

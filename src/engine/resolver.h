@@ -59,10 +59,10 @@ struct ResolverOptions {
   /// Progressive method to run.
   MethodId method = MethodId::kPps;
 
-  /// Threads for the initialization phase (token-index build, block
-  /// filtering, edge weighting; split across shard constructions when
-  /// sharded). Must be in [1, kMaxThreads] — 0 is rejected by Validate()
-  /// rather than silently meaning "one thread".
+  /// Threads for the initialization phase (block filtering, edge
+  /// weighting; split across shard constructions when sharded). Must be
+  /// in [1, kMaxThreads] — 0 is rejected by Validate() rather than
+  /// silently meaning "one thread".
   std::size_t num_threads = 1;
 
   /// Hash shards. 1 = plain engine; > 1 partitions the store and serves
@@ -82,6 +82,8 @@ struct ResolverOptions {
   std::size_t lookahead = 0;
 
   /// Blocking workflow for the equality-based methods (PBS, PPS).
+  /// `filtering.ratio` and `purging.max_size_ratio` must be finite and
+  /// >= 0.
   TokenWorkflowOptions workflow;
   /// Blocking-graph edge-weighting scheme for PBS/PPS.
   WeightingScheme scheme = WeightingScheme::kArcs;

@@ -77,37 +77,24 @@ void EdgeWeighter::ComputeDegrees(const ProfileStore& store,
   log_num_edges_ = num_edges > 0 ? std::log10(num_edges) : 0.0;
 }
 
-double EdgeWeighter::BlockContribution(BlockId b) const {
-  if (scheme_ == WeightingScheme::kArcs) {
-    const double card = static_cast<double>(blocks_.Cardinality(b));
-    return card > 0 ? 1.0 / card : 0.0;
-  }
-  return 1.0;
-}
-
-double EdgeWeighter::Finalize(ProfileId i, ProfileId j,
-                              double accumulated) const {
-  if (accumulated <= 0.0) return 0.0;
+double EdgeWeighter::FinalizeNormalized(ProfileId i, ProfileId j,
+                                        double accumulated) const {
+  const double bi = static_cast<double>(index_.NumBlocksOf(i));
+  const double bj = static_cast<double>(index_.NumBlocksOf(j));
   switch (scheme_) {
     case WeightingScheme::kArcs:
     case WeightingScheme::kCbs:
       return accumulated;
     case WeightingScheme::kJs: {
-      const double bi = static_cast<double>(index_.NumBlocksOf(i));
-      const double bj = static_cast<double>(index_.NumBlocksOf(j));
       const double denom = bi + bj - accumulated;
       return denom > 0 ? accumulated / denom : 0.0;
     }
     case WeightingScheme::kEcbs: {
-      const double bi = static_cast<double>(index_.NumBlocksOf(i));
-      const double bj = static_cast<double>(index_.NumBlocksOf(j));
       if (bi == 0 || bj == 0) return 0.0;
       return accumulated * (log_num_blocks_ - std::log10(bi)) *
              (log_num_blocks_ - std::log10(bj));
     }
     case WeightingScheme::kEjs: {
-      const double bi = static_cast<double>(index_.NumBlocksOf(i));
-      const double bj = static_cast<double>(index_.NumBlocksOf(j));
       const double denom = bi + bj - accumulated;
       const double js = denom > 0 ? accumulated / denom : 0.0;
       const double di = static_cast<double>(degrees_[i]);

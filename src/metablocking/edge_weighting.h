@@ -66,18 +66,36 @@ class EdgeWeighter {
   double Weight(ProfileId i, ProfileId j) const;
 
   /// The contribution one shared block adds to the running accumulator
-  /// (ARCS: 1/||b||; every other scheme: 1).
-  double BlockContribution(BlockId b) const;
+  /// (ARCS: 1/||b||; every other scheme: 1). Defined here so the PPS and
+  /// meta-blocking gather loops inline it once per block.
+  double BlockContribution(BlockId b) const {
+    if (scheme_ == WeightingScheme::kArcs) {
+      const double card = static_cast<double>(blocks_.Cardinality(b));
+      return card > 0 ? 1.0 / card : 0.0;
+    }
+    return 1.0;
+  }
 
   /// Turns an accumulated contribution into the final edge weight
-  /// (identity for ARCS/CBS; normalization factors for JS/ECBS/EJS).
-  double Finalize(ProfileId i, ProfileId j, double accumulated) const;
+  /// (identity for ARCS/CBS, inlined per neighbor; normalization factors
+  /// for JS/ECBS/EJS).
+  double Finalize(ProfileId i, ProfileId j, double accumulated) const {
+    if (accumulated <= 0.0) return 0.0;
+    if (scheme_ == WeightingScheme::kArcs ||
+        scheme_ == WeightingScheme::kCbs) {
+      return accumulated;
+    }
+    return FinalizeNormalized(i, j, accumulated);
+  }
 
   /// The scheme in use.
   WeightingScheme scheme() const { return scheme_; }
 
  private:
   void ComputeDegrees(const ProfileStore& store, std::size_t num_threads);
+  /// Finalize for JS, ECBS and EJS (`accumulated` > 0).
+  double FinalizeNormalized(ProfileId i, ProfileId j,
+                            double accumulated) const;
 
   const BlockCollection& blocks_;
   const ProfileIndex& index_;

@@ -16,10 +16,10 @@
 
 /// \file thread_pool.h
 /// A minimal fixed-size worker pool with a FIFO work queue — the execution
-/// substrate of the parallel initialization paths (token-index sharding,
-/// block filtering, edge weighting). Parallelism here is an implementation
-/// detail of a deterministic library: tasks must not make output depend on
-/// execution order; ParallelFor (parallel_for.h) provides the deterministic
+/// substrate of the parallel initialization paths (block filtering, edge
+/// weighting). Parallelism here is an implementation detail of a
+/// deterministic library: tasks must not make output depend on execution
+/// order; ParallelFor (parallel_for.h) provides the deterministic
 /// static chunking used by every call site.
 
 namespace sper {

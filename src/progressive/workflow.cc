@@ -10,16 +10,12 @@ BlockCollection BuildTokenWorkflowBlocks(const ProfileStore& store,
   BlockCollection blocks = [&] {
     obs::ScopedPhase phase(options.telemetry, "token_blocking",
                            &timing->token_blocking_seconds);
-    TokenBlockingOptions token_blocking = options.token_blocking;
-    token_blocking.num_threads = options.num_threads;
-    return TokenBlocking(store, token_blocking);
+    return TokenBlocking(store, options.token_blocking);
   }();
   if (options.enable_purging) {
     obs::ScopedPhase phase(options.telemetry, "block_purging",
                            &timing->purging_seconds);
-    BlockPurgingOptions purging = options.purging;
-    purging.num_threads = options.num_threads;
-    blocks = BlockPurging(blocks, store.size(), purging);
+    blocks = BlockPurging(blocks, store.size(), options.purging);
   }
   if (options.enable_filtering) {
     obs::ScopedPhase phase(options.telemetry, "block_filtering",

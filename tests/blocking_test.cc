@@ -126,6 +126,23 @@ TEST(TokenBlockingTest, CleanCleanKeepsOnlyCrossSourceBlocks) {
   EXPECT_EQ(map["blue"], (std::vector<ProfileId>{1, 2}));
 }
 
+TEST(TokenBlockingTest, NoBlockHasAnEmptyKey) {
+  // With min_token_length 0, a value that ends in a separator, or is
+  // empty, must not yield the token "" (one block "" holding them all).
+  std::vector<Profile> ps(3);
+  ps[0].AddAttribute("v", "carl,");
+  ps[1].AddAttribute("v", "white.");
+  ps[2].AddAttribute("v", "");
+  TokenBlockingOptions options;
+  options.tokenizer.min_token_length = 0;
+  BlockCollection blocks =
+      TokenBlocking(ProfileStore::MakeDirty(std::move(ps)), options);
+  for (BlockId id = 0; id < blocks.size(); ++id) {
+    EXPECT_FALSE(blocks.key(id).empty());
+  }
+  EXPECT_TRUE(blocks.empty());
+}
+
 TEST(TokenBlockingTest, BlockOrderIsDeterministic) {
   BlockCollection a = TokenBlocking(DirtyStore());
   BlockCollection b = TokenBlocking(DirtyStore());

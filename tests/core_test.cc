@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "core/comparison.h"
 #include "core/ground_truth.h"
 #include "core/profile.h"
@@ -250,6 +254,47 @@ TEST(TokenizerTest, LowercaseCanBeDisabled) {
 TEST(TokenizerTest, EmptyValueYieldsNoTokens) {
   EXPECT_TRUE(TokenizeValue("").empty());
   EXPECT_TRUE(TokenizeValue("-- ,, !!").empty());
+}
+
+TEST(TokenizerTest, ZeroMinTokenLengthNeverEmitsEmptyTokens) {
+  TokenizerOptions options;
+  options.min_token_length = 0;
+  EXPECT_EQ(TokenizeValue("a,", options), (std::vector<std::string>{"a"}));
+  EXPECT_EQ(TokenizeValue(",a,,b.", options),
+            (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(TokenizeValue("", options).empty());
+  EXPECT_TRUE(TokenizeValue("-- ,, !!", options).empty());
+}
+
+TEST(TokenizerTest, ByteTableIsAsciiAlphanumericAndLocaleFree) {
+  // Every byte value, alone and inside a token: only [0-9A-Za-z] are token
+  // bytes, A-Z fold to a-z only when lowercasing, and every byte >= 0x80
+  // (e.g. a Latin-1 letter, which isalnum accepts in some locales) ends a
+  // token.
+  for (bool lowercase : {true, false}) {
+    TokenizerOptions options;
+    options.lowercase = lowercase;
+    const std::array<char, 256>& table = TokenByteTable(lowercase);
+    for (int c = 0; c < 256; ++c) {
+      const bool digit = c >= '0' && c <= '9';
+      const bool lower = c >= 'a' && c <= 'z';
+      const bool upper = c >= 'A' && c <= 'Z';
+      const char byte = static_cast<char>(c);
+      const std::string value = std::string("x") + byte + "y";
+      const std::vector<std::string> tokens = TokenizeValue(value, options);
+      if (digit || lower || upper) {
+        const char stored =
+            upper && lowercase ? static_cast<char>(c - 'A' + 'a') : byte;
+        EXPECT_EQ(table[c], stored) << c;
+        EXPECT_EQ(tokens, (std::vector<std::string>{
+                              std::string("x") + stored + "y"}))
+            << c;
+      } else {
+        EXPECT_EQ(table[c], 0) << c;
+        EXPECT_EQ(tokens, (std::vector<std::string>{"x", "y"})) << c;
+      }
+    }
+  }
 }
 
 TEST(TokenizerTest, DistinctProfileTokensSortsAndDeduplicates) {

@@ -1,22 +1,28 @@
 // Equivalence suite for the CSR block layout: every observable output of
 // the blocking / meta-blocking / progressive stack must be identical to
 // the seed's per-block-vector layout. The seed behavior is encoded here as
-// straight-line reference implementations (legacy vector-of-vectors
-// storage, full member scans with a per-element IsComparable branch) and
-// compared against the CSR-backed library paths — byte-identical keys and
-// members, bitwise-identical edge weights for all five weighting schemes,
-// and identical PPS/PBS emission prefixes — for Dirty and Clean-Clean ER
-// at 1/2/4/8 threads.
+// straight-line reference implementations (std::isalnum tokenizer, ordered
+// postings map, per-profile block vectors in Block Filtering, legacy
+// vector-of-vectors storage, full member scans with a per-element
+// IsComparable branch) and compared against the CSR-backed library paths
+// — byte-identical keys and members, bitwise-identical edge weights for
+// all five weighting schemes, and identical PPS/PBS emission prefixes —
+// for Dirty and Clean-Clean ER at 1/2/4/8 threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <map>
 #include <span>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "blocking/block_filtering.h"
+#include "blocking/block_purging.h"
 #include "blocking/profile_index.h"
 #include "blocking/token_blocking.h"
 #include "core/tokenizer.h"
@@ -63,13 +69,42 @@ std::vector<LegacyBlock> ToLegacy(const BlockCollection& blocks) {
 
 // ------------------------------------------------- block build equivalence
 
+/// Seed-style tokenizer: std::isalnum / std::tolower under the default "C"
+/// locale, then sort + unique per profile.
+std::vector<std::string> ReferenceDistinctTokens(
+    const Profile& p, const TokenizerOptions& options) {
+  std::vector<std::string> tokens;
+  std::string current;
+  const auto flush = [&] {
+    if (!current.empty() && current.size() >= options.min_token_length) {
+      tokens.push_back(current);
+    }
+    current.clear();
+  };
+  for (const Attribute& a : p.attributes()) {
+    for (unsigned char c : a.value) {
+      if (std::isalnum(c) != 0) {
+        current.push_back(options.lowercase
+                              ? static_cast<char>(std::tolower(c))
+                              : static_cast<char>(c));
+      } else {
+        flush();
+      }
+    }
+    flush();
+  }
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+  return tokens;
+}
+
 /// Seed-style sequential token blocking: ordered postings map, profiles in
 /// id order, zero-cardinality keys dropped.
-std::vector<LegacyBlock> ReferenceTokenBlocking(const ProfileStore& store) {
+std::vector<LegacyBlock> ReferenceTokenBlocking(
+    const ProfileStore& store, const TokenizerOptions& tokenizer) {
   std::map<std::string, std::vector<ProfileId>> postings;
-  TokenizerOptions tokenizer;
   for (const Profile& p : store.profiles()) {
-    for (const std::string& token : DistinctProfileTokens(p, tokenizer)) {
+    for (const std::string& token : ReferenceDistinctTokens(p, tokenizer)) {
       postings[token].push_back(p.id());
     }
   }
@@ -82,13 +117,51 @@ std::vector<LegacyBlock> ReferenceTokenBlocking(const ProfileStore& store) {
   return out;
 }
 
-class CsrEquivalenceTest : public ::testing::TestWithParam<bool> {};
+/// Seed-style Block Filtering: one heap vector of block ids per profile,
+/// ranked by (|b|, id), cut to its ceil(ratio*|B_i|) smallest, then
+/// membership tested by binary search.
+std::vector<LegacyBlock> ReferenceBlockFiltering(const BlockCollection& input,
+                                                 double ratio) {
+  ProfileId num_profiles = 0;
+  for (ProfileId p : input.all_members()) {
+    num_profiles = std::max(num_profiles, p + 1);
+  }
+  std::vector<std::vector<BlockId>> profile_blocks(num_profiles);
+  for (BlockId b = 0; b < input.size(); ++b) {
+    for (ProfileId p : input.members(b)) profile_blocks[p].push_back(b);
+  }
+  for (std::vector<BlockId>& blocks : profile_blocks) {
+    std::sort(blocks.begin(), blocks.end(), [&](BlockId a, BlockId b) {
+      const std::size_t sa = input.block_size(a);
+      const std::size_t sb = input.block_size(b);
+      if (sa != sb) return sa < sb;
+      return a < b;
+    });
+    const std::size_t retained = static_cast<std::size_t>(
+        std::ceil(ratio * static_cast<double>(blocks.size())));
+    if (retained < blocks.size()) blocks.resize(retained);
+    std::sort(blocks.begin(), blocks.end());
+  }
+  std::vector<LegacyBlock> out;
+  for (BlockId b = 0; b < input.size(); ++b) {
+    LegacyBlock block{std::string(input.key(b)), {}};
+    for (ProfileId p : input.members(b)) {
+      if (std::binary_search(profile_blocks[p].begin(),
+                             profile_blocks[p].end(), b)) {
+        block.profiles.push_back(p);
+      }
+    }
+    if (input.ComputeCardinality(block.profiles) == 0) continue;
+    out.push_back(std::move(block));
+  }
+  return out;
+}
 
-TEST_P(CsrEquivalenceTest, TokenBlockingMatchesReferenceByteForByte) {
-  const ProfileStore store = GetParam() ? CleanCleanStore() : DirtyStore();
-  const BlockCollection blocks = TokenBlocking(store);
-  const std::vector<LegacyBlock> reference = ReferenceTokenBlocking(store);
-
+/// Keys, members and order equal the reference; every split point sits
+/// exactly at the store's source boundary.
+void ExpectSameBlocks(const BlockCollection& blocks,
+                      const std::vector<LegacyBlock>& reference,
+                      const ProfileStore& store) {
   ASSERT_EQ(blocks.size(), reference.size());
   for (BlockId b = 0; b < blocks.size(); ++b) {
     ASSERT_EQ(blocks.key(b), reference[b].key);
@@ -97,11 +170,68 @@ TEST_P(CsrEquivalenceTest, TokenBlockingMatchesReferenceByteForByte) {
                            reference[b].profiles.begin(),
                            reference[b].profiles.end()))
         << "block " << b << " (" << reference[b].key << ")";
-    // The split point partitions exactly at the store's source boundary.
     for (ProfileId p : blocks.source1(b)) EXPECT_TRUE(store.InSource1(p));
     for (ProfileId p : blocks.source2(b)) EXPECT_FALSE(store.InSource1(p));
     EXPECT_EQ(blocks.source1(b).size() + blocks.source2(b).size(),
               blocks.block_size(b));
+  }
+}
+
+class CsrEquivalenceTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CsrEquivalenceTest, TokenBlockingMatchesReferenceByteForByte) {
+  // Every generator of this ER type at a small scale, under the default
+  // tokenizer, with case kept, and with a minimum token length of 3.
+  using Scaled = std::pair<const char*, double>;
+  const std::vector<Scaled> datasets =
+      GetParam() ? std::vector<Scaled>{{"movies", 0.05},
+                                       {"dbpedia", 0.02},
+                                       {"freebase", 0.05}}
+                 : std::vector<Scaled>{{"restaurant", 0.5},
+                                       {"census", 0.5},
+                                       {"cora", 0.5},
+                                       {"cddb", 0.1}};
+  TokenizerOptions keep_case;
+  keep_case.lowercase = false;
+  TokenizerOptions min_length_3;
+  min_length_3.min_token_length = 3;
+  for (const auto& [name, scale] : datasets) {
+    DatagenOptions gen;
+    gen.scale = scale;
+    Result<DatasetBundle> dataset = GenerateDataset(name, gen);
+    ASSERT_TRUE(dataset.ok()) << name;
+    const ProfileStore& store = dataset.value().store;
+    for (const TokenizerOptions& tokenizer :
+         {TokenizerOptions{}, keep_case, min_length_3}) {
+      SCOPED_TRACE(std::string(name) + " lowercase=" +
+                   std::to_string(tokenizer.lowercase) + " min_length=" +
+                   std::to_string(tokenizer.min_token_length));
+      TokenBlockingOptions options;
+      options.tokenizer = tokenizer;
+      const BlockCollection blocks = TokenBlocking(store, options);
+      ASSERT_FALSE(blocks.empty());
+      ExpectSameBlocks(blocks, ReferenceTokenBlocking(store, tokenizer),
+                       store);
+    }
+  }
+}
+
+TEST_P(CsrEquivalenceTest, BlockFilteringMatchesReferenceByteForByte) {
+  const ProfileStore store = GetParam() ? CleanCleanStore() : DirtyStore();
+  const BlockCollection purged =
+      BlockPurging(TokenBlocking(store), store.size());
+  // 0 keeps no profile anywhere and >= 1 keeps every block whole.
+  for (double ratio : {0.0, 0.5, 0.8, 1.0, 1.5}) {
+    const std::vector<LegacyBlock> reference =
+        ReferenceBlockFiltering(purged, ratio);
+    for (std::size_t num_threads : {1u, 4u}) {
+      SCOPED_TRACE("ratio " + std::to_string(ratio) + " @ " +
+                   std::to_string(num_threads) + " threads");
+      BlockFilteringOptions options;
+      options.ratio = ratio;
+      options.num_threads = num_threads;
+      ExpectSameBlocks(BlockFiltering(purged, options), reference, store);
+    }
   }
 }
 

@@ -106,11 +106,10 @@ TEST(DeterminismTest, DifferentNeighborListSeedsChangeCoincidentalOrder) {
   EXPECT_TRUE(any_difference);
 }
 
-// The parallel initialization paths (sharded token index, block
-// filtering, edge weighting) promise bit-identical results at every
-// thread count. Drain the full emission sequence at 1 and 4 threads and
-// require exact equality — weights compared bit-for-bit, not
-// approximately.
+// The parallel initialization paths (block filtering, edge weighting)
+// promise bit-identical results at every thread count. Drain the full
+// emission sequence at 1 and 4 threads and require exact equality —
+// weights compared bit-for-bit, not approximately.
 class ThreadCountInvarianceTest : public ::testing::TestWithParam<MethodId> {
 };
 

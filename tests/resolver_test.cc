@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -113,6 +114,36 @@ TEST(ResolverOptionsTest, CreateRejectsInvalidOptionsWithClearStatus) {
   bad_kmax.pps_kmax = 0;
   EXPECT_EQ(Resolver::Create(store, bad_kmax).status().code(),
             StatusCode::kInvalidArgument);
+
+  // Workflow ratios: NaN, infinite and negative values are client errors
+  // that name the field.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -0.5}) {
+    ResolverOptions filtering;
+    filtering.workflow.filtering.ratio = bad;
+    Result<std::unique_ptr<Resolver>> r3 = Resolver::Create(store, filtering);
+    ASSERT_FALSE(r3.ok()) << bad;
+    EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r3.status().message().find("workflow.filtering.ratio"),
+              std::string::npos);
+
+    ResolverOptions purging;
+    purging.workflow.purging.max_size_ratio = bad;
+    Result<std::unique_ptr<Resolver>> r4 = Resolver::Create(store, purging);
+    ASSERT_FALSE(r4.ok()) << bad;
+    EXPECT_EQ(r4.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r4.status().message().find("workflow.purging.max_size_ratio"),
+              std::string::npos);
+  }
+
+  // The boundary values stay valid: ratio 0 filters every profile out of
+  // every block, ratio >= 1 keeps them all.
+  for (double edge : {0.0, 1.0, 2.5}) {
+    ResolverOptions options;
+    options.workflow.filtering.ratio = edge;
+    options.workflow.purging.max_size_ratio = edge;
+    EXPECT_TRUE(Resolver::Create(store, options).ok()) << edge;
+  }
 }
 
 TEST(ResolverOptionsTest, CreatePicksPlainAndShardedEngines) {

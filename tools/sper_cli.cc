@@ -607,9 +607,8 @@ int CmdInspect(const CliArgs& args) {
 
   TokenWorkflowOptions workflow_options;
   workflow_options.num_threads = OptThreads(args);
-  TokenBlockingOptions token_options;
-  token_options.num_threads = workflow_options.num_threads;
-  BlockCollection raw = TokenBlocking(ds.store, token_options);
+  BlockCollection raw =
+      TokenBlocking(ds.store, workflow_options.token_blocking);
   BlockCollection workflow =
       BuildTokenWorkflowBlocks(ds.store, workflow_options);
   std::printf("  token blocks:   %zu (||B|| = %llu)\n", raw.size(),
