@@ -37,10 +37,11 @@ int main(int argc, char** argv) {
     TextTable table({"method", "scheme", "AUC*@1", "AUC*@5", "recall@5"});
     for (MethodId id : {MethodId::kPbs, MethodId::kPps}) {
       for (WeightingScheme scheme : schemes) {
-        MethodConfig config = ConfigFor(target.dataset);
+        ResolverOptions config = ConfigFor(target.dataset);
+        config.method = id;
         config.scheme = scheme;
         RunResult run = evaluator.Run(
-            [&] { return MakeResolver(id, dataset.value(), config); });
+            [&] { return MakeResolver(dataset.value(), config); });
         table.AddRow({std::string(ToString(id)), ToString(scheme),
                       FormatDouble(run.auc_norm[0], 3),
                       FormatDouble(run.auc_norm[1], 3),

@@ -41,13 +41,14 @@ int main(int argc, char** argv) {
                      "AUC*@5", "recall@5", "init (s)"});
     for (bool purging : {true, false}) {
       for (bool filtering : {true, false}) {
-        MethodConfig config;
+        ResolverOptions config;
+        config.method = MethodId::kPps;
         config.workflow.enable_purging = purging;
         config.workflow.enable_filtering = filtering;
         BlockCollection blocks =
             BuildTokenWorkflowBlocks(dataset.value().store, config.workflow);
         RunResult run = evaluator.Run([&] {
-          return MakeResolver(MethodId::kPps, dataset.value(), config);
+          return MakeResolver(dataset.value(), config);
         });
         table.AddRow({purging ? "on" : "off", filtering ? "on" : "off",
                       FormatCount(blocks.size()),

@@ -8,9 +8,12 @@
 //                   ProcessProfile / ProcessBlock, and for sharded runs
 //                   every shard-head refill of the k-way merge — is
 //                   computed inline on the consuming thread;
-//   emit_pipelined  the emission pipeline (lookahead > 0): refill batches
-//                   are produced ahead of consumption on producer tasks,
-//                   one per shard, so the consumer pops completed batches.
+//   emit_pipelined  the emission pipeline (lookahead > 0), sharded runs
+//                   only: refill batches are produced ahead of the merge
+//                   on producer tasks, one per shard, so the merge pops
+//                   completed batches. One shard has no pipelined path —
+//                   it ran slower than serial, and ResolverOptions
+//                   rejects it.
 //
 // Each path also runs a telemetry-overhead configuration ("_obs" rows): the
 // same drain with a live obs::Registry attached. Those rows are digest-
@@ -33,7 +36,8 @@
 // serial/pipelined at the same shard count. Speedup needs spare physical
 // cores: with S shards the pipelined path keeps S producers plus the
 // merge thread busy; on a 1-core machine it degrades to ~1.0x (queue
-// overhead only) while the digests still pin correctness.
+// overhead only) while the digests still pin correctness. Shard counts
+// of 1 report the serial rows only.
 //
 // The timer covers the drain only — producers start prefetching during
 // engine construction, before the timer. With the default --budget=0
@@ -72,8 +76,9 @@ double Millis(std::chrono::steady_clock::time_point start) {
 
 using sper::bench::DrainResult;
 
-/// Builds the resolver (Resolver::Create picks plain vs sharded vs
-/// pipelined), then times the emission drain only — initialization is
+/// Builds the resolver (Resolver::Create picks plain vs sharded, and
+/// pipelined shard refills for lookahead > 0), then times the emission
+/// drain only — initialization is
 /// bench_parallel_scaling's job. A non-null `registry` attaches a
 /// telemetry scope (the "_obs" paths); the drained stream must stay
 /// bit-identical either way.
@@ -103,17 +108,15 @@ DrainResult RunOnce(const ProfileStore& store, MethodId method,
 }
 
 /// The telemetry observations of one instrumented pipelined run,
-/// aggregated across shards (the plain engine records unprefixed
-/// "pipeline.*" metrics; the sharded engine one set per "shardS."
-/// prefix).
+/// aggregated across shards (one set of "pipeline.*" metrics per
+/// "shardS." prefix).
 void AppendPipelineExtras(const obs::Registry& registry, std::size_t shards,
                           sper::bench::JsonRecord& record) {
   obs::Histogram occupancy;
   std::uint64_t stalls = 0;
   std::uint64_t waits = 0;
   for (std::size_t s = 0; s < shards; ++s) {
-    const std::string prefix =
-        shards > 1 ? "shard" + std::to_string(s) + "." : "";
+    const std::string prefix = "shard" + std::to_string(s) + ".";
     if (const obs::Histogram* h =
             registry.FindHistogram(prefix + "pipeline.ring_occupancy")) {
       occupancy.Merge(*h);
@@ -203,6 +206,7 @@ int main(int argc, char** argv) {
     // comparisons per shard before the drain timer starts.
     std::uint64_t max_prefetch = 0;
     for (std::size_t shards : shard_counts) {
+      if (shards == 1) continue;  // no pipelined path on one shard
       for (std::size_t lookahead : lookaheads) {
         max_prefetch = std::max<std::uint64_t>(
             max_prefetch, shards * (lookahead + 1) * 256);
@@ -265,7 +269,7 @@ int main(int argc, char** argv) {
     }
 
     for (std::size_t lookahead : lookaheads) {
-      if (lookahead == 0) continue;
+      if (lookahead == 0 || shards == 1) continue;
       DrainResult pipelined;
       for (int r = 0; r < repeat; ++r) {
         DrainResult run =

@@ -1,6 +1,7 @@
 // Fault-tolerance bench: what does one slow shard do to slice latency,
 // and how much does a per-request deadline claw back? Three paths, all
-// draining the same sharded resolver configuration through a session:
+// draining the same sharded resolver configuration through
+// Resolver::Serve:
 //
 //   baseline             no injected fault — the healthy reference;
 //   slow_shard           every shard-0 refill stalls --stall-ms (via the
@@ -66,15 +67,14 @@ struct SessionRun {
   std::uint64_t deadline_cuts = 0;
 };
 
-/// Drains the whole (budgeted) stream in `batch`-sized session slices,
-/// timing each request; `deadline_ms > 0` attaches a per-request
+/// Drains the whole (budgeted) stream in `batch`-sized Resolver::Serve
+/// slices, timing each request; `deadline_ms > 0` attaches a per-request
 /// deadline (cut slices are retried — continuation is lossless).
 SessionRun RunSession(const ProfileStore& store,
                       const ResolverOptions& options, std::uint64_t batch,
                       std::uint64_t deadline_ms) {
   std::unique_ptr<Resolver> resolver =
       sper::bench::CreateResolverOrDie(store, options);
-  ResolverSession session = resolver->OpenSession();
   SessionRun run;
   const obs::Stopwatch start;
   std::uint64_t empty_streak = 0;
@@ -84,8 +84,9 @@ SessionRun RunSession(const ProfileStore& store,
     request.max_batch = batch;
     request.deadline_ms = deadline_ms;
     const obs::Stopwatch slice_start;
-    ResolveResult slice = session.Resolve(request);
+    ResolveResult slice = resolver->Serve(request);
     run.slice_ms.push_back(Millis(slice_start));
+    ++run.drain.requests;
     if (!slice.status.ok()) {
       std::fprintf(stderr, "resolve failed: %s\n",
                    slice.status.ToString().c_str());
@@ -100,7 +101,6 @@ SessionRun RunSession(const ProfileStore& store,
     empty_streak = slice.comparisons.empty() ? empty_streak + 1 : 0;
     if (empty_streak >= 64) break;
   }
-  run.drain.requests = session.requests_served();
   run.drain.wall_ms = Millis(start);
   return run;
 }

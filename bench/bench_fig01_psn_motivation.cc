@@ -32,9 +32,10 @@ int main(int argc, char** argv) {
     options.ecstar_max = ecmax;
     options.auc_at = {1.0, 10.0};
     ProgressiveEvaluator evaluator(dataset.value().truth, options);
-    MethodConfig config = ConfigFor(name);
+    ResolverOptions config = ConfigFor(name);
+    config.method = MethodId::kPsn;
     RunResult run = evaluator.Run(
-        [&] { return MakeResolver(MethodId::kPsn, dataset.value(), config); });
+        [&] { return MakeResolver(dataset.value(), config); });
     run.method = name;  // column = dataset (all runs are PSN)
     runs.push_back(std::move(run));
   }

@@ -30,12 +30,13 @@ int main(int argc, char** argv) {
     options.ecstar_max = 20.0;
     options.auc_at = auc_at;
     ProgressiveEvaluator evaluator(dataset.value().truth, options);
-    MethodConfig config = ConfigFor(name);
+    ResolverOptions config = ConfigFor(name);
 
     std::vector<RunResult> runs;
     for (MethodId id : StructuredMethodSet()) {
+      config.method = id;
       RunResult run = evaluator.Run(
-          [&] { return MakeResolver(id, dataset.value(), config); });
+          [&] { return MakeResolver(dataset.value(), config); });
       per_method[id].push_back(run);
       runs.push_back(std::move(run));
     }

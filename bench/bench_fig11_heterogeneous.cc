@@ -32,13 +32,14 @@ int main(int argc, char** argv) {
     options.ecstar_max = ecmax;
     options.auc_at = {1.0};
     ProgressiveEvaluator evaluator(dataset.value().truth, options);
-    MethodConfig config = ConfigFor(name);
+    ResolverOptions config = ConfigFor(name);
 
     std::vector<RunResult> runs;
     for (MethodId id : HeterogeneousMethodSet()) {
       if (id == MethodId::kSaPsab && name != "movies") continue;
+      config.method = id;
       runs.push_back(evaluator.Run(
-          [&] { return MakeResolver(id, dataset.value(), config); }));
+          [&] { return MakeResolver(dataset.value(), config); }));
     }
     PrintRecallTable(
         name + " (|P1|=" + std::to_string(dataset.value().store.source1_size()) +

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
       return 1;
     }
-    MethodConfig config = ConfigFor(name);
+    ResolverOptions config = ConfigFor(name);
     EvalOptions options;
     options.ecstar_max = ecmax;
     options.auc_at = {1.0};
@@ -71,8 +71,9 @@ int main(int argc, char** argv) {
                        "recall@25% time", "recall@50% time",
                        "recall@end", "total (s)"});
       for (MethodId id : methods) {
+        config.method = id;
         RunResult run = evaluator.Run(
-            [&] { return MakeResolver(id, dataset.value(), config); },
+            [&] { return MakeResolver(dataset.value(), config); },
             match.get());
         if (id != MethodId::kSaPsn && match_name == "jaccard") {
           init_rows.push_back({name, run.method, run.init_seconds});

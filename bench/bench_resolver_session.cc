@@ -1,10 +1,10 @@
-// ResolverSession serving bench: what does request batching cost on top
-// of the raw emission stream? Two paths per batch size, both draining the
+// Request-serving bench: what does request batching cost on top of the
+// raw emission stream? Two paths per batch size, both draining the
 // same resolver configuration:
 //
 //   drain_unbatched   the reference: one Next() loop over the whole
 //                     (budgeted) stream — no admission, no slicing;
-//   session_batched   a ResolverSession serving ResolveRequest{budget=B,
+//   session_batched   Resolver::Serve answering ResolveRequest{budget=B,
 //                     max_batch=B} slices until the stream or the global
 //                     budget runs out — the pay-as-you-go serving shape.
 //
@@ -57,7 +57,7 @@ double Millis(const obs::Stopwatch& watch) {
 using sper::bench::DrainResult;
 
 /// Times one drain: `batch == 0` is the un-batched Next() reference,
-/// `batch > 0` serves the stream in session slices of that size.
+/// `batch > 0` serves the stream in Resolver::Serve slices of that size.
 DrainResult RunOnce(const ProfileStore& store,
                     const ResolverOptions& options, std::size_t batch) {
   std::unique_ptr<Resolver> resolver =
@@ -69,16 +69,15 @@ DrainResult RunOnce(const ProfileStore& store,
       result.Fold(*c);
     }
   } else {
-    ResolverSession session = resolver->OpenSession();
     for (;;) {
-      ResolveResult slice = session.Resolve({batch, batch});
+      ResolveResult slice = resolver->Serve({batch, batch});
+      ++result.requests;
       for (const Comparison& c : slice.comparisons) result.Fold(c);
       if (slice.comparisons.empty() || slice.budget_exhausted ||
           slice.stream_exhausted) {
         break;
       }
     }
-    result.requests = session.requests_served();
   }
   result.wall_ms = Millis(start);
   return result;

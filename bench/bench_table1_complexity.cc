@@ -20,14 +20,14 @@ struct Timing {
   double emission_us = 0.0;  // mean per emission over the first 20k
 };
 
-Timing Measure(sper::MethodId id, const sper::DatasetBundle& dataset,
-               const sper::MethodConfig& config) {
+Timing Measure(const sper::DatasetBundle& dataset,
+               const sper::ResolverOptions& config) {
   using Clock = std::chrono::steady_clock;
   Timing t;
   t.profiles = dataset.store.size();
   const auto t0 = Clock::now();
   std::unique_ptr<sper::ProgressiveEmitter> emitter =
-      sper::MakeResolver(id, dataset, config);
+      sper::MakeResolver(dataset, config);
   const auto t1 = Clock::now();
   t.init_seconds = std::chrono::duration<double>(t1 - t0).count();
 
@@ -85,11 +85,12 @@ int main(int argc, char** argv) {
   TextTable table({"method", "|P|", "init (s)", "emit (us)",
                    "init growth", "paper claim"});
   for (MethodId id : HeterogeneousMethodSet()) {
-    MethodConfig config;
+    ResolverOptions config;
+    config.method = id;
     config.gs_wmax = 20;  // keep GS-PSN memory flat across scales
     double previous_init = 0.0;
     for (std::size_t k = 0; k < datasets.size(); ++k) {
-      const Timing t = Measure(id, datasets[k], config);
+      const Timing t = Measure(datasets[k], config);
       std::string growth =
           k == 0 || previous_init <= 0
               ? "-"

@@ -118,7 +118,7 @@ struct JsonRecord {
   std::size_t shards = 1;
   /// Emission pipeline lookahead of the run; 0 for serial-emission paths.
   std::size_t lookahead = 0;
-  /// ResolverSession request size of a session-batched drain
+  /// Request size of a drain served in Resolver::Serve slices
   /// (bench_resolver_session); 0 for un-batched / non-session paths.
   std::size_t batch_size = 0;
   /// Additional numeric fields serialized verbatim into the record
@@ -200,8 +200,8 @@ inline bool WriteJsonRecords(const std::string& file,
 /// the large heterogeneous ones — except that the two web-scale datasets
 /// get smaller ranges, mirroring the paper's own memory cap on freebase
 /// (Sec. 7.2; see DESIGN.md §4).
-inline MethodConfig ConfigFor(const std::string& dataset) {
-  MethodConfig config;
+inline ResolverOptions ConfigFor(const std::string& dataset) {
+  ResolverOptions config;
   if (dataset == "movies") {
     config.gs_wmax = 200;
   } else if (dataset == "dbpedia") {

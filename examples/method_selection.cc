@@ -25,13 +25,14 @@ void Report(const sper::DatasetBundle& dataset, double ecstar_max) {
   options.ecstar_max = ecstar_max;
   options.auc_at = {1.0, 5.0};
   ProgressiveEvaluator evaluator(dataset.truth, options);
-  MethodConfig config;
+  ResolverOptions config;
 
   TextTable table({"method", "AUC*@1", "AUC*@5", "recall@end"});
   for (MethodId id : {MethodId::kLsPsn, MethodId::kGsPsn, MethodId::kPbs,
                       MethodId::kPps}) {
+    config.method = id;
     RunResult result = evaluator.Run(
-        [&] { return MakeResolver(id, dataset, config); });
+        [&] { return MakeResolver(dataset, config); });
     table.AddRow({std::string(ToString(id)),
                   FormatDouble(result.auc_norm[0], 3),
                   FormatDouble(result.auc_norm[1], 3),

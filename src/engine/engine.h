@@ -70,7 +70,7 @@ enum class PullStatus {
 /// the robustness contract (cancellable pulls, sticky status, drain).
 ///
 /// Engines are NOT thread-safe: one consumer drains Next()/Pull() at a
-/// time (`ResolverSession` serializes concurrent requests on top of
+/// time (`Resolver::Serve` serializes concurrent requests on top of
 /// this). Drain() must likewise be externally serialized against pulls —
 /// the Resolver does so via its admission queue.
 class Engine : public ProgressiveEmitter {

@@ -5,9 +5,10 @@
 #include <string_view>
 
 /// \file method.h
-/// Identifiers of the paper's seven progressive methods. Lives in the
-/// engine layer so both the ProgressiveEngine facade and the eval harness
-/// name methods the same way; eval/experiment.h re-exports it.
+/// Identifiers of the paper's seven progressive methods. A method is
+/// chosen in one place, ResolverOptions::method (engine/resolver.h),
+/// which both engines and the eval harness's MakeResolver read;
+/// eval/experiment.h re-exports this header.
 
 namespace sper {
 

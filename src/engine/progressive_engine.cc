@@ -2,14 +2,21 @@
 
 #include <cctype>
 #include <exception>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "core/macros.h"
 #include "obs/fault_injection.h"
+#include "obs/telemetry.h"
+#include "progressive/gs_psn.h"
 #include "progressive/ls_psn.h"
+#include "progressive/pbs.h"
+#include "progressive/pps.h"
 #include "progressive/psn.h"
+#include "progressive/sa_psab.h"
 #include "progressive/sa_psn.h"
+#include "progressive/workflow.h"
 
 namespace sper {
 
@@ -60,13 +67,13 @@ std::optional<MethodId> ParseMethodId(std::string_view name) {
 }
 
 ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
-                                     EngineConfig options,
-                                     ThreadPool* emission_pool)
-    : options_(std::move(options)) {
+                                     const ResolverOptions& options,
+                                     ThreadPool* emission_pool,
+                                     std::string label)
+    : label_(std::move(label)) {
   const obs::Stopwatch init_watch;
-  if (options_.num_threads == 0) options_.num_threads = 1;
-  budget_ = options_.budget;
-  const obs::TelemetryScope& scope = options_.telemetry;
+  budget_ = options.budget;
+  const obs::TelemetryScope& scope = options.telemetry;
 
   // The blocking workflow of the equality-based methods, timed per step.
   // Its phases land in stats_.phases before "method_build" (the emitter
@@ -74,8 +81,8 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
   // ("block_scheduling", "edge_weighting", "profile_scheduling") are
   // recorded registry-side by the callees themselves.
   const auto run_workflow = [&](const ProfileStore& s) {
-    TokenWorkflowOptions workflow = options_.workflow;
-    workflow.num_threads = options_.num_threads;
+    TokenWorkflowOptions workflow = options.workflow;
+    workflow.num_threads = options.num_threads;
     workflow.telemetry = scope;
     TokenWorkflowTiming timing;
     BlockCollection blocks = BuildTokenWorkflowBlocks(s, workflow, &timing);
@@ -94,49 +101,49 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
   };
 
   std::optional<BlockCollection> workflow_blocks;
-  if (MethodHasBatchRefills(options_.method)) {
+  if (MethodHasBatchRefills(options.method)) {
     workflow_blocks.emplace(run_workflow(store));
   }
 
   double method_seconds = 0.0;
   {
     obs::ScopedPhase method_phase(scope, "method_build", &method_seconds);
-    switch (options_.method) {
+    switch (options.method) {
     case MethodId::kPsn:
-      SPER_CHECK(options_.schema_key != nullptr &&
-                 "kPsn requires EngineConfig::schema_key");
-      inner_ = std::make_unique<PsnEmitter>(store, options_.schema_key,
-                                            options_.list);
+      SPER_CHECK(options.schema_key != nullptr &&
+                 "kPsn requires ResolverOptions::schema_key");
+      inner_ = std::make_unique<PsnEmitter>(store, options.schema_key,
+                                            options.list);
       break;
     case MethodId::kSaPsn:
-      inner_ = std::make_unique<SaPsnEmitter>(store, options_.list);
+      inner_ = std::make_unique<SaPsnEmitter>(store, options.list);
       break;
     case MethodId::kSaPsab:
-      inner_ = std::make_unique<SaPsabEmitter>(store, options_.suffix);
+      inner_ = std::make_unique<SaPsabEmitter>(store, options.suffix);
       break;
     case MethodId::kLsPsn:
-      inner_ = std::make_unique<LsPsnEmitter>(store, options_.list);
+      inner_ = std::make_unique<LsPsnEmitter>(store, options.list);
       break;
     case MethodId::kGsPsn: {
       GsPsnOptions gs;
-      gs.wmax = options_.gs_wmax;
-      gs.list = options_.list;
+      gs.wmax = options.gs_wmax;
+      gs.list = options.list;
       inner_ = std::make_unique<GsPsnEmitter>(store, gs);
       break;
     }
     case MethodId::kPbs: {
       PbsOptions pbs;
-      pbs.scheme = options_.scheme;
-      pbs.num_threads = options_.num_threads;
+      pbs.scheme = options.scheme;
+      pbs.num_threads = options.num_threads;
       pbs.telemetry = scope;
       inner_ = std::make_unique<PbsEmitter>(store, *workflow_blocks, pbs);
       break;
     }
     case MethodId::kPps: {
       PpsOptions pps;
-      pps.scheme = options_.scheme;
-      pps.kmax = options_.pps_kmax;
-      pps.num_threads = options_.num_threads;
+      pps.scheme = options.scheme;
+      pps.kmax = options.pps_kmax;
+      pps.num_threads = options.num_threads;
       pps.telemetry = scope;
       inner_ = std::make_unique<PpsEmitter>(store,
                                             std::move(*workflow_blocks), pps);
@@ -147,23 +154,15 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
   stats_.phases.push_back({"method_build", 0, method_seconds});
   SPER_CHECK(inner_ != nullptr && "unknown method");
 
-  // Emission pipeline (lookahead > 0): run the method's refills on a pool
-  // worker, bounded `lookahead` batches ahead of Next(). Only the
-  // batch-refilling methods expose the refill boundary; the rest keep the
-  // serial path regardless of the option.
+  // Emission pipeline (lookahead > 0): run the method's refills on a
+  // worker of the caller's pool, bounded `lookahead` batches ahead of
+  // Next(). Only the batch-refilling methods expose the refill boundary;
+  // the rest keep the serial path regardless of the option.
   batch_source_ = dynamic_cast<BatchSource*>(inner_.get());
-  fault_site_ = options_.instance_label.empty()
-                    ? "refill"
-                    : "refill." + options_.instance_label;
-  if (options_.lookahead > 0 && batch_source_ != nullptr) {
-    if (emission_pool == nullptr) {
-      owned_emission_pool_ = std::make_unique<ThreadPool>(1);
-      emission_pool = owned_emission_pool_.get();
-      if (scope.enabled()) {
-        owned_emission_pool_->set_dropped_exceptions_counter(
-            scope.counter("pool.dropped_exceptions"));
-      }
-    }
+  fault_site_ = label_.empty() ? "refill" : "refill." + label_;
+  if (options.lookahead > 0 && batch_source_ != nullptr) {
+    SPER_CHECK(emission_pool != nullptr &&
+               "a pipelined engine needs the caller's emission pool");
     // Refill batches can be tiny (a PPS profile contributes at most kmax
     // and usually far fewer comparisons), so the producer coalesces
     // consecutive refills into one ring slot until it holds at least
@@ -182,7 +181,7 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
           scope.histogram("pipeline.ring_occupancy");
     }
     pipeline_ = std::make_unique<EmissionPipeline<ComparisonList>>(
-        options_.lookahead,
+        options.lookahead,
         [source = batch_source_,
          scratch = ComparisonList()](ComparisonList& out) mutable {
           out.Clear();
@@ -213,9 +212,8 @@ PullStatus ProgressiveEngine::Poison(std::size_t batch_index,
     what = e.what();
   } catch (...) {
   }
-  const std::string& label = options_.instance_label;
   status_ = Status::Internal(
-      "refill producer failed (" + (label.empty() ? "engine" : label) +
+      "refill producer failed (" + (label_.empty() ? "engine" : label_) +
       ", batch " + std::to_string(batch_index) + "): " + what);
   return PullStatus::kError;
 }

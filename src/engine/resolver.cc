@@ -13,29 +13,6 @@
 
 namespace sper {
 
-namespace {
-
-/// ResolverOptions -> the per-engine configuration the implementations
-/// take. Stays in one place so plain and sharded creation cannot drift.
-EngineConfig ToEngineConfig(const ResolverOptions& options) {
-  EngineConfig engine;
-  engine.method = options.method;
-  engine.num_threads = options.num_threads;
-  engine.budget = options.budget;
-  engine.lookahead = options.lookahead;
-  engine.workflow = options.workflow;
-  engine.scheme = options.scheme;
-  engine.pps_kmax = options.pps_kmax;
-  engine.gs_wmax = options.gs_wmax;
-  engine.suffix = options.suffix;
-  engine.list = options.list;
-  engine.schema_key = options.schema_key;
-  engine.telemetry = options.telemetry;
-  return engine;
-}
-
-}  // namespace
-
 std::string_view ToString(Priority priority) {
   switch (priority) {
     case Priority::kInteractive:
@@ -96,6 +73,12 @@ Status ResolverOptions::Validate() const {
   if (lookahead > kMaxLookahead) {
     return Status::InvalidArgument(
         "lookahead must be <= " + std::to_string(kMaxLookahead) + ", got " +
+        std::to_string(lookahead));
+  }
+  if (lookahead > 0 && num_shards == 1) {
+    return Status::InvalidArgument(
+        "lookahead must be 0 with num_shards 1 (pipelined emission runs "
+        "only across shards), got " +
         std::to_string(lookahead));
   }
   if (method == MethodId::kPsn && schema_key == nullptr) {
@@ -160,11 +143,9 @@ Result<std::unique_ptr<Resolver>> Resolver::Create(const ProfileStore& store,
   SPER_RETURN_IF_ERROR(options.Validate());
   std::unique_ptr<Engine> engine;
   if (options.num_shards > 1) {
-    engine = std::make_unique<ShardedEngine>(store, ToEngineConfig(options),
-                                             options.num_shards);
+    engine = std::make_unique<ShardedEngine>(store, options);
   } else {
-    engine =
-        std::make_unique<ProgressiveEngine>(store, ToEngineConfig(options));
+    engine = std::make_unique<ProgressiveEngine>(store, options);
   }
   return std::unique_ptr<Resolver>(
       new Resolver(std::move(options), std::move(engine)));
@@ -173,6 +154,16 @@ Result<std::unique_ptr<Resolver>> Resolver::Create(const ProfileStore& store,
 ResolveResult Resolver::Serve(const ResolveRequest& request) {
   const obs::Stopwatch arrival;
   ResolveResult result;
+
+  // An invalid request is rejected before it takes a ticket: its
+  // deadline_ms could overflow the deadline clock, its priority index the
+  // QoS lanes.
+  if (Status valid = ValidateResolveRequest(request); !valid.ok()) {
+    result.outcome = ResolveOutcome::kRejected;
+    result.status = std::move(valid);
+    if (rejected_ != nullptr) rejected_->Add();
+    return result;
+  }
 
   // Draining resolvers reject before taking a ticket (no queue slot, no
   // stream consumption). Requests that lose the race — ticket taken just

@@ -24,37 +24,39 @@
 
 /// \file resolver.h
 /// The unified serving API: one `Resolver` in front of every engine
-/// implementation, and `ResolverSession`s that serve pay-as-you-go
-/// resolve requests from its long-lived ranked stream.
+/// implementation, serving pay-as-you-go resolve requests from its
+/// long-lived ranked stream.
 ///
 /// The paper's consumer is a client that repeatedly asks a long-lived
 /// resolver for "the next best comparisons under my budget". This layer
 /// makes that the public surface:
 ///
-///   - `ResolverOptions` is the one configuration struct (method, threads,
-///     shards, lookahead, global budget, method knobs) — validated with a
-///     clear error `Status` instead of silently falling back;
+///   - `ResolverOptions` is the library's one configuration struct
+///     (method, threads, shards, lookahead, global budget, method knobs)
+///     — validated with a clear error `Status` instead of silently
+///     falling back, and read directly by both engines;
 ///   - `Resolver::Create(store, options)` picks the implementation (plain
-///     `ProgressiveEngine`, `ShardedEngine` for `num_shards > 1`, each
-///     optionally running the emission pipeline for `lookahead > 0`) and
+///     `ProgressiveEngine`, or `ShardedEngine` for `num_shards > 1`,
+///     whose shards run the emission pipeline for `lookahead > 0`) and
 ///     returns it behind the abstract `Engine` interface;
-///   - `ResolverSession::Resolve(ResolveRequest)` draws a budgeted slice
-///     off the shared stream under ticketed FIFO admission: concurrent
-///     requests are admitted strictly in ticket order, and concatenating
-///     the per-request slices in ticket order is bit-identical to one
-///     un-batched drain of the same resolver.
+///   - `Resolver::Serve(ResolveRequest)` is the one request path: it
+///     draws a budgeted slice off the shared stream under ticketed FIFO
+///     admission — concurrent requests are admitted strictly in ticket
+///     order, and concatenating the per-request slices in ticket order is
+///     bit-identical to one un-batched drain of the same resolver.
 ///
-/// Backpressure: with `lookahead > 0` the engine's emission pipeline keeps
+/// Backpressure: with `lookahead > 0` each shard's emission pipeline keeps
 /// producing refill batches between requests, but only up to the bounded
 /// SPSC ring's `lookahead` slots — a slow consumer never buffers more than
-/// the ring, and a burst of requests is served from batches the producers
-/// already completed (see parallel/emission_pipeline.h).
+/// the rings, and a burst of requests is served from batches the
+/// producers already completed (see parallel/emission_pipeline.h).
 
 namespace sper {
 
-/// Everything a Resolver needs to serve one progressive ER task: the one
-/// public configuration struct, validated by Validate() and lowered to
-/// the internal per-engine `EngineConfig` by Resolver::Create.
+/// Everything a Resolver needs to serve one progressive ER task: the
+/// library's one configuration struct, validated by Validate() and read
+/// as-is by the engines Resolver::Create builds (a shard engine gets a
+/// copy with its own telemetry sub-scope).
 struct ResolverOptions {
   /// Progressive method to run.
   MethodId method = MethodId::kPps;
@@ -74,11 +76,15 @@ struct ResolverOptions {
   /// emit across all requests and drains; 0 = unlimited.
   std::uint64_t budget = 0;
 
-  /// Emission pipeline lookahead (per shard when sharded): how many
-  /// completed refill slots producers may run ahead of consumption; 0 =
-  /// the serial reference path. Applies to the batch-refilling methods
-  /// (PBS, PPS); the sort-based methods ignore it. The emitted stream is
-  /// bit-identical at every setting. Must be <= kMaxLookahead.
+  /// Emission pipeline lookahead, per shard: how many completed queue
+  /// slots each shard's producer may run ahead of the k-way merge; 0 =
+  /// the serial reference path. A slot holds one or more consecutive
+  /// refill batches — small refills are coalesced until a slot carries at
+  /// least ~256 comparisons. Applies to the batch-refilling methods (PBS,
+  /// PPS); the sort-based methods ignore it. The emitted stream is
+  /// bit-identical at every setting. Must be <= kMaxLookahead, and 0 when
+  /// num_shards == 1: pipelining one shard is slower than the serial path,
+  /// so pipelined emission exists only across shards.
   std::size_t lookahead = 0;
 
   /// Blocking workflow for the equality-based methods (PBS, PPS).
@@ -100,7 +106,7 @@ struct ResolverOptions {
 
   /// Telemetry sink: hand a scope into an obs::Registry to record
   /// per-phase init timings (per shard when sharded), emission-pipeline
-  /// health, k-way-merge draw balance and per-request session metrics
+  /// health, k-way-merge draw balance and per-request serving metrics
   /// ("session.queue_wait_ns", "session.service_ns",
   /// "session.slice_comparisons" histograms plus "session.resolve"
   /// spans). Default-constructed = disabled; the emitted stream is
@@ -142,7 +148,8 @@ std::string_view ToString(Priority priority);
 /// nullopt for unknown names.
 std::optional<Priority> ParsePriority(std::string_view name);
 
-/// One pay-as-you-go request against a ResolverSession.
+/// One pay-as-you-go request against a Resolver (Resolver::Serve) or a QoS
+/// admission controller in front of one (serving/qos.h).
 struct ResolveRequest {
   /// Comparisons this request pays for: the returned slice holds at most
   /// this many. Unlike ResolverOptions::budget, 0 here buys nothing — a
@@ -189,10 +196,12 @@ struct ResolveRequest {
   static constexpr std::uint64_t kMaxDeadlineMs = 86'400'000;  // 24 h
 };
 
-/// The one request validator, shared by the CLI flag path (sper_cli run /
-/// client build requests from strict flags) and the wire decode path
-/// (net/wire.cc validates every decoded frame before the server serves
-/// it): max_batch <= kMaxBatch, deadline_ms <= kMaxDeadlineMs, priority a
+/// The one request validator: Resolver::Serve and
+/// QosAdmissionController::Resolve call it first and reject an invalid
+/// request (kRejected with this status) before it takes a ticket, a lane
+/// slot or a client entry; the wire decoder, net::Client and the CLI
+/// check with it too, before a request leaves their hands:
+/// max_batch <= kMaxBatch, deadline_ms <= kMaxDeadlineMs, priority a
 /// known class. `budget` is intentionally unbounded — delivery is capped
 /// by max_batch (the server clamps 0 = uncapped to kMaxBatch), so a huge
 /// budget buys many slices, never one huge response. OK iff servable;
@@ -224,8 +233,9 @@ enum class ResolveOutcome : std::uint8_t {
   /// client-visible meaning as kDeadlineExpired (deadline_exceeded()
   /// reads true), but no stream capacity was spent on it.
   kEvicted,
-  /// Never admitted: the resolver is draining, or its engine was already
-  /// poisoned. status is FailedPrecondition.
+  /// Never admitted: the request failed ValidateResolveRequest (status
+  /// InvalidArgument naming the field), or the resolver is draining or
+  /// its engine was already poisoned (status FailedPrecondition).
   kRejected,
   /// The request observed the engine's contained producer failure first;
   /// status is Internal with shard/batch context. Terminal for the
@@ -298,24 +308,20 @@ struct ResolveResult {
   }
 };
 
-class ResolverSession;
-
 /// The unified serving facade: owns one Engine picked by Create() and the
-/// FIFO admission state its sessions serve under. Being a
-/// ProgressiveEmitter, a Resolver still composes with every streaming
-/// consumer (evaluator, benches) as a plain un-batched drain.
+/// FIFO admission state Serve() runs under. Being a ProgressiveEmitter, a
+/// Resolver still composes with every streaming consumer (evaluator,
+/// benches) as a plain un-batched drain.
 ///
-/// Thread-safety: Serve() may be called from any number of threads. A
-/// ResolverSession's own accounting is NOT synchronized — give each
-/// concurrent client its own session (sessions are lightweight; all of
-/// them share this resolver's stream and admission order). Next() is a
-/// single-consumer drain and must not be interleaved with concurrent
-/// Serve() calls.
+/// Thread-safety: Serve() may be called from any number of threads; all
+/// callers share this resolver's stream and admission order, and each
+/// counts what it received. Next() is a single-consumer drain and must
+/// not be interleaved with concurrent Serve() calls.
 class Resolver : public ProgressiveEmitter {
  public:
   /// Validates `options`, builds the matching engine (plain for one
-  /// shard, sharded otherwise; pipelined emission when lookahead > 0)
-  /// and wraps it. Returns InvalidArgument without touching the store
+  /// shard, sharded otherwise; pipelined shard refills when
+  /// lookahead > 0) and wraps it. Returns InvalidArgument without touching the store
   /// when validation fails.
   ///
   /// Lifetime: the store must outlive the resolver. (With num_shards > 1
@@ -327,15 +333,11 @@ class Resolver : public ProgressiveEmitter {
                                                   ResolverOptions options);
 
   /// Un-batched drain: the globally next best comparison, honoring the
-  /// global budget. Equivalent to engine().Next().
+  /// global budget.
   std::optional<Comparison> Next() override { return engine_->Next(); }
 
   /// The underlying method's acronym, e.g. "PPS".
   std::string_view name() const override { return engine_->name(); }
-
-  /// The engine behind the resolver, through the abstract interface.
-  Engine& engine() { return *engine_; }
-  const Engine& engine() const { return *engine_; }
 
   /// Comparisons emitted so far (requests + drains combined).
   std::uint64_t emitted() const { return engine_->emitted(); }
@@ -352,18 +354,15 @@ class Resolver : public ProgressiveEmitter {
   /// The validated configuration the resolver was created with.
   const ResolverOptions& options() const { return options_; }
 
-  /// Opens a serving session. Sessions are lightweight handles: any
-  /// number may be open at once, all sharing this resolver's stream and
-  /// FIFO admission order. The resolver must outlive its sessions.
-  ResolverSession OpenSession();
-
-  /// Serves one request (ResolverSession::Resolve delegates here): takes
-  /// the next admission ticket, waits until every earlier ticket has been
-  /// served, then draws up to min(budget, max_batch) comparisons off the
-  /// shared stream — giving up losslessly at the request's deadline or
-  /// cancellation. Blocking; safe from concurrent threads, including
-  /// concurrently with Drain(). After Drain() began, requests are
-  /// rejected with FailedPrecondition (empty slice, no stream consumed).
+  /// Serves one request — the library's one request path. An invalid
+  /// request (ValidateResolveRequest) is rejected with InvalidArgument
+  /// before it takes a ticket. Otherwise it takes the next admission
+  /// ticket, waits until every earlier ticket has been served, then draws
+  /// up to min(budget, max_batch) comparisons off the shared stream —
+  /// giving up losslessly at the request's deadline or cancellation.
+  /// Blocking; safe from concurrent threads, including concurrently with
+  /// Drain(). After Drain() began, requests are rejected with
+  /// FailedPrecondition (empty slice, no stream consumed).
   ResolveResult Serve(const ResolveRequest& request);
 
   /// Graceful drain: stops admitting new requests, waits until every
@@ -394,8 +393,8 @@ class Resolver : public ProgressiveEmitter {
   obs::Histogram* slice_comparisons_ = nullptr;
   obs::Counter* requests_ = nullptr;
   /// Robustness counters: requests cut by deadline / explicit cancel,
-  /// requests rejected (draining or poisoned), requests that observed an
-  /// engine error.
+  /// requests rejected (invalid, draining or poisoned), requests that
+  /// observed an engine error.
   obs::Counter* deadline_exceeded_ = nullptr;
   obs::Counter* cancelled_ = nullptr;
   obs::Counter* rejected_ = nullptr;
@@ -429,41 +428,6 @@ class Resolver : public ProgressiveEmitter {
   /// re-reporting the Internal status.
   bool poison_reported_ SPER_GUARDED_BY(mutex_) = false;
 };
-
-/// A client's handle on a Resolver's stream: per-session accounting over
-/// the resolver's shared ticketed FIFO admission. Copyable/movable;
-/// sessions hold no stream state of their own (the scheduler — the
-/// resolver — owns the cursor, per the serving framing of progressive
-/// ER). The accounting counters are not synchronized: one session per
-/// concurrent client (see the Resolver thread-safety note).
-class ResolverSession {
- public:
-  /// The resolver must outlive the session.
-  explicit ResolverSession(Resolver& resolver) : resolver_(&resolver) {}
-
-  /// Serves one pay-as-you-go request; see Resolver::Serve.
-  ResolveResult Resolve(const ResolveRequest& request) {
-    ResolveResult result = resolver_->Serve(request);
-    ++requests_served_;
-    delivered_ += result.comparisons.size();
-    return result;
-  }
-
-  /// Requests this session has served (including empty slices).
-  std::uint64_t requests_served() const { return requests_served_; }
-
-  /// Comparisons this session has delivered across all requests.
-  std::uint64_t delivered() const { return delivered_; }
-
- private:
-  Resolver* resolver_;
-  std::uint64_t requests_served_ = 0;
-  std::uint64_t delivered_ = 0;
-};
-
-inline ResolverSession Resolver::OpenSession() {
-  return ResolverSession(*this);
-}
 
 }  // namespace sper
 

@@ -25,19 +25,17 @@ bool ShardHasCandidates(const ProfileStore& store) {
 
 }  // namespace
 
-ShardedEngine::ShardedEngine(const ProfileStore& store, EngineConfig config,
-                             std::size_t num_shards)
-    : config_(std::move(config)) {
+ShardedEngine::ShardedEngine(const ProfileStore& store,
+                             const ResolverOptions& options)
+    : method_(options.method) {
   const obs::Stopwatch init_watch;
-  if (num_shards == 0) num_shards = 1;
-  if (config_.num_threads == 0) config_.num_threads = 1;
-  budget_ = config_.budget;
-  const obs::TelemetryScope& scope = config_.telemetry;
+  budget_ = options.budget;
+  const obs::TelemetryScope& scope = options.telemetry;
 
   {
     double partition_seconds = 0.0;
     obs::ScopedPhase phase(scope, "partition", &partition_seconds);
-    shards_ = PartitionStore(store, num_shards);
+    shards_ = PartitionStore(store, options.num_shards);
     phase.Stop();
     stats_.phases.push_back({"partition", 0, partition_seconds});
   }
@@ -51,12 +49,10 @@ ShardedEngine::ShardedEngine(const ProfileStore& store, EngineConfig config,
   // budget caps the merged stream) and split the total thread budget
   // across the shard constructions running concurrently.
   const std::size_t concurrency =
-      std::max<std::size_t>(
-          1, std::min(shards_.size(), config_.num_threads));
-  EngineConfig inner = config_;
+      std::min(shards_.size(), options.num_threads);
+  ResolverOptions inner = options;
   inner.budget = 0;
-  inner.num_threads =
-      std::max<std::size_t>(1, config_.num_threads / concurrency);
+  inner.num_threads = options.num_threads / concurrency;
 
   // Parallel shard refills (lookahead > 0, batch-refilling method): a
   // shared pool hosts every shard's emission-pipeline producer. It needs
@@ -88,29 +84,24 @@ ShardedEngine::ShardedEngine(const ProfileStore& store, EngineConfig config,
 
   // Each shard gets a "shard<S>."-prefixed sub-scope, so concurrent
   // shard constructions write disjoint metric names (registry creation is
-  // mutex-protected either way). The matching instance label makes a
-  // shard's contained failures and fault seams attributable
-  // ("refill.shard<S>").
-  const auto shard_options = [&](std::size_t s) {
-    EngineConfig shard_inner = inner;
-    shard_inner.telemetry = scope.Sub("shard" + std::to_string(s));
-    shard_inner.instance_label = "shard" + std::to_string(s);
-    return shard_inner;
+  // mutex-protected either way). The matching label makes a shard's
+  // contained failures and fault seams attributable ("refill.shard<S>").
+  const auto build_shard = [&](std::size_t s) {
+    const std::string label = "shard" + std::to_string(s);
+    ResolverOptions shard_options = inner;
+    shard_options.telemetry = scope.Sub(label);
+    engines_[s] = std::make_unique<ProgressiveEngine>(
+        shards_[s].store, shard_options, emission_pool_.get(), label);
   };
   if (concurrency <= 1) {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!ShardHasCandidates(shards_[s].store)) continue;
-      engines_[s] = std::make_unique<ProgressiveEngine>(
-          shards_[s].store, shard_options(s), emission_pool_.get());
+      if (ShardHasCandidates(shards_[s].store)) build_shard(s);
     }
   } else {
     ThreadPool pool(concurrency);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       if (!ShardHasCandidates(shards_[s].store)) continue;
-      pool.Submit([this, s, &shard_options] {
-        engines_[s] = std::make_unique<ProgressiveEngine>(
-            shards_[s].store, shard_options(s), emission_pool_.get());
-      });
+      pool.Submit([s, &build_shard] { build_shard(s); });
     }
     pool.Wait();
   }
@@ -210,8 +201,6 @@ void ShardedEngine::Drain() {
   emission_pool_.reset();
 }
 
-std::string_view ShardedEngine::name() const {
-  return ToString(config_.method);
-}
+std::string_view ShardedEngine::name() const { return ToString(method_); }
 
 }  // namespace sper

@@ -11,7 +11,9 @@
 #include "core/profile_store.h"
 #include "core/store_partition.h"
 #include "engine/engine.h"
+#include "engine/method.h"
 #include "engine/progressive_engine.h"
+#include "engine/resolver.h"
 #include "obs/telemetry.h"
 #include "parallel/ordered_merge.h"
 #include "parallel/thread_pool.h"
@@ -26,7 +28,7 @@
 /// the ThreadPool; emission stays a sequential pull-based stream in
 /// *original* profile ids.
 ///
-/// With `engine.lookahead > 0` shard refills run *in parallel*: every
+/// With `lookahead > 0` shard refills run *in parallel*: every
 /// shard engine's emission pipeline producer lives on a shared pool (one
 /// worker per non-barren shard), so when the k-way merge pops a shard
 /// head, the refill it triggers is an O(1) pop from that shard's
@@ -34,9 +36,9 @@
 /// serializing every ProcessProfile/ProcessBlock on the merge thread.
 ///
 /// Determinism contract: the merged stream depends only on (store,
-/// options.num_shards, engine options) — never on thread count or timing.
-/// For num_shards == 1 it is bit-identical to a plain ProgressiveEngine
-/// with the same engine options. Note that for S > 1 the stream is a
+/// options) — never on thread count, lookahead or timing. For
+/// num_shards == 1 it is bit-identical to a plain ProgressiveEngine with
+/// the same options. Note that for S > 1 the stream is a
 /// different (still deterministic) order than unsharded: each shard ranks
 /// comparisons against its own sub-collection, and only intra-shard pairs
 /// are candidates — the standard recall trade-off of hash sharding.
@@ -52,24 +54,22 @@ namespace sper {
 /// behind that factory.
 class ShardedEngine : public BudgetedEngine {
  public:
-  /// Partitions the store into `num_shards` hash shards (0 and 1 both
-  /// mean "one shard"), then constructs the per-shard engines
-  /// concurrently on a ThreadPool. The store must outlive the engine
-  /// only for construction; shards own copies of their profiles.
+  /// Partitions the store into `options.num_shards` hash shards, then
+  /// constructs the per-shard engines concurrently on a ThreadPool. The
+  /// store must outlive the engine only for construction; shards own
+  /// copies of their profiles.
   ///
-  /// `config` is the per-shard engine configuration, reinterpreted at
-  /// the sharded level: `config.budget` is the *global* pay-as-you-go
-  /// budget across all shards (inner engines run unbudgeted; the merged
-  /// stream is capped); `config.num_threads` is the total thread budget
-  /// for *initialization* — shard initializations run concurrently and
-  /// split it evenly; `config.lookahead` applies per shard and turns on
-  /// the parallel refills described above, using one additional producer
-  /// thread per non-barren shard (not counted against num_threads, and
-  /// capped: past 64 non-barren shards the engine silently falls back to
-  /// serial refills rather than spawn an OS thread per shard — the
-  /// emitted stream is identical either way).
-  ShardedEngine(const ProfileStore& store, EngineConfig config,
-                std::size_t num_shards);
+  /// The options are read at the sharded level: `budget` is the *global*
+  /// pay-as-you-go budget across all shards (inner engines run
+  /// unbudgeted; the merged stream is capped); `num_threads` is the total
+  /// thread budget for *initialization* — shard initializations run
+  /// concurrently and split it evenly; `lookahead` applies per shard and
+  /// turns on the parallel refills described above, using one additional
+  /// producer thread per non-barren shard (not counted against
+  /// num_threads, and capped: past 64 non-barren shards the engine falls
+  /// back to serial refills rather than spawn an OS thread per shard —
+  /// the emitted stream is identical either way).
+  ShardedEngine(const ProfileStore& store, const ResolverOptions& options);
 
   /// The underlying method's acronym, e.g. "PPS".
   std::string_view name() const override;
@@ -90,7 +90,7 @@ class ShardedEngine : public BudgetedEngine {
   PullStatus PullUnbudgeted(Comparison& out,
                             const CancelToken& token) override;
 
-  EngineConfig config_;
+  MethodId method_;
   std::vector<StoreShard> shards_;
   // Hosts the per-shard emission-pipeline producers (lookahead > 0): one
   // worker per non-barren shard, so no producer ever waits for a worker —

@@ -1,53 +1,23 @@
 #include "eval/experiment.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
+#include "core/macros.h"
+
 namespace sper {
 
-ResolverOptions ToResolverOptions(MethodId id, const DatasetBundle& dataset,
-                                  const MethodConfig& config) {
-  ResolverOptions options;
-  options.method = id;
-  options.num_threads = config.num_threads;
-  options.num_shards = config.num_shards;
-  options.budget = config.budget;
-  options.lookahead = config.lookahead;
-  options.workflow = config.workflow;
-  options.scheme = config.scheme;
-  options.pps_kmax = config.pps_kmax;
-  options.gs_wmax = config.gs_wmax;
-  options.suffix = config.suffix;
-  options.list = config.list;
+std::unique_ptr<Resolver> MakeResolver(const DatasetBundle& dataset,
+                                       ResolverOptions options) {
+  if (options.method == MethodId::kPsn && !dataset.psn_key) return nullptr;
   options.schema_key = dataset.psn_key;
-  options.telemetry = config.telemetry;
-  // MethodConfig is the old lenient surface (the engines historically
-  // accepted any thread/shard count, with 0 meaning one); ResolverOptions
-  // validates instead, so normalize into range here at the boundary —
-  // MakeResolver must not start rejecting configs that used to run.
-  if (options.num_threads == 0) options.num_threads = 1;
-  if (options.num_shards == 0) options.num_shards = 1;
-  options.num_threads =
-      std::min(options.num_threads, ResolverOptions::kMaxThreads);
-  options.num_shards = std::min(options.num_shards, ResolverOptions::kMaxShards);
-  options.lookahead = std::min(options.lookahead, ResolverOptions::kMaxLookahead);
-  return options;
-}
-
-std::unique_ptr<Resolver> MakeResolver(MethodId id,
-                                       const DatasetBundle& dataset,
-                                       const MethodConfig& config) {
-  if (id == MethodId::kPsn && !dataset.psn_key) return nullptr;
   Result<std::unique_ptr<Resolver>> resolver =
-      Resolver::Create(dataset.store, ToResolverOptions(id, dataset, config));
+      Resolver::Create(dataset.store, std::move(options));
   if (!resolver.ok()) {
-    // Only reachable for degenerate method knobs (e.g. pps_kmax = 0);
-    // the serving-shape knobs are normalized above. Name the reason
-    // before the check aborts.
+    // Name the reason before the check aborts.
     std::fprintf(stderr, "MakeResolver: %s\n",
                  resolver.status().ToString().c_str());
-    SPER_CHECK(false && "MethodConfig produced an invalid resolver");
+    SPER_CHECK(false && "MakeResolver got invalid ResolverOptions");
   }
   return std::move(resolver).value();
 }

@@ -18,7 +18,7 @@
 #include "serving/qos.h"
 
 /// \file server.h
-/// The socket front-end over ResolverSession + QoS: a Server listens on a
+/// The socket front-end over Resolver::Serve + QoS: a Server listens on a
 /// TCP endpoint, speaks the net/wire.h protocol, and funnels every remote
 /// ResolveRequest through one QosAdmissionController into the Resolver —
 /// so remote clients get exactly the serving semantics in-process callers

@@ -11,8 +11,8 @@
 /// \file telemetry.h
 /// The instrumentation seam that library code holds: a TelemetryScope is
 /// a (Registry*, name-prefix) pair that flows through options structs
-/// (ResolverOptions -> EngineConfig -> per-shard scopes -> workflow /
-/// emitter options). Code instruments unconditionally against the scope;
+/// (ResolverOptions -> each shard's copy with a "shard<S>." sub-scope ->
+/// workflow / emitter options). Code instruments unconditionally against the scope;
 /// the scope decides whether anything happens:
 ///
 ///   - runtime off-mode: a default-constructed scope has no registry, so

@@ -140,7 +140,23 @@ void QosAdmissionController::DispatchNextLocked() {
   }
 }
 
+void QosAdmissionController::ForgetIdleClientsLocked(std::uint64_t now) {
+  std::erase_if(clients_, [now](const auto& entry) {
+    const ClientState& state = entry.second;
+    return state.consecutive_sheds == 0 && state.bucket.FullAt(now);
+  });
+  if (clients_.size() * 2 >= client_sweep_at_) client_sweep_at_ *= 2;
+}
+
 ResolveResult QosAdmissionController::Resolve(const ResolveRequest& request) {
+  // Validate before anything indexes by priority or multiplies the
+  // deadline: an invalid request never touches a client entry or a lane.
+  if (Status valid = ValidateResolveRequest(request); !valid.ok()) {
+    ResolveResult result;
+    result.outcome = ResolveOutcome::kRejected;
+    result.status = std::move(valid);
+    return result;
+  }
   SPER_FAULT_HIT("qos.admit");
   const auto lane = static_cast<std::size_t>(request.priority);
   Waiter waiter;
@@ -152,6 +168,7 @@ ResolveResult QosAdmissionController::Resolve(const ResolveRequest& request) {
     MutexLock lock(mutex_);
     const std::uint64_t now = clock_->NowNanos();
 
+    if (clients_.size() >= client_sweep_at_) ForgetIdleClientsLocked(now);
     ClientState& client =
         clients_
             .try_emplace(request.client_id,
@@ -277,6 +294,11 @@ ClassStats QosAdmissionController::stats(Priority priority) const {
 std::size_t QosAdmissionController::queue_depth() const {
   MutexLock lock(mutex_);
   return queued_total_;
+}
+
+std::size_t QosAdmissionController::tracked_clients() const {
+  MutexLock lock(mutex_);
+  return clients_.size();
 }
 
 void QosAdmissionController::PrimeServiceEstimate(std::uint64_t service_ns) {

@@ -126,8 +126,10 @@ class QosAdmissionController {
   QosAdmissionController(Resolver& resolver, QosOptions options);
 
   /// Serves one request under QoS. Blocking for admitted requests (lane
-  /// wait + serve); immediate for shed/evicted ones. See the file
-  /// comment for the decision order.
+  /// wait + serve); immediate for shed/evicted ones, and for invalid ones
+  /// (ValidateResolveRequest), which come back kRejected before they
+  /// touch a client entry or a lane. See the file comment for the
+  /// decision order.
   ResolveResult Resolve(const ResolveRequest& request);
 
   /// Per-class counters, consistent snapshot.
@@ -135,6 +137,12 @@ class QosAdmissionController {
 
   /// Total requests currently queued across all lanes.
   std::size_t queue_depth() const;
+
+  /// Clients with a per-client state entry. An entry that carries no
+  /// state — no shed streak and a full bucket — is forgotten at the next
+  /// sweep (see clients_), so this stays bounded by the clients that are
+  /// rate-limited or backing off, not by every id ever seen.
+  std::size_t tracked_clients() const;
 
   /// Test hook: while paused, queued requests accumulate instead of
   /// dispatching; un-pausing dispatches the backlog in WRR order. Lets a
@@ -171,6 +179,10 @@ class QosAdmissionController {
   /// requests (queued plus any in service).
   std::uint64_t EstimatedWaitNs(std::size_t ahead) const SPER_REQUIRES(mutex_);
 
+  /// Erases every client entry a fresh one would equal at `now`, then
+  /// doubles the sweep threshold if survivors still fill half of it.
+  void ForgetIdleClientsLocked(std::uint64_t now) SPER_REQUIRES(mutex_);
+
   /// Exponential backoff hint for a client's n-th consecutive shed.
   std::uint64_t BackoffMs(std::uint32_t consecutive_sheds) const;
 
@@ -188,12 +200,18 @@ class QosAdmissionController {
   CondVar cv_;
 
   /// Per-client rate-limit + backoff state. std::map (not unordered) so
-  /// any future iteration is deterministic by ClientId.
+  /// the sweep iterates deterministically by ClientId. An entry equal to
+  /// a fresh one (no shed streak, bucket full) carries nothing, so once
+  /// the table reaches `client_sweep_at_` entries every such entry is
+  /// erased — no decision changes, and a stream of distinct ids no longer
+  /// grows the table without bound.
   struct ClientState {
     TokenBucket bucket;
     std::uint32_t consecutive_sheds = 0;
   };
   std::map<ClientId, ClientState> clients_ SPER_GUARDED_BY(mutex_);
+  static constexpr std::size_t kMinClientSweep = 64;
+  std::size_t client_sweep_at_ SPER_GUARDED_BY(mutex_) = kMinClientSweep;
 
   std::array<std::deque<Waiter*>, kNumPriorities> lanes_
       SPER_GUARDED_BY(mutex_);

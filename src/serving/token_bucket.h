@@ -52,6 +52,18 @@ class TokenBucket {
     return static_cast<std::uint64_t>(seconds * 1000.0) + 1;
   }
 
+  /// True when the bucket holds `burst` tokens at `now_ns` — it is then
+  /// indistinguishable from a bucket created full at `now_ns`. Const: the
+  /// refill is computed, not applied. Always true for a disabled bucket.
+  bool FullAt(std::uint64_t now_ns) const {
+    if (rate_per_sec_ <= 0.0) return true;
+    const double elapsed_sec =
+        now_ns > last_refill_ns_
+            ? static_cast<double>(now_ns - last_refill_ns_) * 1e-9
+            : 0.0;
+    return tokens_ + elapsed_sec * rate_per_sec_ >= burst_;
+  }
+
   /// Tokens currently held (after a refill to `now_ns`); for tests.
   double Available(std::uint64_t now_ns) {
     Refill(now_ns);

@@ -7,6 +7,8 @@
 //   count (1/2/4/8);
 // - the same holds through ShardedEngine (S = 1/4): parallel per-shard
 //   refills never change the merged order;
+// - a ProgressiveEngine pipelines only on a pool its caller provides
+//   (ShardedEngine, or these tests);
 // - the pay-as-you-go budget composes with the pipeline, and abandoning
 //   a pipelined stream mid-flight (budget exhaustion, early destruction)
 //   shuts down cleanly — no hang, no leak, producer unblocked;
@@ -224,11 +226,12 @@ std::vector<Comparison> EnginePrefix(const ProfileStore& store,
                                      MethodId method, std::size_t lookahead,
                                      std::size_t num_threads,
                                      std::size_t limit) {
-  EngineConfig options;
+  ResolverOptions options;
   options.method = method;
   options.num_threads = num_threads;
   options.lookahead = lookahead;
-  ProgressiveEngine engine(store, options);
+  ThreadPool pool(1);  // hosts the producer; outlives the engine
+  ProgressiveEngine engine(store, options, &pool);
   return Drain(&engine, limit);
 }
 
@@ -254,15 +257,16 @@ TEST_P(PipelinedDeterminismTest, ShardedParallelRefillsKeepTheMergedOrder) {
   const ProfileStore store =
       GetParam().clean_clean ? CleanCleanStore() : DirtyStore();
   for (std::size_t num_shards : {1u, 4u}) {
-    EngineConfig serial;
+    ResolverOptions serial;
     serial.method = GetParam().method;
-    ShardedEngine reference(store, serial, num_shards);
+    serial.num_shards = num_shards;
+    ShardedEngine reference(store, serial);
     const std::vector<Comparison> expected = Drain(&reference, 2000);
 
-    EngineConfig pipelined = serial;
+    ResolverOptions pipelined = serial;
     pipelined.lookahead = 4;
     pipelined.num_threads = 4;
-    ShardedEngine engine(store, pipelined, num_shards);
+    ShardedEngine engine(store, pipelined);
     SCOPED_TRACE("shards=" + std::to_string(num_shards));
     ExpectSameSequence(Drain(&engine, 2000), expected);
   }
@@ -284,15 +288,19 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(EmissionPipelineEngineTest, BudgetExhaustionAbandonsThePipelineCleanly) {
   const ProfileStore store = DirtyStore();
-  EngineConfig unbudgeted;
+  ResolverOptions unbudgeted;
   unbudgeted.method = MethodId::kPps;
   unbudgeted.lookahead = 4;
-  ProgressiveEngine full(store, unbudgeted);
+  // One pool per engine: each pipelined engine needs a free worker for
+  // its whole lifetime, and both stay alive to the end of the test.
+  ThreadPool full_pool(1);
+  ProgressiveEngine full(store, unbudgeted, &full_pool);
   const std::vector<Comparison> reference = Drain(&full, 25);
 
-  EngineConfig options = unbudgeted;
+  ResolverOptions options = unbudgeted;
   options.budget = 25;
-  ProgressiveEngine engine(store, options);
+  ThreadPool pool(1);
+  ProgressiveEngine engine(store, options, &pool);
   const std::vector<Comparison> emitted = Drain(&engine, 1000000);
   EXPECT_EQ(emitted.size(), 25u);
   EXPECT_TRUE(engine.BudgetExhausted());
@@ -302,21 +310,23 @@ TEST(EmissionPipelineEngineTest, BudgetExhaustionAbandonsThePipelineCleanly) {
 
 TEST(EmissionPipelineEngineTest, ShardedGlobalBudgetWithParallelRefills) {
   const ProfileStore store = DirtyStore();
-  EngineConfig config;
+  ResolverOptions config;
   config.method = MethodId::kPps;
+  config.num_shards = 4;
   config.budget = 25;
   config.lookahead = 4;
-  ShardedEngine engine(store, config, 4);
+  ShardedEngine engine(store, config);
   EXPECT_EQ(Drain(&engine, 1000000).size(), 25u);
   EXPECT_TRUE(engine.BudgetExhausted());
 }  // four shard producers abandoned mid-stream: destructor must not hang
 
 TEST(EmissionPipelineEngineTest, UndrainedPipelinedEngineDestructsCleanly) {
   const ProfileStore store = DirtyStore();
-  EngineConfig options;
+  ResolverOptions options;
   options.method = MethodId::kPbs;
   options.lookahead = 64;
-  ProgressiveEngine engine(store, options);
+  ThreadPool pool(1);
+  ProgressiveEngine engine(store, options, &pool);
   ASSERT_TRUE(engine.Next().has_value());  // pipeline primed and running
 }
 
@@ -325,26 +335,28 @@ TEST(EmissionPipelineEngineTest, ManyShardsFallBackToSerialRefills) {
   // refills instead of spawning a thread per shard; the merged stream
   // must be unchanged.
   const ProfileStore store = DirtyStore();  // 864 profiles, ~128 active
-  EngineConfig serial;
+  ResolverOptions serial;
   serial.method = MethodId::kPps;
-  ShardedEngine reference(store, serial, 128);
+  serial.num_shards = 128;
+  ShardedEngine reference(store, serial);
   const std::vector<Comparison> expected = Drain(&reference, 1000);
 
-  EngineConfig pipelined = serial;
+  ResolverOptions pipelined = serial;
   pipelined.lookahead = 4;
-  ShardedEngine engine(store, pipelined, 128);
+  ShardedEngine engine(store, pipelined);
   ExpectSameSequence(Drain(&engine, 1000), expected);
 }
 
 TEST(EmissionPipelineEngineTest, SortBasedMethodsIgnoreLookahead) {
   const ProfileStore store = DirtyStore();
-  EngineConfig serial;
+  ResolverOptions serial;
   serial.method = MethodId::kSaPsn;
   ProgressiveEngine reference(store, serial);
 
-  EngineConfig options = serial;
+  ResolverOptions options = serial;
   options.lookahead = 8;
-  ProgressiveEngine engine(store, options);
+  ThreadPool pool(1);  // offered, never used
+  ProgressiveEngine engine(store, options, &pool);
   ExpectSameSequence(Drain(&engine, 500), Drain(&reference, 500));
 }
 

@@ -168,10 +168,11 @@ TEST(ExperimentTest, MethodNamesMatchThePaper) {
 TEST(ExperimentTest, MakeResolverBuildsEveryMethodOnCensus) {
   Result<DatasetBundle> dataset = GenerateDataset("census");
   ASSERT_TRUE(dataset.ok());
-  MethodConfig config;
+  ResolverOptions config;
   for (MethodId id : StructuredMethodSet()) {
+    config.method = id;
     std::unique_ptr<ProgressiveEmitter> emitter =
-        MakeResolver(id, dataset.value(), config);
+        MakeResolver(dataset.value(), config);
     ASSERT_TRUE(emitter != nullptr) << ToString(id);
     EXPECT_EQ(emitter->name(), ToString(id));
     EXPECT_TRUE(emitter->Next().has_value()) << ToString(id);
@@ -183,8 +184,9 @@ TEST(ExperimentTest, PsnIsUnavailableWithoutASchemaKey) {
   options.scale = 0.01;
   Result<DatasetBundle> dataset = GenerateDataset("movies", options);
   ASSERT_TRUE(dataset.ok());
-  MethodConfig config;
-  EXPECT_EQ(MakeResolver(MethodId::kPsn, dataset.value(), config), nullptr);
+  ResolverOptions config;
+  config.method = MethodId::kPsn;
+  EXPECT_EQ(MakeResolver(dataset.value(), config), nullptr);
 }
 
 TEST(ExperimentTest, MethodSetsMatchTheFigures) {

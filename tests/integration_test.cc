@@ -22,9 +22,10 @@ RunResult RunMethod(MethodId id, const DatasetBundle& dataset,
   options.ecstar_max = ecstar_max;
   options.auc_at = {1.0, 5.0, 10.0};
   ProgressiveEvaluator evaluator(dataset.truth, options);
-  MethodConfig config;
+  ResolverOptions config;
+  config.method = id;
   return evaluator.Run(
-      [&] { return MakeResolver(id, dataset, config); });
+      [&] { return MakeResolver(dataset, config); });
 }
 
 TEST(IntegrationTest, AllMethodsFindMatchesOnRestaurant) {
@@ -77,17 +78,19 @@ TEST(IntegrationTest, SimilarityMethodsDegradeOnUriData) {
   Result<DatasetBundle> dataset = GenerateDataset("freebase", gen);
   ASSERT_TRUE(dataset.ok());
 
-  MethodConfig config;
+  ResolverOptions config;
   config.gs_wmax = 20;
   EvalOptions options;
   options.ecstar_max = 5.0;
   options.auc_at = {1.0, 5.0};
   ProgressiveEvaluator evaluator(dataset.value().truth, options);
 
+  config.method = MethodId::kPbs;
   RunResult pbs = evaluator.Run(
-      [&] { return MakeResolver(MethodId::kPbs, dataset.value(), config); });
+      [&] { return MakeResolver(dataset.value(), config); });
+  config.method = MethodId::kLsPsn;
   RunResult ls = evaluator.Run(
-      [&] { return MakeResolver(MethodId::kLsPsn, dataset.value(), config); });
+      [&] { return MakeResolver(dataset.value(), config); });
   EXPECT_GT(pbs.auc_norm[1], ls.auc_norm[1]);
 }
 
@@ -99,10 +102,10 @@ TEST(IntegrationTest, EvaluatorTimingFieldsArePopulated) {
   options.ecstar_max = 2.0;
   options.auc_at = {1.0};
   ProgressiveEvaluator evaluator(dataset.value().truth, options);
-  MethodConfig config;
+  ResolverOptions config;
+  config.method = MethodId::kPps;
   RunResult result = evaluator.Run(
-      [&] { return MakeResolver(MethodId::kPps, dataset.value(), config); },
-      &match);
+      [&] { return MakeResolver(dataset.value(), config); }, &match);
   EXPECT_GT(result.init_seconds, 0.0);
   EXPECT_GT(result.emission_seconds, 0.0);
   EXPECT_GT(result.match_seconds, 0.0);
@@ -126,7 +129,6 @@ TEST(IntegrationTest, DatasetRoundTripsThroughCsv) {
   EXPECT_EQ(store.value().size(), dataset.value().store.size());
   EXPECT_EQ(truth.value().num_matches(), dataset.value().truth.num_matches());
   // The reloaded task behaves identically: PBS finds the same matches.
-  MethodConfig config;
   DatasetBundle reloaded{"census-reloaded", std::move(store).value(),
                          std::move(truth).value(), nullptr, ""};
   RunResult a = RunMethod(MethodId::kPbs, dataset.value(), 3.0);

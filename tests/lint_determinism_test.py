@@ -208,9 +208,15 @@ class BannedIdentifierTest(unittest.TestCase):
                  "// EngineOptions was removed in PR 8.\nint x;\n"}
         self.assertEqual(rules(run(files)), [])
 
+    def test_flags_removed_config_and_session_names(self):
+        for name in ("EngineConfig", "ToEngineConfig", "MethodConfig",
+                     "ToResolverOptions", "ResolverSession", "OpenSession"):
+            files = {"src/x/a.cc": "auto x = %s();\n" % name}
+            self.assertIn("DET006", rules(run(files)), name)
+
     def test_silent_on_new_names(self):
         files = {"src/x/a.cc":
-                 "EngineConfig config;\nInitStats stats;\n"}
+                 "ResolverOptions options;\nInitStats stats;\n"}
         self.assertEqual(rules(run(files)), [])
 
 

@@ -85,8 +85,9 @@ bool SameComparisons(const std::vector<Comparison>& a,
   return true;
 }
 
-/// In-process reference: drains a fresh resolver through the session
-/// layer in fixed `slice`-sized requests and returns ticket -> slice.
+/// In-process reference: drains a fresh resolver through
+/// Resolver::Serve in fixed `slice`-sized requests and returns
+/// ticket -> slice.
 /// Tickets are dense from 0, so with every request identically sized the
 /// wire runs below admit the same request sequence and must reproduce
 /// exactly these slices at these tickets.
@@ -94,13 +95,12 @@ std::map<std::uint64_t, std::vector<Comparison>> ReferenceSlices(
     const ProfileStore& store, const ResolverOptions& options,
     std::uint64_t slice) {
   std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-  ResolverSession session = resolver->OpenSession();
   std::map<std::uint64_t, std::vector<Comparison>> out;
   for (;;) {
     ResolveRequest request;
     request.budget = slice;
     request.max_batch = slice;
-    ResolveResult result = session.Resolve(request);
+    ResolveResult result = resolver->Serve(request);
     EXPECT_TRUE(result.status.ok()) << result.status.ToString();
     out[result.ticket] = std::move(result.comparisons);
     if (result.stream_exhausted || out[result.ticket].size() < slice) break;
@@ -754,8 +754,7 @@ TEST(ServerLoopbackTest, ShutdownDrainsCleanlyAndIsIdempotent) {
   // ...the listener is gone...
   EXPECT_FALSE(net::Client::Connect("127.0.0.1", port).ok());
   // ...and the resolver behind it has drained: direct serves now reject.
-  ResolverSession session = loopback.resolver->OpenSession();
-  const ResolveResult drained = session.Resolve(request);
+  const ResolveResult drained = loopback.resolver->Serve(request);
   EXPECT_EQ(drained.outcome, ResolveOutcome::kRejected);
 }
 

@@ -19,13 +19,17 @@
 //   consuming a resolver ticket, while one that barely makes its
 //   deadline is served; shed/evicted requests never perturb the stream
 //   (bit-identical continuation); per-class stats and metric sinks
-//   mirror each other.
+//   mirror each other; invalid requests are rejected before they touch a
+//   client entry or a lane; and client entries that carry no state are
+//   forgotten, so distinct client ids cannot grow the table without
+//   bound.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -118,6 +122,19 @@ TEST(TokenBucketTest, FailedAcquireDoesNotSpend) {
   const double before = bucket.Available(0);
   EXPECT_FALSE(bucket.TryAcquire(1.0, 0));
   EXPECT_DOUBLE_EQ(bucket.Available(0), before);
+}
+
+TEST(TokenBucketTest, FullAtComputesTheRefillWithoutApplyingIt) {
+  TokenBucket bucket(10.0, 2.0, 0);
+  EXPECT_TRUE(bucket.FullAt(0)) << "starts full";
+  EXPECT_TRUE(bucket.TryAcquire(1.0, 0));
+  EXPECT_TRUE(bucket.TryAcquire(1.0, 0));
+  EXPECT_FALSE(bucket.FullAt(0));
+  EXPECT_FALSE(bucket.FullAt(150 * kMs)) << "1.5 of 2 tokens back";
+  EXPECT_TRUE(bucket.FullAt(250 * kMs));
+  // FullAt is a query: the bucket itself was not refilled.
+  EXPECT_FALSE(bucket.TryAcquire(1.0, 0));
+  EXPECT_TRUE(TokenBucket(0.0, 1.0, 0).FullAt(0)) << "disabled bucket";
 }
 
 // ------------------------------------------------------------ smooth WRR
@@ -605,6 +622,152 @@ TEST(QosControllerTest, MetricSinksMirrorTheStats) {
 #endif
   EXPECT_EQ(controller.stats(Priority::kInteractive).admitted, 1u);
   EXPECT_EQ(controller.stats(Priority::kInteractive).sheds, 1u);
+}
+
+// --------------------------------- controller: validation, client table
+
+// Every entry point validates first: out-of-range deadlines (which would
+// wrap deadline_ms * 1e6), an oversize max_batch and an unknown priority
+// byte (which would index past the lanes) come back rejected before they
+// create a client entry, queue, or take a resolver ticket.
+TEST(QosControllerTest, InvalidRequestsAreRejectedBeforeAClientEntry) {
+  ProfileStore store = DirtyStore();
+  std::unique_ptr<Resolver> reference = MustCreate(store, {});
+  const std::optional<Comparison> head = reference->Next();
+  ASSERT_TRUE(head.has_value());
+
+  std::unique_ptr<Resolver> resolver = MustCreate(store, {});
+  obs::ManualClock clock;
+  QosOptions options;
+  options.clock = &clock;
+  QosAdmissionController controller(*resolver, options);
+
+  std::vector<ResolveRequest> invalid(4);
+  invalid[0].deadline_ms = ResolveRequest::kMaxDeadlineMs + 1;
+  invalid[1].deadline_ms = std::numeric_limits<std::uint64_t>::max();
+  invalid[2].max_batch = ResolveRequest::kMaxBatch + 1;
+  invalid[3].priority = static_cast<Priority>(3);
+  for (std::size_t k = 0; k < invalid.size(); ++k) {
+    SCOPED_TRACE("invalid request " + std::to_string(k));
+    invalid[k].budget = 10;
+    invalid[k].client_id = 100 + k;
+    const ResolveResult result = controller.Resolve(invalid[k]);
+    EXPECT_EQ(result.outcome, ResolveOutcome::kRejected);
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(result.comparisons.empty());
+  }
+  EXPECT_EQ(controller.tracked_clients(), 0u);
+  EXPECT_EQ(controller.queue_depth(), 0u);
+  EXPECT_EQ(controller.stats(Priority::kInteractive).admitted, 0u);
+  EXPECT_EQ(resolver->emitted(), 0u);
+
+  // The next valid request takes the resolver's first ticket and reads
+  // the head of the stream.
+  ResolveRequest valid;
+  valid.budget = 1;
+  const ResolveResult next = controller.Resolve(valid);
+  EXPECT_EQ(next.outcome, ResolveOutcome::kServed);
+  EXPECT_EQ(next.ticket, 0u);
+  ASSERT_EQ(next.comparisons.size(), 1u);
+  EXPECT_EQ(next.comparisons[0].i, head->i);
+  EXPECT_EQ(next.comparisons[0].j, head->j);
+  EXPECT_EQ(next.comparisons[0].weight, head->weight);
+}
+
+// Without rate limiting an entry never carries state past its request, so
+// a stream of distinct client ids (every wire connection brings a fresh
+// anonymous one) keeps the table at the sweep threshold, not at the
+// number of ids seen.
+TEST(QosControllerTest, DistinctClientIdsKeepTheClientTableBounded) {
+  ProfileStore store = DirtyStore();
+  std::unique_ptr<Resolver> resolver = MustCreate(store, {});
+  QosAdmissionController controller(*resolver, QosOptions());
+  ResolveRequest request;  // budget 0: admitted, consumes nothing
+  for (ClientId id = 1; id <= 100000; ++id) {
+    request.client_id = id;
+    ASSERT_EQ(controller.Resolve(request).outcome, ResolveOutcome::kServed);
+  }
+  EXPECT_LE(controller.tracked_clients(), 128u);
+  EXPECT_EQ(controller.stats(Priority::kInteractive).admitted, 100000u);
+}
+
+// Rate-limited entries hold a partly spent bucket, so they stay until
+// the clock refills it (burst / rate) — then they carry nothing and go.
+TEST(QosControllerTest, RateLimitedClientsLeaveOnceTheirBucketRefills) {
+  ProfileStore store = DirtyStore();
+  std::unique_ptr<Resolver> resolver = MustCreate(store, {});
+  obs::ManualClock clock;
+  QosOptions options;
+  options.clock = &clock;
+  options.client_rate = 10.0;  // burst / rate = 200 ms
+  options.client_burst = 2.0;
+  QosAdmissionController controller(*resolver, options);
+
+  ResolveRequest request;
+  for (ClientId id = 1; id <= 100; ++id) {
+    request.client_id = id;
+    ASSERT_EQ(controller.Resolve(request).outcome, ResolveOutcome::kServed);
+    ASSERT_EQ(controller.Resolve(request).outcome, ResolveOutcome::kServed);
+  }
+  // A sweep ran at 64 entries, but every bucket was empty: all stay.
+  EXPECT_EQ(controller.tracked_clients(), 100u);
+
+  clock.AdvanceMillis(250);  // past burst / rate: every bucket is full
+  for (ClientId id = 1001; id <= 1064; ++id) {
+    request.client_id = id;
+    ASSERT_EQ(controller.Resolve(request).outcome, ResolveOutcome::kServed);
+  }
+  EXPECT_LE(controller.tracked_clients(), 64u);
+  // A forgotten client starts over with a full bucket, exactly as its
+  // refilled entry would have.
+  request.client_id = 1;
+  EXPECT_EQ(controller.Resolve(request).outcome, ResolveOutcome::kServed);
+  EXPECT_EQ(controller.Resolve(request).outcome, ResolveOutcome::kServed);
+  EXPECT_EQ(controller.Resolve(request).outcome, ResolveOutcome::kShed);
+}
+
+// An entry with a shed streak is state the backoff policy needs: a sweep
+// keeps it, and the client's hint keeps doubling.
+TEST(QosControllerTest, ShedClientKeepsItsGrowingHintAcrossASweep) {
+  ProfileStore store = DirtyStore();
+  std::unique_ptr<Resolver> resolver = MustCreate(store, {});
+  obs::ManualClock clock;
+  QosOptions options;
+  options.clock = &clock;
+  options.client_rate = 1.0;  // burst / rate = 1 s
+  options.client_burst = 1.0;
+  options.retry_after_base_ms = 2000;  // above the ~1 s bucket hint
+  options.retry_after_cap_ms = 1000000;
+  QosAdmissionController controller(*resolver, options);
+
+  ResolveRequest request;
+  for (ClientId id = 1000; id < 1100; ++id) {
+    request.client_id = id;
+    ASSERT_EQ(controller.Resolve(request).outcome, ResolveOutcome::kServed);
+  }
+  clock.AdvanceMillis(2000);  // clients 1000..1099 are refilled now
+
+  request.client_id = 7;
+  ASSERT_EQ(controller.Resolve(request).outcome, ResolveOutcome::kServed);
+  ResolveResult shed = controller.Resolve(request);
+  ASSERT_EQ(shed.outcome, ResolveOutcome::kShed);
+  EXPECT_EQ(shed.retry_after_ms, 2000u);
+  shed = controller.Resolve(request);
+  ASSERT_EQ(shed.outcome, ResolveOutcome::kShed);
+  EXPECT_EQ(shed.retry_after_ms, 4000u);
+
+  // New ids push the table past its threshold: the sweep forgets the
+  // refilled clients, but not client 7's streak.
+  for (ClientId id = 2000; id < 2064; ++id) {
+    request.client_id = id;
+    ASSERT_EQ(controller.Resolve(request).outcome, ResolveOutcome::kServed);
+  }
+  EXPECT_LT(controller.tracked_clients(), 100u);
+
+  request.client_id = 7;
+  shed = controller.Resolve(request);
+  ASSERT_EQ(shed.outcome, ResolveOutcome::kShed);
+  EXPECT_EQ(shed.retry_after_ms, 8000u);
 }
 
 // -------------------------------------------------- outcome plumbing

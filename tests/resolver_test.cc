@@ -2,14 +2,16 @@
 // under test:
 //
 // - Resolver::Create validates ResolverOptions with a clear error Status
-//   (no silent fallbacks) and picks plain vs sharded serving;
+//   (no silent fallbacks, no pipelined single shard) and picks plain vs
+//   sharded serving;
 // - ProgressiveEngine and ShardedEngine are interchangeable behind the
 //   abstract Engine interface (budget, stats, stream);
-// - ResolverSession slices concatenate bit-identically to one un-batched
+// - Resolver::Serve slices concatenate bit-identically to one un-batched
 //   drain at every (method, ER type, shards, lookahead, batch size)
 //   combination, including under concurrent ticketed FIFO admission;
 // - per-request pay-as-you-go: zero-budget requests buy nothing, the
-//   global budget exhausts mid-slice with the flag set.
+//   global budget exhausts mid-slice with the flag set, and an invalid
+//   request is rejected before it takes a ticket.
 
 #include <gtest/gtest.h>
 
@@ -100,6 +102,20 @@ TEST(ResolverOptionsTest, CreateRejectsInvalidOptionsWithClearStatus) {
   EXPECT_EQ(Resolver::Create(store, huge_lookahead).status().code(),
             StatusCode::kInvalidArgument);
 
+  // Pipelined emission runs only across shards: lookahead 4 is rejected
+  // on one shard and accepted on two.
+  ResolverOptions pipelined_single;
+  pipelined_single.lookahead = 4;
+  Result<std::unique_ptr<Resolver>> r5 =
+      Resolver::Create(store, pipelined_single);
+  ASSERT_FALSE(r5.ok());
+  EXPECT_EQ(r5.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r5.status().message().find("lookahead"), std::string::npos);
+
+  ResolverOptions pipelined_sharded = pipelined_single;
+  pipelined_sharded.num_shards = 2;
+  EXPECT_TRUE(Resolver::Create(store, pipelined_sharded).ok());
+
   // PSN without a schema key used to abort inside the engine; the factory
   // reports it as a client error instead.
   ResolverOptions psn;
@@ -156,7 +172,6 @@ TEST(ResolverOptionsTest, CreatePicksPlainAndShardedEngines) {
   options.num_shards = 4;
   std::unique_ptr<Resolver> sharded = MustCreate(store, options);
   EXPECT_EQ(sharded->num_shards(), 4u);
-  EXPECT_EQ(sharded->engine().num_shards(), 4u);
   EXPECT_EQ(sharded->init_stats().shard_sizes.size(), 4u);
 }
 
@@ -165,13 +180,15 @@ TEST(ResolverOptionsTest, CreatePicksPlainAndShardedEngines) {
 TEST(EngineInterfaceTest, PlainAndShardedBehaveIdenticallyThroughBase) {
   const ProfileStore store = DirtyStore();
 
-  EngineConfig config;
+  ResolverOptions config;
   config.method = MethodId::kPps;
   config.budget = 40;
+  ResolverOptions sharded = config;
+  sharded.num_shards = 4;
 
   std::vector<std::unique_ptr<Engine>> engines;
   engines.push_back(std::make_unique<ProgressiveEngine>(store, config));
-  engines.push_back(std::make_unique<ShardedEngine>(store, config, 4));
+  engines.push_back(std::make_unique<ShardedEngine>(store, sharded));
 
   for (std::unique_ptr<Engine>& engine : engines) {
     SCOPED_TRACE(std::string("shards=") +
@@ -217,15 +234,15 @@ TEST_P(SessionDeterminismTest, SlicesConcatenateToUnbatchedDrain) {
     ASSERT_FALSE(reference.empty());
 
     for (std::size_t lookahead : {std::size_t{0}, std::size_t{4}}) {
+      if (lookahead > 0 && num_shards == 1) continue;  // rejected by Create
       for (std::size_t batch : {std::size_t{1}, std::size_t{7},
                                 std::size_t{256}}) {
         ResolverOptions batched = options;
         batched.lookahead = lookahead;
         std::unique_ptr<Resolver> resolver = MustCreate(store, batched);
-        ResolverSession session = resolver->OpenSession();
         std::vector<Comparison> concatenated;
         for (;;) {
-          ResolveResult slice = session.Resolve({batch, batch});
+          ResolveResult slice = resolver->Serve({batch, batch});
           EXPECT_LE(slice.comparisons.size(), batch);
           concatenated.insert(concatenated.end(),
                               slice.comparisons.begin(),
@@ -263,31 +280,39 @@ TEST(ResolverSessionTest, GlobalBudgetExhaustsMidBatch) {
   ResolverOptions options;
   options.budget = 25;
   std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-  ResolverSession session = resolver->OpenSession();
+  // The caller counts what it was served.
+  std::uint64_t requests = 0;
+  std::uint64_t delivered = 0;
+  const auto serve = [&](const ResolveRequest& request) {
+    ResolveResult result = resolver->Serve(request);
+    ++requests;
+    delivered += result.comparisons.size();
+    return result;
+  };
 
-  ResolveResult first = session.Resolve({10, 0});
+  ResolveResult first = serve({10, 0});
   EXPECT_EQ(first.comparisons.size(), 10u);
   EXPECT_FALSE(first.budget_exhausted);
 
-  ResolveResult second = session.Resolve({10, 0});
+  ResolveResult second = serve({10, 0});
   EXPECT_EQ(second.comparisons.size(), 10u);
 
   // The third request pays for 10 but the global budget only covers 5:
   // the slice comes back short with the flag set.
-  ResolveResult third = session.Resolve({10, 0});
+  ResolveResult third = serve({10, 0});
   EXPECT_EQ(third.comparisons.size(), 5u);
   EXPECT_TRUE(third.budget_exhausted);
   EXPECT_FALSE(third.stream_exhausted);
 
   // Requests after exhaustion buy nothing and say why.
-  ResolveResult fourth = session.Resolve({10, 0});
+  ResolveResult fourth = serve({10, 0});
   EXPECT_TRUE(fourth.comparisons.empty());
   EXPECT_TRUE(fourth.budget_exhausted);
 
   EXPECT_TRUE(resolver->BudgetExhausted());
   EXPECT_EQ(resolver->emitted(), 25u);
-  EXPECT_EQ(session.requests_served(), 4u);
-  EXPECT_EQ(session.delivered(), 25u);
+  EXPECT_EQ(requests, 4u);
+  EXPECT_EQ(delivered, 25u);
 }
 
 TEST(ResolverSessionTest, ZeroBudgetRequestBuysNothingAndConsumesNothing) {
@@ -297,15 +322,14 @@ TEST(ResolverSessionTest, ZeroBudgetRequestBuysNothingAndConsumesNothing) {
   ASSERT_TRUE(head.has_value());
 
   std::unique_ptr<Resolver> resolver = MustCreate(store, {});
-  ResolverSession session = resolver->OpenSession();
-  ResolveResult probe = session.Resolve({0, 0});
+  ResolveResult probe = resolver->Serve({0, 0});
   EXPECT_TRUE(probe.comparisons.empty());
   EXPECT_FALSE(probe.budget_exhausted);
   EXPECT_EQ(resolver->emitted(), 0u);
 
   // The probe did not advance the stream: the next request still gets
   // the true head of the ranked stream.
-  ResolveResult next = session.Resolve({1, 0});
+  ResolveResult next = resolver->Serve({1, 0});
   ASSERT_EQ(next.comparisons.size(), 1u);
   EXPECT_EQ(next.comparisons[0].i, head->i);
   EXPECT_EQ(next.comparisons[0].j, head->j);
@@ -315,11 +339,49 @@ TEST(ResolverSessionTest, ZeroBudgetRequestBuysNothingAndConsumesNothing) {
 TEST(ResolverSessionTest, MaxBatchCapsTheSliceWithoutSpendingTheRest) {
   const ProfileStore store = DirtyStore();
   std::unique_ptr<Resolver> resolver = MustCreate(store, {});
-  ResolverSession session = resolver->OpenSession();
-  ResolveResult slice = session.Resolve({/*budget=*/100, /*max_batch=*/7});
+  ResolveResult slice = resolver->Serve({/*budget=*/100, /*max_batch=*/7});
   EXPECT_EQ(slice.comparisons.size(), 7u);
   // Pay only for what is delivered: the un-drawn 93 stay in the stream.
   EXPECT_EQ(resolver->emitted(), 7u);
+}
+
+// Every entry point validates first: an out-of-range deadline (which
+// would overflow the deadline clock), an oversize max_batch or an unknown
+// priority byte comes back rejected with InvalidArgument, before it takes
+// a ticket or touches the stream.
+TEST(ResolverServeTest, InvalidRequestsAreRejectedBeforeATicket) {
+  const ProfileStore store = DirtyStore();
+  std::unique_ptr<Resolver> reference = MustCreate(store, {});
+  const std::optional<Comparison> head = reference->Next();
+  ASSERT_TRUE(head.has_value());
+
+  std::vector<ResolveRequest> invalid(4);
+  invalid[0].deadline_ms = ResolveRequest::kMaxDeadlineMs + 1;
+  invalid[1].deadline_ms = std::numeric_limits<std::uint64_t>::max();
+  invalid[2].max_batch = ResolveRequest::kMaxBatch + 1;
+  invalid[3].priority = static_cast<Priority>(3);
+
+  std::unique_ptr<Resolver> resolver = MustCreate(store, {});
+  for (std::size_t k = 0; k < invalid.size(); ++k) {
+    SCOPED_TRACE("invalid request " + std::to_string(k));
+    invalid[k].budget = 10;
+    const ResolveResult result = resolver->Serve(invalid[k]);
+    EXPECT_EQ(result.outcome, ResolveOutcome::kRejected);
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(result.comparisons.empty());
+    EXPECT_FALSE(result.admitted());
+  }
+  EXPECT_EQ(resolver->emitted(), 0u);
+
+  // The next valid request is the resolver's first ticket and reads the
+  // head of the stream.
+  const ResolveResult next = resolver->Serve({1, 0});
+  EXPECT_EQ(next.outcome, ResolveOutcome::kServed);
+  EXPECT_EQ(next.ticket, 0u);
+  ASSERT_EQ(next.comparisons.size(), 1u);
+  EXPECT_EQ(next.comparisons[0].i, head->i);
+  EXPECT_EQ(next.comparisons[0].j, head->j);
+  EXPECT_EQ(next.comparisons[0].weight, head->weight);
 }
 
 // ------------------------------------------------- ticketed FIFO admission
@@ -343,10 +405,9 @@ TEST(ResolverSessionTest, ConcurrentClientsReassembleToOneDrain) {
     std::vector<std::thread> clients;
     for (std::size_t t = 0; t < per_thread.size(); ++t) {
       clients.emplace_back([&, t] {
-        // Each client runs its own session against the shared resolver.
-        ResolverSession session = resolver->OpenSession();
+        // Each client serves its own requests off the shared resolver.
         for (;;) {
-          ResolveResult result = session.Resolve({7, 0});
+          ResolveResult result = resolver->Serve({7, 0});
           const bool done = result.comparisons.empty();
           per_thread[t].push_back(
               {result.ticket, std::move(result.comparisons)});

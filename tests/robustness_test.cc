@@ -93,6 +93,7 @@ std::unique_ptr<Resolver> MustCreate(const ProfileStore& store,
 
 /// The (method, shards, lookahead) matrix every continuation guarantee is
 /// checked against — the same coverage the determinism suite uses.
+/// Pipelined emission runs only across shards, so one shard is serial.
 struct ServingConfig {
   MethodId method;
   std::size_t num_shards;
@@ -104,6 +105,7 @@ std::vector<ServingConfig> ServingMatrix() {
   for (MethodId method : {MethodId::kPps, MethodId::kPbs}) {
     for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
       for (std::size_t lookahead : {std::size_t{0}, std::size_t{4}}) {
+        if (lookahead > 0 && shards == 1) continue;
         matrix.push_back({method, shards, lookahead});
       }
     }
@@ -195,7 +197,6 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     ASSERT_FALSE(reference.empty());
 
     std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-    ResolverSession session = resolver->OpenSession();
     std::vector<Comparison> concatenated;
     const auto append = [&](const ResolveResult& slice) {
       concatenated.insert(concatenated.end(), slice.comparisons.begin(),
@@ -203,7 +204,7 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     };
 
     // A normal slice first, so the cuts land mid-stream.
-    ResolveResult normal = session.Resolve({100, 0});
+    ResolveResult normal = resolver->Serve({100, 0});
     EXPECT_EQ(normal.comparisons.size(), 100u);
     EXPECT_TRUE(normal.status.ok());
     append(normal);
@@ -215,7 +216,7 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     ResolveRequest cancelled_request;
     cancelled_request.budget = 1000;
     cancelled_request.cancel = source.token();
-    ResolveResult cancelled = session.Resolve(cancelled_request);
+    ResolveResult cancelled = resolver->Serve(cancelled_request);
     EXPECT_TRUE(cancelled.cancelled());
     EXPECT_FALSE(cancelled.deadline_exceeded());
     EXPECT_TRUE(cancelled.status.ok()) << "a cut is not an error";
@@ -228,7 +229,7 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     expired_request.budget = 1000;
     expired_request.cancel =
         CancelToken().WithDeadline(std::chrono::nanoseconds(0));
-    ResolveResult expired = session.Resolve(expired_request);
+    ResolveResult expired = resolver->Serve(expired_request);
     EXPECT_TRUE(expired.deadline_exceeded());
     EXPECT_FALSE(expired.cancelled());
     EXPECT_TRUE(expired.status.ok());
@@ -239,7 +240,7 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     ResolveRequest generous;
     generous.budget = 100;
     generous.deadline_ms = 600000;
-    ResolveResult relaxed = session.Resolve(generous);
+    ResolveResult relaxed = resolver->Serve(generous);
     EXPECT_EQ(relaxed.comparisons.size(), 100u);
     EXPECT_FALSE(relaxed.deadline_exceeded());
     append(relaxed);
@@ -247,7 +248,7 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     // Drain the remainder: the concatenation across normal, cut and
     // post-cut slices must be the exact reference stream.
     for (;;) {
-      ResolveResult slice = session.Resolve({500, 0});
+      ResolveResult slice = resolver->Serve({500, 0});
       append(slice);
       if (slice.comparisons.empty() || slice.budget_exhausted ||
           slice.stream_exhausted) {
@@ -263,16 +264,15 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
 TEST(ResolverDrainTest, DrainRejectsAfterwardsAndIsIdempotent) {
   const ProfileStore store = DirtyStore();
   std::unique_ptr<Resolver> resolver = MustCreate(store, {});
-  ResolverSession session = resolver->OpenSession();
 
-  ResolveResult before = session.Resolve({10, 0});
+  ResolveResult before = resolver->Serve({10, 0});
   EXPECT_EQ(before.comparisons.size(), 10u);
   EXPECT_FALSE(resolver->draining());
 
   resolver->Drain();
   EXPECT_TRUE(resolver->draining());
 
-  ResolveResult after = session.Resolve({10, 0});
+  ResolveResult after = resolver->Serve({10, 0});
   EXPECT_TRUE(after.comparisons.empty());
   EXPECT_EQ(after.status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(after.status.message().find("draining"), std::string::npos);
@@ -311,9 +311,8 @@ TEST(ResolverDrainTest, ConcurrentDrainVsServeNeverCorruptsTheStream) {
       std::vector<std::thread> clients;
       for (std::size_t t = 0; t < kClients; ++t) {
         clients.emplace_back([&, t] {
-          ResolverSession session = resolver->OpenSession();
           for (;;) {
-            ResolveResult result = session.Resolve({64, 0});
+            ResolveResult result = resolver->Serve({64, 0});
             const bool rejected = !result.status.ok();
             const bool dry = result.status.ok() &&
                              (result.stream_exhausted ||
@@ -410,9 +409,8 @@ TEST(ResolverDrainTest, ConcurrentServeDrainAndSnapshotAreRaceFree) {
   std::vector<std::thread> workers;
   for (int t = 0; t < 3; ++t) {
     workers.emplace_back([&] {
-      ResolverSession session = resolver->OpenSession();
       for (;;) {
-        ResolveResult slice = session.Resolve({64, 0});
+        ResolveResult slice = resolver->Serve({64, 0});
         served.fetch_add(slice.comparisons.size(),
                          std::memory_order_relaxed);
         if (!slice.status.ok() || slice.stream_exhausted ||
@@ -699,14 +697,13 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
     options.num_shards = 4;
     options.lookahead = lookahead;
     std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-    ResolverSession session = resolver->OpenSession();
 
     // The failure is contained: some requests may still serve from
     // batches produced before the throw, then exactly one request
     // reports the Internal status with shard and batch context.
     ResolveResult failed;
     for (int k = 0; k < 64; ++k) {
-      failed = session.Resolve({256, 0});
+      failed = resolver->Serve({256, 0});
       if (!failed.status.ok() || failed.stream_exhausted) break;
     }
     ASSERT_FALSE(failed.status.ok()) << "fault never surfaced";
@@ -721,7 +718,7 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
 
     // Poisoning is sticky: later requests get the stable
     // FailedPrecondition answer, not UB and not a re-report.
-    ResolveResult after = session.Resolve({256, 0});
+    ResolveResult after = resolver->Serve({256, 0});
     EXPECT_EQ(after.status.code(), StatusCode::kFailedPrecondition);
     EXPECT_NE(after.status.message().find("poisoned"), std::string::npos);
     EXPECT_TRUE(after.comparisons.empty());
@@ -735,13 +732,24 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
 TEST_F(FaultInjectionTest, StalledRefillsPlusDeadlinesStillReassemble) {
   const ProfileStore store = DirtyStore();
   constexpr std::uint64_t kBudget = 400;
-  for (std::size_t lookahead : {std::size_t{0}, std::size_t{4}}) {
-    SCOPED_TRACE("lookahead=" + std::to_string(lookahead));
+  // The serial engine's refill seam, and the pipelined variant across
+  // two shards with one seam per shard.
+  struct Variant {
+    std::size_t num_shards;
+    std::size_t lookahead;
+    std::vector<std::string> seams;
+  };
+  const std::vector<Variant> variants = {
+      {1, 0, {"refill"}}, {2, 4, {"refill.shard0", "refill.shard1"}}};
+  for (const Variant& variant : variants) {
+    SCOPED_TRACE("shards=" + std::to_string(variant.num_shards) +
+                 " lookahead=" + std::to_string(variant.lookahead));
     obs::FaultRegistry::Global().Reset();
 
     ResolverOptions options;
     options.budget = kBudget;
-    options.lookahead = lookahead;
+    options.num_shards = variant.num_shards;
+    options.lookahead = variant.lookahead;
     const std::vector<Comparison> reference =
         Drain(MustCreate(store, options).get(), 1000000);
     ASSERT_FALSE(reference.empty());
@@ -751,10 +759,11 @@ TEST_F(FaultInjectionTest, StalledRefillsPlusDeadlinesStillReassemble) {
     obs::FaultPlan stall;
     stall.action = obs::FaultPlan::Action::kStall;
     stall.stall_ms = 25;
-    obs::FaultRegistry::Global().Arm("refill", stall);
+    for (const std::string& seam : variant.seams) {
+      obs::FaultRegistry::Global().Arm(seam, stall);
+    }
 
     std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-    ResolverSession session = resolver->OpenSession();
     std::vector<Comparison> concatenated;
     std::uint64_t cuts = 0;
     bool done = false;
@@ -762,7 +771,7 @@ TEST_F(FaultInjectionTest, StalledRefillsPlusDeadlinesStillReassemble) {
       ResolveRequest request;
       request.budget = kBudget;
       request.deadline_ms = 8;
-      ResolveResult slice = session.Resolve(request);
+      ResolveResult slice = resolver->Serve(request);
       ASSERT_TRUE(slice.status.ok()) << slice.status.ToString();
       concatenated.insert(concatenated.end(), slice.comparisons.begin(),
                           slice.comparisons.end());
@@ -772,13 +781,19 @@ TEST_F(FaultInjectionTest, StalledRefillsPlusDeadlinesStillReassemble) {
     }
     EXPECT_GE(cuts, 1u) << "the stall never pushed a request past its "
                            "deadline";
-    EXPECT_GT(obs::FaultRegistry::Global().fires("refill"), 0u);
+    std::uint64_t fires = 0;
+    for (const std::string& seam : variant.seams) {
+      fires += obs::FaultRegistry::Global().fires(seam);
+    }
+    EXPECT_GT(fires, 0u);
 
     // Disarm and drain the rest without deadlines: the full
     // concatenation must be bit-identical to the fault-free reference.
-    obs::FaultRegistry::Global().Disarm("refill");
+    for (const std::string& seam : variant.seams) {
+      obs::FaultRegistry::Global().Disarm(seam);
+    }
     while (!done) {
-      ResolveResult slice = session.Resolve({kBudget, 0});
+      ResolveResult slice = resolver->Serve({kBudget, 0});
       ASSERT_TRUE(slice.status.ok()) << slice.status.ToString();
       concatenated.insert(concatenated.end(), slice.comparisons.begin(),
                           slice.comparisons.end());
@@ -806,9 +821,8 @@ TEST_F(FaultInjectionTest, AllInstrumentedSeamsAreReachable) {
   options.lookahead = 2;
   options.budget = 600;
   std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-  ResolverSession session = resolver->OpenSession();
   for (;;) {
-    ResolveResult slice = session.Resolve({128, 0});
+    ResolveResult slice = resolver->Serve({128, 0});
     if (slice.comparisons.empty() || slice.stream_exhausted ||
         slice.budget_exhausted) {
       break;

@@ -142,17 +142,18 @@ std::vector<Comparison> ShardedPrefix(const ProfileStore& store,
                                       std::size_t num_shards,
                                       std::size_t num_threads,
                                       std::size_t limit) {
-  EngineConfig config;
+  ResolverOptions config;
   config.method = method;
   config.num_threads = num_threads;
-  ShardedEngine engine(store, std::move(config), num_shards);
+  config.num_shards = num_shards;
+  ShardedEngine engine(store, config);
   return Drain(&engine, limit);
 }
 
 TEST_P(ShardedDeterminismTest, SingleShardBitIdenticalToPlainEngine) {
   const ProfileStore store =
       GetParam().clean_clean ? CleanCleanStore() : DirtyStore();
-  EngineConfig plain;
+  ResolverOptions plain;
   plain.method = GetParam().method;
   ProgressiveEngine reference(store, plain);
   const std::vector<Comparison> expected = Drain(&reference, 3000);
@@ -210,10 +211,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ShardedEngineTest, GlobalBudgetEnforcedAcrossShards) {
   const ProfileStore store = DirtyStore();
-  EngineConfig config;
+  ResolverOptions config;
   config.method = MethodId::kPps;
+  config.num_shards = 4;
   config.budget = 25;
-  ShardedEngine engine(store, config, 4);
+  ShardedEngine engine(store, config);
 
   const std::vector<Comparison> emitted = Drain(&engine, 1000000);
   EXPECT_EQ(emitted.size(), 25u);
@@ -223,29 +225,31 @@ TEST(ShardedEngineTest, GlobalBudgetEnforcedAcrossShards) {
 
   // Unbudgeted, the same sharded run emits strictly more: the cap came
   // from the global budget, not from any one shard running dry.
-  EngineConfig unlimited = config;
+  ResolverOptions unlimited = config;
   unlimited.budget = 0;
-  ShardedEngine full(store, std::move(unlimited), 4);
+  ShardedEngine full(store, unlimited);
   EXPECT_GT(Drain(&full, 1000000).size(), 25u);
 }
 
 TEST(ShardedEngineTest, BudgetedPrefixMatchesUnbudgetedStream) {
   const ProfileStore store = DirtyStore();
-  EngineConfig config;
+  ResolverOptions config;
   config.method = MethodId::kPbs;
-  ShardedEngine full(store, config, 2);
+  config.num_shards = 2;
+  ShardedEngine full(store, config);
   const std::vector<Comparison> reference = Drain(&full, 40);
 
   config.budget = 40;
-  ShardedEngine budgeted(store, std::move(config), 2);
+  ShardedEngine budgeted(store, config);
   ExpectSameSequence(Drain(&budgeted, 1000000), reference);
 }
 
 TEST(ShardedEngineTest, ReportsAggregateInitStats) {
   const ProfileStore store = DirtyStore();
-  EngineConfig config;
+  ResolverOptions config;
   config.method = MethodId::kPps;
-  ShardedEngine engine(store, std::move(config), 4);
+  config.num_shards = 4;
+  ShardedEngine engine(store, config);
   EXPECT_EQ(engine.name(), "PPS");
   EXPECT_EQ(engine.num_shards(), 4u);
   const InitStats& stats = engine.init_stats();
@@ -266,9 +270,10 @@ TEST(ShardedEngineTest, MoreShardsThanProfilesStillServes) {
   ps[1].AddAttribute("name", "alpha beta gamma");
   ps[2].AddAttribute("name", "delta epsilon");
   ProfileStore store = ProfileStore::MakeDirty(std::move(ps));
-  EngineConfig config;
+  ResolverOptions config;
   config.method = MethodId::kPps;
-  ShardedEngine engine(store, std::move(config), 64);
+  config.num_shards = 64;
+  ShardedEngine engine(store, config);
   const std::vector<Comparison> merged = Drain(&engine, 100);
   for (const Comparison& c : merged) {
     EXPECT_TRUE(store.IsComparable(c.i, c.j));

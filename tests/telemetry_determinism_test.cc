@@ -1,7 +1,7 @@
 // Telemetry must be a pure observer: attaching a TelemetryScope to a
 // resolver records metrics and spans but MUST NOT perturb the emitted
 // comparison stream — bit-identical with telemetry on or off at every
-// serving shape (plain/sharded, serial/pipelined emission). These tests
+// serving shape (plain, sharded serial, sharded pipelined). These tests
 // pin that contract for both batch-refilling methods, plus the shape of
 // what gets recorded (per-phase InitStats, session histograms, spans).
 
@@ -56,18 +56,17 @@ TEST_P(TelemetryShapeTest, StreamBitIdenticalWithTelemetryOnAndOff) {
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
 
-  MethodConfig off;
+  ResolverOptions off;
+  off.method = shape.method;
   off.num_shards = shape.num_shards;
   off.lookahead = shape.lookahead;
-  std::unique_ptr<Resolver> plain =
-      MakeResolver(shape.method, dataset.value(), off);
+  std::unique_ptr<Resolver> plain = MakeResolver(dataset.value(), off);
   ASSERT_NE(plain, nullptr);
 
   obs::Registry registry;
-  MethodConfig on = off;
+  ResolverOptions on = off;
   on.telemetry = obs::TelemetryScope(&registry);
-  std::unique_ptr<Resolver> instrumented =
-      MakeResolver(shape.method, dataset.value(), on);
+  std::unique_ptr<Resolver> instrumented = MakeResolver(dataset.value(), on);
   ASSERT_NE(instrumented, nullptr);
 
   ExpectSameSequence(Drain(plain.get(), 5000),
@@ -76,9 +75,8 @@ TEST_P(TelemetryShapeTest, StreamBitIdenticalWithTelemetryOnAndOff) {
 
 INSTANTIATE_TEST_SUITE_P(
     MethodsByShape, TelemetryShapeTest,
-    ::testing::Values(Shape{MethodId::kPps, 1, 0}, Shape{MethodId::kPps, 1, 4},
-                      Shape{MethodId::kPps, 4, 0}, Shape{MethodId::kPps, 4, 4},
-                      Shape{MethodId::kPbs, 1, 0}, Shape{MethodId::kPbs, 1, 4},
+    ::testing::Values(Shape{MethodId::kPps, 1, 0}, Shape{MethodId::kPps, 4, 0},
+                      Shape{MethodId::kPps, 4, 4}, Shape{MethodId::kPbs, 1, 0},
                       Shape{MethodId::kPbs, 4, 0},
                       Shape{MethodId::kPbs, 4, 4}),
     [](const ::testing::TestParamInfo<Shape>& info) {
@@ -96,9 +94,7 @@ TEST(TelemetryInitStatsTest, PlainEnginePhasesSumBelowTotal) {
   // init_seconds stays the authoritative total.
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
-  MethodConfig config;
-  std::unique_ptr<Resolver> resolver =
-      MakeResolver(MethodId::kPps, dataset.value(), config);
+  std::unique_ptr<Resolver> resolver = MakeResolver(dataset.value(), {});
   const InitStats& stats = resolver->init_stats();
   ASSERT_FALSE(stats.phases.empty());
   bool saw_token_blocking = false;
@@ -119,10 +115,9 @@ TEST(TelemetryInitStatsTest, PlainEnginePhasesSumBelowTotal) {
 TEST(TelemetryInitStatsTest, ShardedEngineReportsPerShardPhases) {
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
-  MethodConfig config;
+  ResolverOptions config;
   config.num_shards = 4;
-  std::unique_ptr<Resolver> resolver =
-      MakeResolver(MethodId::kPps, dataset.value(), config);
+  std::unique_ptr<Resolver> resolver = MakeResolver(dataset.value(), config);
   const InitStats& stats = resolver->init_stats();
   // One "partition" phase on shard 0, then every shard contributes its
   // inner engine's phases (workflow + method_build).
@@ -145,16 +140,14 @@ TEST(TelemetrySessionTest, SessionHistogramsMatchRequestCount) {
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
   obs::Registry registry;
-  MethodConfig config;
+  ResolverOptions config;
   config.telemetry = obs::TelemetryScope(&registry);
-  std::unique_ptr<Resolver> resolver =
-      MakeResolver(MethodId::kPps, dataset.value(), config);
-  ResolverSession session = resolver->OpenSession();
+  std::unique_ptr<Resolver> resolver = MakeResolver(dataset.value(), config);
   constexpr std::uint64_t kRequests = 5;
   constexpr std::uint64_t kBudget = 100;
   std::uint64_t delivered = 0;
   for (std::uint64_t r = 0; r < kRequests; ++r) {
-    delivered += session.Resolve({kBudget, kBudget}).comparisons.size();
+    delivered += resolver->Serve({kBudget, kBudget}).comparisons.size();
   }
 
   const obs::Counter* requests = registry.FindCounter("session.requests");
@@ -183,12 +176,11 @@ TEST(TelemetrySessionTest, PipelineAndMergeMetricsAppearWhenSharded) {
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
   obs::Registry registry;
-  MethodConfig config;
+  ResolverOptions config;
   config.num_shards = 2;
   config.lookahead = 4;
   config.telemetry = obs::TelemetryScope(&registry);
-  std::unique_ptr<Resolver> resolver =
-      MakeResolver(MethodId::kPps, dataset.value(), config);
+  std::unique_ptr<Resolver> resolver = MakeResolver(dataset.value(), config);
   const std::vector<Comparison> drained = Drain(resolver.get(), 2000);
   ASSERT_FALSE(drained.empty());
 
@@ -219,14 +211,13 @@ TEST(TelemetrySessionTest, SnapshotAndTraceExportWhileServing) {
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
   obs::Registry registry;
-  MethodConfig config;
+  ResolverOptions config;
+  config.num_shards = 2;
   config.lookahead = 2;
   config.telemetry = obs::TelemetryScope(&registry);
-  std::unique_ptr<Resolver> resolver =
-      MakeResolver(MethodId::kPps, dataset.value(), config);
-  ResolverSession session = resolver->OpenSession();
+  std::unique_ptr<Resolver> resolver = MakeResolver(dataset.value(), config);
   for (int r = 0; r < 3; ++r) {
-    session.Resolve({50, 50});
+    resolver->Serve({50, 50});
     const std::string json = registry.SnapshotJson();
     EXPECT_NE(json.find("\"session.requests\": " + std::to_string(r + 1)),
               std::string::npos)

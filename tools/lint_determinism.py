@@ -25,10 +25,15 @@ src/:
                               error slots), not thrown across threads.
   DET005 banned-strtod        atof/atoi/atol/atoll: locale-sensitive and
                               error-silent number parsing.
-  DET006 banned-identifier    Identifiers removed in PR 8 (EngineOptions,
+  DET006 banned-identifier    Identifiers removed from the library must
+                              not reappear: the old engine options and
+                              init-stats shims (EngineOptions,
                               ShardedEngineOptions, MakeEmitter,
-                              EngineInitStats, ShardedInitStats) must not
-                              reappear.
+                              EngineInitStats, ShardedInitStats) and the
+                              duplicate configuration and request layers
+                              (EngineConfig, ToEngineConfig, MethodConfig,
+                              ToResolverOptions, ResolverSession,
+                              OpenSession).
 
 Comments and string/char literals are stripped (line numbers preserved)
 before matching, so prose mentioning a banned name never trips the lint.
@@ -70,7 +75,9 @@ UNORDERED_ACCESSORS = ("pairs",)
 BANNED_RANDOM = ("rand", "srand", "random_device", "time", "clock")
 BANNED_STRTOD = ("atof", "atoi", "atol", "atoll")
 BANNED_IDENTIFIERS = ("EngineOptions", "ShardedEngineOptions", "MakeEmitter",
-                      "EngineInitStats", "ShardedInitStats")
+                      "EngineInitStats", "ShardedInitStats", "EngineConfig",
+                      "ToEngineConfig", "MethodConfig", "ToResolverOptions",
+                      "ResolverSession", "OpenSession")
 
 
 @dataclass
@@ -326,14 +333,14 @@ def check_banned_strtod(path: str, text: str):
 
 
 def check_banned_identifiers(path: str, text: str):
-    """DET006: identifiers deleted in PR 8 must not come back."""
+    """DET006: identifiers deleted from the library must not come back."""
     violations = []
     for name in BANNED_IDENTIFIERS:
         for m in re.finditer(r"\b%s\b" % name, text):
             violations.append(Violation(
                 path, line_of(text, m.start()), "DET006",
-                f"'{name}' was removed (use ResolverOptions / EngineConfig "
-                "/ InitStats / MakeResolver)"))
+                f"'{name}' was removed (use ResolverOptions / InitStats / "
+                "MakeResolver(dataset, options) / Resolver::Serve)"))
     return violations
 
 

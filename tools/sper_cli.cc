@@ -17,17 +17,21 @@
 //       --threads parallelizes the initialization phase (same output at
 //       every thread count). --shards=N hash-partitions the store and
 //       serves one engine per shard behind a merged emission stream.
-//       --lookahead=N pipelines emission: refill batches are produced
-//       ahead of consumption, up to N queue slots of >=256 comparisons
-//       each (per shard when sharded), bit-identical to the serial
-//       stream; 0 keeps the serial reference path. Defaults to 0 for
-//       --threads=1 and 4 otherwise. --budget=N caps the run at N
-//       emitted comparisons (the pay-as-you-go budget,
-//       ResolverOptions::budget; 0 = unlimited). --deadline-ms=N serves
-//       the drain through the session layer with an N-millisecond
-//       deadline per resolve request (ResolveRequest::deadline_ms);
-//       slices cut at the deadline are retried, the stream stays
-//       bit-identical, and a summary counts the cut slices.
+//       --lookahead=N pipelines emission across shards: each shard's
+//       refill batches are produced ahead of the merge, up to N queue
+//       slots of >=256 comparisons each, bit-identical to the serial
+//       stream; 0 keeps the serial reference path. Defaults to 4 with
+//       --shards > 1 and to 0 otherwise; with --shards=1 it must be 0
+//       (one pipelined shard is slower than serial). The assembled
+//       options are checked like Resolver::Create checks them: an
+//       invalid combination exits 2 with the validation message.
+//       --budget=N caps the run at N emitted comparisons (the
+//       pay-as-you-go budget, ResolverOptions::budget; 0 = unlimited).
+//       --deadline-ms=N serves the drain through Resolver::Serve with an
+//       N-millisecond deadline per resolve request
+//       (ResolveRequest::deadline_ms); slices cut at the deadline are
+//       retried, the stream stays bit-identical, and a summary counts
+//       the cut slices.
 //       --priority=NAME (interactive | batch | best_effort) and
 //       --client-rate=R (requests/second, token-bucket limited) serve
 //       the drain through the QoS admission controller
@@ -37,7 +41,7 @@
 //       the shed retries.
 //       Method names are case-insensitive ("pps" == "PPS").
 //       --metrics-json=FILE and --trace=FILE turn on telemetry for the
-//       run: the drain is served through the session layer (in slices
+//       run: the drain is served through Resolver::Serve (in slices
 //       bit-identical to the plain drain), and afterwards the metric
 //       registry is written as one JSON snapshot (per-phase init
 //       seconds, pipeline ring health, session latency histograms)
@@ -234,11 +238,11 @@ std::size_t OptShards(const CliArgs& args) {
 }
 
 std::size_t OptLookahead(const CliArgs& args) {
-  // The serial emission path stays the reference: it is the default for
-  // --threads=1. Multi-threaded runs default to a small pipeline
-  // lookahead (the stream is bit-identical either way); an explicit
-  // --lookahead=0 always forces the serial path.
-  const std::uint64_t fallback = OptThreads(args) > 1 ? 4 : 0;
+  // Pipelined emission exists only across shards, so sharded runs default
+  // to a small lookahead (the stream is bit-identical either way) and
+  // single-shard runs to the serial path; an explicit --lookahead=0
+  // always forces the serial path.
+  const std::uint64_t fallback = OptShards(args) > 1 ? 4 : 0;
   return OptUint(args, "lookahead", fallback, 0,
                  ResolverOptions::kMaxLookahead);
 }
@@ -246,6 +250,35 @@ std::size_t OptLookahead(const CliArgs& args) {
 std::uint64_t OptBudget(const CliArgs& args) {
   return OptUint(args, "budget", 0, 0,
                  std::numeric_limits<std::uint64_t>::max());
+}
+
+/// PSN needs the dataset's schema-based blocking key; the heterogeneous
+/// datasets have none.
+bool Applicable(MethodId method, const DatasetBundle& dataset) {
+  return method != MethodId::kPsn || dataset.psn_key != nullptr;
+}
+
+/// The ResolverOptions the serving flags describe, checked with
+/// Validate() the way Resolver::Create checks them: an invalid
+/// combination (e.g. --shards=1 --lookahead=4) exits 2 with the
+/// validation message instead of reaching MakeResolver. The dataset
+/// supplies the PSN schema key; an inapplicable method is left to the
+/// caller's own message.
+ResolverOptions ServingOptions(const CliArgs& args, MethodId method,
+                               const DatasetBundle& dataset) {
+  ResolverOptions options;
+  options.method = method;
+  options.num_threads = OptThreads(args);
+  options.num_shards = OptShards(args);
+  options.lookahead = OptLookahead(args);
+  options.budget = OptBudget(args);
+  options.schema_key = dataset.psn_key;
+  if (!Applicable(method, dataset)) return options;
+  if (const Status valid = options.Validate(); !valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+    std::exit(2);
+  }
+  return options;
 }
 
 DatagenOptions GenOptions(const CliArgs& args) {
@@ -311,7 +344,7 @@ MethodId ParseMethod(const std::string& name) {
   return *id;
 }
 
-/// Serves a drain through the session layer in fixed slices, so a
+/// Serves a drain through Resolver::Serve in fixed slices, so a
 /// telemetry run records per-request session histograms and one
 /// "session.resolve" span per request. Slices concatenated in ticket
 /// order are bit-identical to an un-batched drain of the same resolver
@@ -332,15 +365,14 @@ class SessionEmitter : public ProgressiveEmitter {
       std::unique_ptr<Resolver> resolver, std::uint64_t deadline_ms = 0,
       std::shared_ptr<std::uint64_t> deadline_hits = nullptr)
       : resolver_(std::move(resolver)),
-        session_(resolver_->OpenSession()),
         deadline_ms_(deadline_ms),
         deadline_hits_(std::move(deadline_hits)) {}
 
   /// Routes every request through a QoS admission controller instead of
-  /// the raw session: requests carry `priority`, and a shed request backs
-  /// off by the controller's retry_after_ms hint and retries
-  /// (`shed_retries` counts those). The emitted stream is unchanged —
-  /// sheds never consume it.
+  /// straight to the resolver: requests carry `priority`, and a shed
+  /// request backs off by the controller's retry_after_ms hint and
+  /// retries (`shed_retries` counts those). The emitted stream is
+  /// unchanged — sheds never consume it.
   void EnableQos(serving::QosOptions options, Priority priority,
                  std::shared_ptr<std::uint64_t> shed_retries) {
     qos_ = std::make_unique<serving::QosAdmissionController>(
@@ -368,7 +400,7 @@ class SessionEmitter : public ProgressiveEmitter {
         }
         slice_ = std::move(attempt);
       } else {
-        slice_ = session_.Resolve(request);
+        slice_ = resolver_->Serve(request);
       }
       cursor_ = 0;
       if (slice_.deadline_exceeded() || slice_.cancelled()) {
@@ -393,7 +425,6 @@ class SessionEmitter : public ProgressiveEmitter {
 
  private:
   std::unique_ptr<Resolver> resolver_;
-  ResolverSession session_;
   std::uint64_t deadline_ms_ = 0;
   std::shared_ptr<std::uint64_t> deadline_hits_;
   std::unique_ptr<serving::QosAdmissionController> qos_;
@@ -426,29 +457,20 @@ int CmdRun(const CliArgs& args) {
     return 1;
   }
   const MethodId method = ParseMethod(args.options.at("method"));
-
-  EvalOptions options;
-  options.ecstar_max = OptDouble(args, "ecmax", 10.0);
-  options.auc_at = {1.0, 5.0, 10.0};
-  ProgressiveEvaluator evaluator(dataset.value().truth, options);
-  MethodConfig config;
-  config.num_threads = OptThreads(args);
-  config.num_shards = OptShards(args);
-  config.lookahead = OptLookahead(args);
-  config.budget = OptBudget(args);
-  std::unique_ptr<Resolver> probe =
-      MakeResolver(method, dataset.value(), config);
-  if (probe == nullptr) {
+  ResolverOptions config = ServingOptions(args, method, dataset.value());
+  if (!Applicable(method, dataset.value())) {
     std::fprintf(stderr, "method %s is not applicable to %s "
                          "(no schema-based blocking key)\n",
                  std::string(ToString(method)).c_str(),
                  dataset.value().name.c_str());
     return 1;
   }
-  probe.reset();
 
-  // Telemetry is wired only after the applicability probe above, so the
-  // registry holds exactly one run's metrics.
+  EvalOptions options;
+  options.ecstar_max = OptDouble(args, "ecmax", 10.0);
+  options.auc_at = {1.0, 5.0, 10.0};
+  ProgressiveEvaluator evaluator(dataset.value().truth, options);
+
   const std::string metrics_path = OptPath(args, "metrics-json");
   const std::string trace_path = OptPath(args, "trace");
   const bool telemetry_on = !metrics_path.empty() || !trace_path.empty();
@@ -482,11 +504,11 @@ int CmdRun(const CliArgs& args) {
   RunResult run = evaluator.Run(
       [&]() -> std::unique_ptr<ProgressiveEmitter> {
         std::unique_ptr<Resolver> resolver =
-            MakeResolver(method, dataset.value(), config);
+            MakeResolver(dataset.value(), config);
         if (!use_sessions) return resolver;
-        // Route the drain through the session layer so the trace shows
-        // one span per resolve request — and so a --deadline-ms applies
-        // per request (same emitted stream either way).
+        // Route the drain through Resolver::Serve so the trace shows one
+        // span per resolve request — and so a --deadline-ms applies per
+        // request (same emitted stream either way).
         auto emitter = std::make_unique<SessionEmitter>(
             std::move(resolver), deadline_ms, deadline_hits);
         if (use_qos) {
@@ -509,9 +531,8 @@ int CmdRun(const CliArgs& args) {
   }
   if (config.lookahead > 0 && MethodHasBatchRefills(method)) {
     std::printf("emission pipeline: lookahead %zu (refills produced ahead "
-                "of consumption%s)\n",
-                config.lookahead,
-                config.num_shards > 1 ? ", one producer per shard" : "");
+                "of consumption, one producer per shard)\n",
+                config.lookahead);
   }
   if (deadline_ms > 0) {
     std::printf("deadline: %llu ms per %llu-comparison request; %llu "
@@ -590,6 +611,8 @@ int CmdInspect(const CliArgs& args) {
     return 1;
   }
   const DatasetBundle& ds = dataset.value();
+  const MethodId method = ParseMethod(OptString(args, "method", "pps"));
+  ResolverOptions config = ServingOptions(args, method, ds);
   std::printf("%s: %s\n", ds.name.c_str(), ds.description.c_str());
   std::printf("  ER type:        %s\n", ToString(ds.store.er_type()));
   std::printf("  profiles:       %zu", ds.store.size());
@@ -599,14 +622,13 @@ int CmdInspect(const CliArgs& args) {
   }
   std::printf("\n  matches |D_P|:  %zu\n", ds.truth.num_matches());
   std::printf("  mean |p|:       %.2f\n", ds.store.MeanProfileSize());
-  const std::size_t lookahead = OptLookahead(args);
   std::printf("  serving:        threads=%zu shards=%zu lookahead=%zu "
               "(%s emission)\n",
-              OptThreads(args), OptShards(args), lookahead,
-              lookahead > 0 ? "pipelined" : "serial");
+              config.num_threads, config.num_shards, config.lookahead,
+              config.lookahead > 0 ? "pipelined" : "serial");
 
   TokenWorkflowOptions workflow_options;
-  workflow_options.num_threads = OptThreads(args);
+  workflow_options.num_threads = config.num_threads;
   BlockCollection raw =
       TokenBlocking(ds.store, workflow_options.token_blocking);
   BlockCollection workflow =
@@ -617,7 +639,7 @@ int CmdInspect(const CliArgs& args) {
               static_cast<unsigned long long>(
                   workflow.AggregateCardinality()));
 
-  const std::size_t num_shards = OptShards(args);
+  const std::size_t num_shards = config.num_shards;
   if (num_shards > 1) {
     std::printf("\nhash partition into %zu shards:\n", num_shards);
     std::vector<StoreShard> shards = PartitionStore(ds.store, num_shards);
@@ -641,14 +663,9 @@ int CmdInspect(const CliArgs& args) {
   // Per-phase initialization breakdown of the requested method: build
   // the resolver once with a telemetry scope and print
   // InitStats::phases (per shard when sharded).
-  const MethodId method = ParseMethod(OptString(args, "method", "pps"));
-  MethodConfig config;
-  config.num_threads = OptThreads(args);
-  config.num_shards = num_shards;
-  config.lookahead = lookahead;
   obs::Registry registry;
   config.telemetry = obs::TelemetryScope(&registry);
-  std::unique_ptr<Resolver> resolver = MakeResolver(method, ds, config);
+  std::unique_ptr<Resolver> resolver = MakeResolver(ds, config);
   if (resolver == nullptr) {
     std::printf("\n%s init breakdown: method not applicable to %s "
                 "(no schema-based blocking key)\n",
@@ -705,14 +722,9 @@ int CmdServe(const CliArgs& args) {
   const MethodId method = ParseMethod(OptString(args, "method", "pps"));
 
   obs::Registry registry;
-  MethodConfig config;
-  config.num_threads = OptThreads(args);
-  config.num_shards = OptShards(args);
-  config.lookahead = OptLookahead(args);
-  config.budget = OptBudget(args);
+  ResolverOptions config = ServingOptions(args, method, dataset.value());
   config.telemetry = obs::TelemetryScope(&registry);
-  std::unique_ptr<Resolver> resolver =
-      MakeResolver(method, dataset.value(), config);
+  std::unique_ptr<Resolver> resolver = MakeResolver(dataset.value(), config);
   if (resolver == nullptr) {
     std::fprintf(stderr, "method %s is not applicable to %s "
                          "(no schema-based blocking key)\n",
