@@ -4,16 +4,14 @@
 //
 // Two paths per configuration, both draining the same engine setup:
 //
-//   emit_serial     the reference path (lookahead 0): every refill —
-//                   ProcessProfile / ProcessBlock, and for sharded runs
-//                   every shard-head refill of the k-way merge — is
-//                   computed inline on the consuming thread;
-//   emit_pipelined  the emission pipeline (lookahead > 0), sharded runs
-//                   only: refill batches are produced ahead of the merge
-//                   on producer tasks, one per shard, so the merge pops
-//                   completed batches. One shard has no pipelined path —
-//                   it ran slower than serial, and ResolverOptions
-//                   rejects it.
+//   emit_serial     the reference path (lookahead 0, and one thread on
+//                   one shard): every refill — ProcessProfile /
+//                   ProcessBlock, and for sharded runs every shard-head
+//                   refill of the k-way merge — is computed inline on the
+//                   consuming thread;
+//   emit_pipelined  the emission pipeline: on one shard, --threads refill
+//                   workers (lookahead 0); on more, one worker per shard
+//                   (lookahead > 0), so the merge pops completed batches.
 //
 // Each path also runs a telemetry-overhead configuration ("_obs" rows): the
 // same drain with a live obs::Registry attached. Those rows are digest-
@@ -34,18 +32,11 @@
 // --json emits {dataset, scale, threads, shards, lookahead, path,
 // wall_ms, speedup} records (schema: bench/BENCH.md); speedup is
 // serial/pipelined at the same shard count. Speedup needs spare physical
-// cores: with S shards the pipelined path keeps S producers plus the
-// merge thread busy; on a 1-core machine it degrades to ~1.0x (queue
-// overhead only) while the digests still pin correctness. Shard counts
-// of 1 report the serial rows only.
-//
-// The timer covers the drain only — producers start prefetching during
-// engine construction, before the timer. With the default --budget=0
-// (drain dry) that head start is at most lookahead slots per shard,
-// noise against millions of emissions; a small --budget makes the
-// pipelined number mostly prefetched-for-free and the speedup
-// meaningless, so the bench warns when budget is within ~20x of the
-// prefetch bound.
+// cores: the pipelined path keeps its refill workers plus the consumer
+// busy; on a 1-core machine it degrades to ~1.0x (queue overhead only)
+// while the digests still pin correctness. The timer covers the drain
+// only; refill workers start on its first pull, so nothing is prefetched
+// before it.
 
 #include <algorithm>
 #include <chrono>
@@ -109,14 +100,15 @@ DrainResult RunOnce(const ProfileStore& store, MethodId method,
 
 /// The telemetry observations of one instrumented pipelined run,
 /// aggregated across shards (one set of "pipeline.*" metrics per
-/// "shardS." prefix).
+/// "shardS." prefix; unprefixed on one shard).
 void AppendPipelineExtras(const obs::Registry& registry, std::size_t shards,
                           sper::bench::JsonRecord& record) {
   obs::Histogram occupancy;
   std::uint64_t stalls = 0;
   std::uint64_t waits = 0;
   for (std::size_t s = 0; s < shards; ++s) {
-    const std::string prefix = "shard" + std::to_string(s) + ".";
+    const std::string prefix =
+        shards == 1 ? "" : "shard" + std::to_string(s) + ".";
     if (const obs::Histogram* h =
             registry.FindHistogram(prefix + "pipeline.ring_occupancy")) {
       occupancy.Merge(*h);
@@ -201,35 +193,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(budget),
               std::thread::hardware_concurrency());
 
-  if (budget > 0) {
-    // Producers prefetch up to ~(lookahead + 1) slots of >= 256
-    // comparisons per shard before the drain timer starts.
-    std::uint64_t max_prefetch = 0;
-    for (std::size_t shards : shard_counts) {
-      if (shards == 1) continue;  // no pipelined path on one shard
-      for (std::size_t lookahead : lookaheads) {
-        max_prefetch = std::max<std::uint64_t>(
-            max_prefetch, shards * (lookahead + 1) * 256);
-      }
-    }
-    if (budget < 20 * max_prefetch) {
-      std::printf("WARNING: budget %llu is within 20x of the prefetch "
-                  "bound (~%llu comparisons computed before the timer); "
-                  "pipelined speedups below are not meaningful.\n",
-                  static_cast<unsigned long long>(budget),
-                  static_cast<unsigned long long>(max_prefetch));
-    }
-  }
-
   std::vector<sper::bench::JsonRecord> records;
   TextTable table({"shards", "lookahead", "emitted", "emission (ms)",
                    "speedup", "digest"});
   bool ok = true;
   for (std::size_t shards : shard_counts) {
+    // One shard refills serially only on one thread (more start refill
+    // workers); sharded engines do at lookahead 0 at any thread count.
+    const std::size_t serial_threads = shards == 1 ? 1 : threads;
     DrainResult serial;
     for (int r = 0; r < repeat; ++r) {
-      DrainResult run =
-          RunOnce(store, *method, threads, shards, /*lookahead=*/0, budget);
+      DrainResult run = RunOnce(store, *method, serial_threads, shards,
+                                /*lookahead=*/0, budget);
       if (r == 0 || run.wall_ms < serial.wall_ms) serial = run;
     }
     table.AddRow({std::to_string(shards), "0 (serial)",
@@ -246,7 +221,7 @@ int main(int argc, char** argv) {
       DrainResult serial_obs;
       for (int r = 0; r < repeat; ++r) {
         obs::Registry registry;
-        DrainResult run = RunOnce(store, *method, threads, shards,
+        DrainResult run = RunOnce(store, *method, serial_threads, shards,
                                   /*lookahead=*/0, budget, &registry);
         if (r == 0 || run.wall_ms < serial_obs.wall_ms) serial_obs = run;
       }
@@ -268,8 +243,20 @@ int main(int argc, char** argv) {
       records.push_back(std::move(record));
     }
 
-    for (std::size_t lookahead : lookaheads) {
-      if (lookahead == 0 || shards == 1) continue;
+    // One shard pipelines through its refill workers (lookahead 0), more
+    // shards through each lookahead.
+    std::vector<std::size_t> pipelined_lookaheads;
+    if (shards == 1) {
+      if (threads > 1) pipelined_lookaheads.push_back(0);
+    } else {
+      for (std::size_t lookahead : lookaheads) {
+        if (lookahead > 0) pipelined_lookaheads.push_back(lookahead);
+      }
+    }
+    for (std::size_t lookahead : pipelined_lookaheads) {
+      const std::string label = shards == 1
+                                    ? std::to_string(threads) + " workers"
+                                    : std::to_string(lookahead);
       DrainResult pipelined;
       for (int r = 0; r < repeat; ++r) {
         DrainResult run =
@@ -280,7 +267,7 @@ int main(int argc, char** argv) {
       ok = ok && match;
       const double speedup =
           pipelined.wall_ms > 0 ? serial.wall_ms / pipelined.wall_ms : 0.0;
-      table.AddRow({std::to_string(shards), std::to_string(lookahead),
+      table.AddRow({std::to_string(shards), label,
                     std::to_string(pipelined.emitted),
                     FormatDouble(pipelined.wall_ms, 1),
                     FormatDouble(speedup, 2) + "x",
@@ -309,8 +296,7 @@ int main(int argc, char** argv) {
       const double overhead = pipelined.wall_ms > 0
                                   ? pipelined_obs.wall_ms / pipelined.wall_ms
                                   : 0.0;
-      table.AddRow({std::to_string(shards),
-                    std::to_string(lookahead) + " (obs)",
+      table.AddRow({std::to_string(shards), label + " (obs)",
                     std::to_string(pipelined_obs.emitted),
                     FormatDouble(pipelined_obs.wall_ms, 1),
                     FormatDouble(overhead, 3) + "x ovh",

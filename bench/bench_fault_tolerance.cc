@@ -77,7 +77,7 @@ SessionRun RunSession(const ProfileStore& store,
       sper::bench::CreateResolverOrDie(store, options);
   SessionRun run;
   const obs::Stopwatch start;
-  std::uint64_t empty_streak = 0;
+  obs::Stopwatch since_progress;
   for (;;) {
     ResolveRequest request;
     request.budget = batch;
@@ -95,11 +95,16 @@ SessionRun RunSession(const ProfileStore& store,
     for (const Comparison& c : slice.comparisons) run.drain.Fold(c);
     run.deadline_cuts += slice.deadline_exceeded() ? 1 : 0;
     if (slice.stream_exhausted || slice.budget_exhausted) break;
-    // A deadline can expire before a slice draws anything; bail out if
-    // that stops being progress (e.g. a stall longer than the deadline
-    // on every refill of an exhausted-but-unreported stream).
-    empty_streak = slice.comparisons.empty() ? empty_streak + 1 : 0;
-    if (empty_streak >= 64) break;
+    // A deadline can cut a slice before it draws anything while a stalled
+    // shard's refill worker keeps producing in the background, so empty
+    // slices are not a lack of progress; give up only after
+    // kGiveUpSeconds without a single comparison.
+    constexpr double kGiveUpSeconds = 10.0;
+    if (!slice.comparisons.empty()) {
+      since_progress.Restart();
+    } else if (since_progress.ElapsedSeconds() > kGiveUpSeconds) {
+      break;
+    }
   }
   run.drain.wall_ms = Millis(start);
   return run;

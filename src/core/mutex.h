@@ -13,7 +13,7 @@
 /// thread-safety attributes (core/thread_annotations.h). Every locking
 /// site in the library uses these instead of the std types so that
 /// -Wthread-safety can prove lock discipline over the whole concurrency
-/// substrate (thread pool, SPSC ring, emission pipeline, resolver
+/// substrate (thread pool, emission pipeline ring, resolver
 /// admission, metric registry, fault registry).
 ///
 /// CondVar deliberately has no predicate-taking Wait: the analysis sees a

@@ -100,7 +100,7 @@ class Engine : public ProgressiveEmitter {
   virtual const Status& status() const = 0;
 
   /// Stops the stream for good: abandons buffered batches, shuts down
-  /// and joins any producer tasks, and makes every later Pull return
+  /// and joins any refill workers, and makes every later Pull return
   /// kExhausted. Idempotent; must not race Pull (see class comment).
   virtual void Drain() = 0;
 };

@@ -28,7 +28,8 @@ std::string_view ToString(MethodId id);
 
 /// True for the Comparison-List methods (PBS, PPS), whose emitters expose
 /// the refill-batch boundary (BatchSource) the emission pipeline needs.
-/// ResolverOptions::lookahead has no effect on the other methods.
+/// Refill workers and ResolverOptions::lookahead have no effect on the
+/// other methods.
 bool MethodHasBatchRefills(MethodId id);
 
 /// Inverse of ToString ("PPS", "SA-PSN", ...); nullopt for unknown names.

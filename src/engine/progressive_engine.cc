@@ -1,5 +1,6 @@
 #include "engine/progressive_engine.h"
 
+#include <algorithm>
 #include <cctype>
 #include <exception>
 #include <optional>
@@ -19,6 +20,45 @@
 #include "progressive/workflow.h"
 
 namespace sper {
+
+namespace {
+
+/// Emission pipeline geometry. A slot holds one group: up to
+/// kRefillsPerSlot consecutive refills whose RefillBounds sum to at most
+/// kSlotItems comparisons (a larger refill gets a slot of its own), and a
+/// plain engine runs kSlotsPerWorker slots per refill worker.
+constexpr std::size_t kRefillsPerSlot = 64;
+constexpr std::size_t kSlotItems = 8192;
+constexpr std::size_t kSlotsPerWorker = 4;
+
+/// The pipeline's groups: where each starts (plus the end), and the
+/// largest group's comparison bound.
+struct Groups {
+  std::vector<std::size_t> starts;
+  std::size_t largest = 0;
+};
+
+/// Cuts the refills into the pipeline's groups. The cut depends only on
+/// the built state, never on produced content or timing.
+Groups CutGroups(const BatchSource& source) {
+  Groups groups;
+  std::size_t items = 0;
+  for (std::size_t k = 0; k < source.num_refills(); ++k) {
+    const std::size_t bound = source.RefillBound(k);
+    if (groups.starts.empty() ||
+        k - groups.starts.back() == kRefillsPerSlot || items > kSlotItems ||
+        bound > kSlotItems - items) {
+      groups.starts.push_back(k);
+      items = 0;
+    }
+    items += bound;
+    groups.largest = std::max(groups.largest, items);
+  }
+  groups.starts.push_back(source.num_refills());
+  return groups;
+}
+
+}  // namespace
 
 std::string_view ToString(MethodId id) {
   switch (id) {
@@ -68,7 +108,6 @@ std::optional<MethodId> ParseMethodId(std::string_view name) {
 
 ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
                                      const ResolverOptions& options,
-                                     ThreadPool* emission_pool,
                                      std::string label)
     : label_(std::move(label)) {
   const obs::Stopwatch init_watch;
@@ -154,45 +193,49 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
   stats_.phases.push_back({"method_build", 0, method_seconds});
   SPER_CHECK(inner_ != nullptr && "unknown method");
 
-  // Emission pipeline (lookahead > 0): run the method's refills on a
-  // worker of the caller's pool, bounded `lookahead` batches ahead of
-  // Next(). Only the batch-refilling methods expose the refill boundary;
-  // the rest keep the serial path regardless of the option.
+  // Refill workers. A plain engine runs num_threads of them over
+  // kSlotsPerWorker slots each; a shard of a ShardedEngine runs one over
+  // `lookahead` slots. Scratch and slots are allocated here, once; the
+  // workers start with the first pull, so set-up is not shared with them.
   batch_source_ = dynamic_cast<BatchSource*>(inner_.get());
   fault_site_ = label_.empty() ? "refill" : "refill." + label_;
-  if (options.lookahead > 0 && batch_source_ != nullptr) {
-    SPER_CHECK(emission_pool != nullptr &&
-               "a pipelined engine needs the caller's emission pool");
-    // Refill batches can be tiny (a PPS profile contributes at most kmax
-    // and usually far fewer comparisons), so the producer coalesces
-    // consecutive refills into one ring slot until it holds at least
-    // kMinBatchItems. Consecutive batches are consumed back to back
-    // anyway, so concatenation keeps the serial order while amortizing
-    // the per-slot handoff to once per ~kMinBatchItems emissions.
-    constexpr std::size_t kMinBatchItems = 256;
-    if (scope.enabled()) {
-      pipeline_metrics_.batches = scope.counter("pipeline.batches");
-      pipeline_metrics_.producer_stalls =
-          scope.counter("pipeline.producer_stalls");
-      pipeline_metrics_.consumer_waits =
-          scope.counter("pipeline.consumer_waits");
-      pipeline_metrics_.refill_ns = scope.histogram("pipeline.refill_ns");
-      pipeline_metrics_.ring_occupancy =
-          scope.histogram("pipeline.ring_occupancy");
+  if (batch_source_ != nullptr) {
+    std::size_t workers = 1;
+    std::size_t slots = 0;
+    if (options.num_shards == 1 && options.num_threads > 1) {
+      workers = options.num_threads;
+      slots = kSlotsPerWorker * workers;
+    } else if (options.num_shards > 1) {
+      slots = options.lookahead;
     }
-    pipeline_ = std::make_unique<EmissionPipeline<ComparisonList>>(
-        options.lookahead,
-        [source = batch_source_,
-         scratch = ComparisonList()](ComparisonList& out) mutable {
-          out.Clear();
-          do {
-            if (!source->ProduceBatch(scratch)) break;
-            out.AppendFrom(scratch);
-          } while (out.remaining() < kMinBatchItems);
-          return !out.Empty();
-        },
-        scope.enabled() ? &pipeline_metrics_ : nullptr, fault_site_);
-    pipeline_->Start(*emission_pool);
+    for (std::size_t w = 0; w < workers; ++w) {
+      scratch_.push_back(batch_source_->NewScratch());
+    }
+    if (slots > 0) {
+      if (scope.enabled()) {
+        pipeline_metrics_.batches = scope.counter("pipeline.batches");
+        pipeline_metrics_.producer_stalls =
+            scope.counter("pipeline.producer_stalls");
+        pipeline_metrics_.consumer_waits =
+            scope.counter("pipeline.consumer_waits");
+        pipeline_metrics_.refill_ns = scope.histogram("pipeline.refill_ns");
+        pipeline_metrics_.ring_occupancy =
+            scope.histogram("pipeline.ring_occupancy");
+      }
+      // Refill workers never allocate: a thread's first malloc ties it to
+      // a malloc arena of its own, which measurably raised peak RSS. So
+      // every slot holds the largest group up front, up to one comparison
+      // per profile (only a larger PBS block then grows its slot).
+      Groups groups = CutGroups(*batch_source_);
+      const std::size_t slot_reserve =
+          std::max(kSlotItems, std::min(groups.largest, store.size()));
+      pipeline_ = std::make_unique<EmissionPipeline<ComparisonList>>(
+          std::move(groups.starts), workers, slots, slot_reserve,
+          [this](std::size_t worker, std::size_t index, ComparisonList& out) {
+            Refill(worker, index, out);
+          },
+          scope.enabled() ? &pipeline_metrics_ : nullptr);
+    }
   }
 
   stats_.init_seconds = init_watch.ElapsedSeconds();
@@ -218,20 +261,31 @@ PullStatus ProgressiveEngine::Poison(std::size_t batch_index,
   return PullStatus::kError;
 }
 
+void ProgressiveEngine::Refill(std::size_t worker, std::size_t index,
+                               ComparisonList& out) {
+  SPER_FAULT_HIT_AT(fault_site_, index);
+  batch_source_->AppendRefill(index, *scratch_[worker], out);
+}
+
 PullStatus ProgressiveEngine::PipelinedPull(Comparison& out,
                                             const CancelToken& token) {
   // front_ caches the slot being drained so the ring (and its mutex) is
-  // only touched once per batch, not once per comparison.
+  // only touched once per group, not once per comparison.
   while (front_ == nullptr || front_->Empty()) {
     if (front_ != nullptr) {
-      pipeline_->PopFront();  // batch drained: recycle the slot
+      pipeline_->PopFront();  // group drained: hand the slot on
       front_ = nullptr;
+    }
+    try {
+      pipeline_->Start();  // no-op after the first pull
+    } catch (...) {
+      return Poison(0, std::current_exception());
     }
     bool expired = false;
     front_ = pipeline_->FrontUntil(token, &expired);
     if (front_ == nullptr) {
       if (expired) return PullStatus::kCancelled;
-      // End of stream — clean exhaustion or a contained producer death.
+      // End of stream — clean exhaustion or a contained refill failure.
       EmissionPipelineError error = pipeline_->error();
       if (error.exception != nullptr) {
         return Poison(error.batch_index, std::move(error.exception));
@@ -246,22 +300,20 @@ PullStatus ProgressiveEngine::PipelinedPull(Comparison& out,
 PullStatus ProgressiveEngine::SerialPull(Comparison& out,
                                          const CancelToken& token) {
   if (batch_source_ != nullptr) {
-    // Inline-refill reference path of the batch methods: identical
-    // sequence to inner_->Next() per the BatchSource contract, but with
-    // the cancellation check and failure containment at the refill
-    // boundary (a refill is the unit of work a token can skip without
-    // corrupting method state).
+    // A refill is the unit of work a token can skip without corrupting
+    // the stream, so the token is checked once per refill.
     while (serial_batch_.Empty()) {
       if (token.valid() && token.cancelled()) return PullStatus::kCancelled;
-      try {
-        SPER_FAULT_HIT(fault_site_);
-        if (!batch_source_->ProduceBatch(serial_batch_)) {
-          return PullStatus::kExhausted;
-        }
-        ++serial_batch_index_;
-      } catch (...) {
-        return Poison(serial_batch_index_, std::current_exception());
+      if (next_refill_ == batch_source_->num_refills()) {
+        return PullStatus::kExhausted;
       }
+      serial_batch_.Clear();
+      try {
+        Refill(0, next_refill_, serial_batch_);
+      } catch (...) {
+        return Poison(next_refill_, std::current_exception());
+      }
+      ++next_refill_;
     }
     out = serial_batch_.PopFirst();
     return PullStatus::kOk;
@@ -274,7 +326,7 @@ PullStatus ProgressiveEngine::SerialPull(Comparison& out,
     out = *next;
     return PullStatus::kOk;
   } catch (...) {
-    return Poison(serial_batch_index_, std::current_exception());
+    return Poison(next_refill_, std::current_exception());
   }
 }
 

@@ -6,12 +6,12 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/profile_store.h"
 #include "engine/engine.h"
 #include "engine/resolver.h"
 #include "parallel/emission_pipeline.h"
-#include "parallel/thread_pool.h"
 #include "progressive/comparison_list.h"
 #include "progressive/emitter.h"
 
@@ -23,14 +23,14 @@
 /// `num_threads` threads (identical output at every thread count), and
 /// enforces an optional pay-as-you-go comparison budget on emission.
 ///
-/// Emission is serial by default (Next() computes refills inline — the
-/// reference path). Given an emission pool and `lookahead > 0`, the
-/// engine runs the emission pipeline instead: a producer task on that
-/// pool computes refill batches strictly in cursor order up to
-/// `lookahead` batches ahead, and Next() pops from completed batches. The
-/// emitted sequence is bit-identical either way. Only ShardedEngine (and
-/// tests) provide a pool: on one shard the pipeline is slower than the
-/// serial path, so ResolverOptions::Validate() rejects it there.
+/// Emission of the batch-refilling methods (PBS, PPS) runs on one of two
+/// paths with the same output. The serial reference path computes each
+/// refill inline in Pull(). The emission pipeline
+/// (parallel/emission_pipeline.h) runs refill workers ahead of Pull(),
+/// which pops from completed slots: `num_threads` workers on a plain
+/// engine with num_threads > 1, started by the first pull, or one worker
+/// per shard of a ShardedEngine with lookahead > 0. The sort-based methods
+/// always emit serially.
 
 namespace sper {
 
@@ -46,22 +46,17 @@ class ProgressiveEngine : public BudgetedEngine {
  public:
   /// Initialization phase: builds blocking structures (in parallel when
   /// options.num_threads > 1) and the method emitter. Reads the method
-  /// fields, num_threads, budget, lookahead and telemetry of `options`;
-  /// num_shards is the caller's business. The store must outlive the
-  /// engine. kPsn requires options.schema_key.
+  /// fields, num_threads, budget, lookahead and telemetry of `options`,
+  /// and num_shards only to tell a plain engine (1) from one shard of a
+  /// ShardedEngine (> 1), which pipelines on one worker and only when
+  /// lookahead > 0. The store must outlive the engine. kPsn requires
+  /// options.schema_key.
   ///
-  /// `emission_pool` hosts the emission pipeline's producer task; with
-  /// options.lookahead > 0 and a batch-refilling method it is required
-  /// (one free worker per pipelined engine for the engine's lifetime, and
-  /// it must outlive the engine — ShardedEngine shares one pool across
-  /// shards). Unused otherwise. `label` names the engine in
-  /// contained-failure messages and fault-injection seams ("shard0" makes
-  /// the refill seam "refill.shard0"); empty = a plain unlabeled engine
-  /// ("refill").
+  /// `label` names the engine in contained-failure messages and
+  /// fault-injection seams ("shard0" makes the refill seam
+  /// "refill.shard0"); empty = a plain unlabeled engine ("refill").
   ProgressiveEngine(const ProfileStore& store,
-                    const ResolverOptions& options,
-                    ThreadPool* emission_pool = nullptr,
-                    std::string label = {});
+                    const ResolverOptions& options, std::string label = {});
 
   /// The inner method's acronym, e.g. "PPS".
   std::string_view name() const override { return inner_->name(); }
@@ -70,7 +65,7 @@ class ProgressiveEngine : public BudgetedEngine {
   std::size_t num_shards() const override { return 1; }
 
   /// Stops the stream: shuts down the emission pipeline (joining its
-  /// producer task) and flips the engine to exhausted. Idempotent.
+  /// refill workers) and flips the engine to exhausted. Idempotent.
   void Drain() override;
 
  private:
@@ -79,18 +74,21 @@ class ProgressiveEngine : public BudgetedEngine {
   PullStatus PullUnbudgeted(Comparison& out,
                             const CancelToken& token) override;
 
-  /// Pops the next comparison off the pipeline's completed batches.
+  /// Pops the next comparison off the pipeline's completed slots,
+  /// starting the refill workers on the first call.
   PullStatus PipelinedPull(Comparison& out, const CancelToken& token);
 
-  /// The inline-refill reference path: for the batch methods the engine
-  /// drives ProduceBatch itself (same sequence per the BatchSource
-  /// contract) so the token check, fault seam, and failure containment
-  /// sit at the true refill boundary; sort-based methods pull Next().
+  /// The inline reference path: the batch methods refill one index at a
+  /// time, so the token check, fault seam and failure containment sit at
+  /// the true refill boundary; sort-based methods pull Next().
   PullStatus SerialPull(Comparison& out, const CancelToken& token);
 
-  /// Contains a producer/refill failure: sticky status with instance
-  /// label and batch cursor (the satellite fix for "rethrow loses
-  /// origin").
+  /// Refill batch `index` appended to `out` on `worker`'s scratch, behind
+  /// the refill fault seam — the one refill step of both paths.
+  void Refill(std::size_t worker, std::size_t index, ComparisonList& out);
+
+  /// Contains a refill failure: sticky status with instance label and the
+  /// index of the failing refill batch, the same on both paths.
   PullStatus Poison(std::size_t batch_index, std::exception_ptr error);
 
   /// The constructor's `label` (see there).
@@ -102,21 +100,23 @@ class ProgressiveEngine : public BudgetedEngine {
   /// Fault-injection seam name of this engine's refill boundary
   /// ("refill" or "refill.<label>").
   std::string fault_site_;
+  /// One refill scratch per worker (the serial path uses the first),
+  /// allocated with the engine and kept for its lifetime.
+  std::vector<std::unique_ptr<BatchSource::Scratch>> scratch_;
   /// Registry sinks of the emission pipeline; must be declared before
   /// pipeline_ (the pipeline holds a pointer to it for its lifetime).
   EmissionPipelineMetrics pipeline_metrics_;
   // Members are destroyed in reverse declaration order: the pipeline must
-  // close (and its producer task exit) before inner_ — whose refills the
-  // producer runs — is destroyed.
+  // join its workers before the scratch and inner_ they use go away.
   std::unique_ptr<EmissionPipeline<ComparisonList>> pipeline_;
-  /// The ring slot Next() is draining (owned by the pipeline); caching it
+  /// The slot Pull() is draining (owned by the pipeline); caching it
   /// keeps ring synchronization off the per-comparison path.
   ComparisonList* front_ = nullptr;
-  /// The serial path's current refill batch (batch methods, lookahead 0);
-  /// persists across cancelled pulls so the stream continues losslessly.
+  /// The serial path's current refill batch; persists across cancelled
+  /// pulls so the stream continues losslessly.
   ComparisonList serial_batch_;
-  /// Refill batches the serial path has produced (error context).
-  std::size_t serial_batch_index_ = 0;
+  /// The serial path's next refill index.
+  std::size_t next_refill_ = 0;
 };
 
 }  // namespace sper

@@ -77,8 +77,8 @@ Status ResolverOptions::Validate() const {
   }
   if (lookahead > 0 && num_shards == 1) {
     return Status::InvalidArgument(
-        "lookahead must be 0 with num_shards 1 (pipelined emission runs "
-        "only across shards), got " +
+        "lookahead must be 0 with num_shards 1 (one shard pipelines its "
+        "refills on num_threads workers instead), got " +
         std::to_string(lookahead));
   }
   if (method == MethodId::kPsn && schema_key == nullptr) {
@@ -317,7 +317,7 @@ void Resolver::Drain() {
     while (now_serving_ < horizon) cv_.Wait(lock);
   }
   if (!engine_drained_) {
-    engine_->Drain();  // shuts down + joins shard producers
+    engine_->Drain();  // shuts down + joins refill workers
     engine_drained_ = true;
     options_.telemetry.RecordSpan("session.drain", watch.start(),
                                   obs::Stopwatch::Now());

@@ -36,20 +36,21 @@
 ///     — validated with a clear error `Status` instead of silently
 ///     falling back, and read directly by both engines;
 ///   - `Resolver::Create(store, options)` picks the implementation (plain
-///     `ProgressiveEngine`, or `ShardedEngine` for `num_shards > 1`,
-///     whose shards run the emission pipeline for `lookahead > 0`) and
-///     returns it behind the abstract `Engine` interface;
+///     `ProgressiveEngine`, whose PPS/PBS refills run on `num_threads`
+///     workers, or `ShardedEngine` for `num_shards > 1`, whose shards run
+///     one refill worker each for `lookahead > 0`) and returns it behind
+///     the abstract `Engine` interface;
 ///   - `Resolver::Serve(ResolveRequest)` is the one request path: it
 ///     draws a budgeted slice off the shared stream under ticketed FIFO
 ///     admission — concurrent requests are admitted strictly in ticket
 ///     order, and concatenating the per-request slices in ticket order is
 ///     bit-identical to one un-batched drain of the same resolver.
 ///
-/// Backpressure: with `lookahead > 0` each shard's emission pipeline keeps
-/// producing refill batches between requests, but only up to the bounded
-/// SPSC ring's `lookahead` slots — a slow consumer never buffers more than
-/// the rings, and a burst of requests is served from batches the
-/// producers already completed (see parallel/emission_pipeline.h).
+/// Backpressure: refill workers keep producing between requests, but only
+/// up to their bounded ring — 4 slots per worker on one shard, `lookahead`
+/// slots per shard — so a slow consumer never buffers more than the rings,
+/// and a burst of requests is served from slots the workers already
+/// completed (see parallel/emission_pipeline.h).
 
 namespace sper {
 
@@ -62,9 +63,13 @@ struct ResolverOptions {
   MethodId method = MethodId::kPps;
 
   /// Threads for the initialization phase (block filtering, edge
-  /// weighting; split across shard constructions when sharded). Must be
-  /// in [1, kMaxThreads] — 0 is rejected by Validate() rather than
-  /// silently meaning "one thread".
+  /// weighting; split across shard constructions when sharded) and, on
+  /// one shard, the PPS/PBS refill workers: num_threads > 1 computes
+  /// refills on that many threads ahead of the consumer, started by the
+  /// first pull; 1 keeps the serial reference path. Each refill worker
+  /// holds an 8 B·|P| accumulator for the resolver's lifetime. The stream
+  /// is bit-identical at every setting. Must be in [1, kMaxThreads] — 0
+  /// is rejected by Validate() rather than silently meaning "one thread".
   std::size_t num_threads = 1;
 
   /// Hash shards. 1 = plain engine; > 1 partitions the store and serves
@@ -76,15 +81,14 @@ struct ResolverOptions {
   /// emit across all requests and drains; 0 = unlimited.
   std::uint64_t budget = 0;
 
-  /// Emission pipeline lookahead, per shard: how many completed queue
-  /// slots each shard's producer may run ahead of the k-way merge; 0 =
-  /// the serial reference path. A slot holds one or more consecutive
-  /// refill batches — small refills are coalesced until a slot carries at
-  /// least ~256 comparisons. Applies to the batch-refilling methods (PBS,
-  /// PPS); the sort-based methods ignore it. The emitted stream is
-  /// bit-identical at every setting. Must be <= kMaxLookahead, and 0 when
-  /// num_shards == 1: pipelining one shard is slower than the serial path,
-  /// so pipelined emission exists only across shards.
+  /// Emission pipeline lookahead, per shard: how many completed slots
+  /// each shard's refill worker may run ahead of the k-way merge; 0 = the
+  /// serial reference path. A slot holds a fixed group of consecutive
+  /// refill batches (up to 64, fixed by the built state). Applies to the
+  /// batch-refilling methods (PBS, PPS); the sort-based methods ignore it.
+  /// The emitted stream is bit-identical at every setting. Must be
+  /// <= kMaxLookahead, and 0 when num_shards == 1: one shard pipelines
+  /// through num_threads refill workers instead.
   std::size_t lookahead = 0;
 
   /// Blocking workflow for the equality-based methods (PBS, PPS).
@@ -320,9 +324,9 @@ struct ResolveResult {
 class Resolver : public ProgressiveEmitter {
  public:
   /// Validates `options`, builds the matching engine (plain for one
-  /// shard, sharded otherwise; pipelined shard refills when
-  /// lookahead > 0) and wraps it. Returns InvalidArgument without touching the store
-  /// when validation fails.
+  /// shard, with num_threads refill workers; sharded otherwise, with
+  /// pipelined shard refills when lookahead > 0) and wraps it. Returns
+  /// InvalidArgument without touching the store when validation fails.
   ///
   /// Lifetime: the store must outlive the resolver. (With num_shards > 1
   /// the shards copy their profiles and only construction reads the
@@ -367,7 +371,7 @@ class Resolver : public ProgressiveEmitter {
 
   /// Graceful drain: stops admitting new requests, waits until every
   /// already-ticketed request finished (or cut itself at its deadline),
-  /// then drains the engine — shutting down and joining shard producers.
+  /// then drains the engine — shutting down and joining refill workers.
   /// Blocking; idempotent; safe to race with concurrent Serve() calls
   /// (each request is either fully served or cleanly rejected, never
   /// half-drawn). The resolver stays queryable afterwards: Serve()

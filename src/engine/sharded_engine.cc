@@ -54,33 +54,16 @@ ShardedEngine::ShardedEngine(const ProfileStore& store,
   inner.budget = 0;
   inner.num_threads = options.num_threads / concurrency;
 
-  // Parallel shard refills (lookahead > 0, batch-refilling method): a
-  // shared pool hosts every shard's emission-pipeline producer. It needs
-  // one worker per live pipeline — a producer that queues behind another
-  // shard's would never run, and the merge blocks forever on that shard's
-  // first head. Sort-based methods never start a pipeline, so spawning
-  // workers for them would just park S idle threads. The worker-per-shard
-  // requirement also means the pool cannot be shrunk below the pipeline
-  // count, so past kMaxPipelinedShards the engine falls back to serial
-  // refills (always correct, same output) instead of spawning an OS
-  // thread per shard.
+  // Parallel shard refills (lookahead > 0): every shard engine runs one
+  // refill worker thread. Past kMaxPipelinedShards non-barren shards the
+  // engine falls back to serial refills (always correct, same output)
+  // instead of spawning an OS thread per shard.
   constexpr std::size_t kMaxPipelinedShards = 64;
   std::size_t active_shards = 0;
   for (const StoreShard& shard : shards_) {
     if (ShardHasCandidates(shard.store)) ++active_shards;
   }
-  if (inner.lookahead > 0 && MethodHasBatchRefills(inner.method) &&
-      active_shards > 0) {
-    if (active_shards <= kMaxPipelinedShards) {
-      emission_pool_ = std::make_unique<ThreadPool>(active_shards);
-      if (scope.enabled()) {
-        emission_pool_->set_dropped_exceptions_counter(
-            scope.counter("pool.dropped_exceptions"));
-      }
-    } else {
-      inner.lookahead = 0;
-    }
-  }
+  if (active_shards > kMaxPipelinedShards) inner.lookahead = 0;
 
   // Each shard gets a "shard<S>."-prefixed sub-scope, so concurrent
   // shard constructions write disjoint metric names (registry creation is
@@ -90,8 +73,9 @@ ShardedEngine::ShardedEngine(const ProfileStore& store,
     const std::string label = "shard" + std::to_string(s);
     ResolverOptions shard_options = inner;
     shard_options.telemetry = scope.Sub(label);
-    engines_[s] = std::make_unique<ProgressiveEngine>(
-        shards_[s].store, shard_options, emission_pool_.get(), label);
+    engines_[s] =
+        std::make_unique<ProgressiveEngine>(shards_[s].store, shard_options,
+                                            label);
   };
   if (concurrency <= 1) {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -193,12 +177,11 @@ PullStatus ShardedEngine::PullUnbudgeted(Comparison& out,
 
 void ShardedEngine::Drain() {
   drained_ = true;
+  // Each shard's Drain joins its refill worker: joining here, instead of
+  // at destruction, is what "graceful drain" promises.
   for (std::unique_ptr<ProgressiveEngine>& engine : engines_) {
     if (engine != nullptr) engine->Drain();
   }
-  // With every pipeline shut down the workers are idle; joining them here
-  // (instead of at destruction) is what "graceful drain" promises.
-  emission_pool_.reset();
 }
 
 std::string_view ShardedEngine::name() const { return ToString(method_); }

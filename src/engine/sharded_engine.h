@@ -16,7 +16,6 @@
 #include "engine/resolver.h"
 #include "obs/telemetry.h"
 #include "parallel/ordered_merge.h"
-#include "parallel/thread_pool.h"
 #include "progressive/emitter.h"
 
 /// \file sharded_engine.h
@@ -29,11 +28,11 @@
 /// *original* profile ids.
 ///
 /// With `lookahead > 0` shard refills run *in parallel*: every
-/// shard engine's emission pipeline producer lives on a shared pool (one
-/// worker per non-barren shard), so when the k-way merge pops a shard
-/// head, the refill it triggers is an O(1) pop from that shard's
-/// completed batches — S shards keep S producers busy instead of
-/// serializing every ProcessProfile/ProcessBlock on the merge thread.
+/// shard engine runs one emission pipeline worker (one thread per
+/// non-barren shard), so when the k-way merge pops a shard head, the
+/// refill it triggers is an O(1) pop from that shard's completed slots —
+/// S shards keep S workers busy instead of serializing every
+/// ProcessProfile/ProcessBlock on the merge thread.
 ///
 /// Determinism contract: the merged stream depends only on (store,
 /// options) — never on thread count, lookahead or timing. For
@@ -65,7 +64,7 @@ class ShardedEngine : public BudgetedEngine {
   /// thread budget for *initialization* — shard initializations run
   /// concurrently and split it evenly; `lookahead` applies per shard and
   /// turns on the parallel refills described above, using one additional
-  /// producer thread per non-barren shard (not counted against
+  /// refill thread per non-barren shard (not counted against
   /// num_threads, and capped: past 64 non-barren shards the engine falls
   /// back to serial refills rather than spawn an OS thread per shard —
   /// the emitted stream is identical either way).
@@ -77,8 +76,8 @@ class ShardedEngine : public BudgetedEngine {
   /// Number of shards (== options.num_shards, at least 1).
   std::size_t num_shards() const override { return shards_.size(); }
 
-  /// Stops the stream: drains every shard engine (shutting down its
-  /// emission pipeline) and joins the shared producer pool. Idempotent.
+  /// Stops the stream: drains every shard engine, joining its refill
+  /// worker. Idempotent.
   void Drain() override;
 
  private:
@@ -92,12 +91,6 @@ class ShardedEngine : public BudgetedEngine {
 
   MethodId method_;
   std::vector<StoreShard> shards_;
-  // Hosts the per-shard emission-pipeline producers (lookahead > 0): one
-  // worker per non-barren shard, so no producer ever waits for a worker —
-  // the merge would deadlock waiting on a head no worker is computing.
-  // Declared before engines_ so it is destroyed (joined) after every
-  // engine has shut its pipeline down.
-  std::unique_ptr<ThreadPool> emission_pool_;
   std::vector<std::unique_ptr<ProgressiveEngine>> engines_;
   KWayMerge<Comparison, ByWeightDesc> merge_;
   /// Per-*stream* draw counters ("merge.shard<S>.draws", stream order —

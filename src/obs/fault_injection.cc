@@ -59,7 +59,13 @@ std::uint64_t FaultRegistry::fires(const std::string& site) const {
   return it == sites_.end() ? 0 : it->second.fires;
 }
 
-void FaultRegistry::Hit(std::string_view site) {
+void FaultRegistry::Hit(std::string_view site) { Fire(site, nullptr); }
+
+void FaultRegistry::HitAt(std::string_view site, std::uint64_t index) {
+  Fire(site, &index);
+}
+
+void FaultRegistry::Fire(std::string_view site, const std::uint64_t* index) {
   if (!armed()) return;
 
   // Decide under the lock, act outside it: a stall must not serialize
@@ -73,15 +79,20 @@ void FaultRegistry::Hit(std::string_view site) {
     if (it == sites_.end()) return;
     SiteState& state = it->second;
     const std::uint64_t hit = state.hits++;
-    if (hit < state.plan.start_after) return;
-    const std::uint64_t scheduled = hit - state.plan.start_after;
+    const std::uint64_t at = index != nullptr ? *index : hit;
+    if (at < state.plan.start_after) return;
+    const std::uint64_t scheduled = at - state.plan.start_after;
     const std::uint64_t every =
         state.plan.every == 0 ? 1 : state.plan.every;
     if (scheduled % every != 0) return;
-    if (state.plan.limit != 0 && state.fires >= state.plan.limit) return;
+    // An indexed seam caps scheduled positions, not fires: counting
+    // fires would let the racing order of the callers pick who fires.
+    const std::uint64_t spent =
+        index != nullptr ? scheduled / every : state.fires;
+    if (state.plan.limit != 0 && spent >= state.plan.limit) return;
     if (state.plan.probability < 1.0) {
       const double draw =
-          static_cast<double>(Mix64(state.plan.seed ^ hit) >> 11) *
+          static_cast<double>(Mix64(state.plan.seed ^ at) >> 11) *
           0x1.0p-53;  // uniform in [0, 1)
       if (draw >= state.plan.probability) return;
     }

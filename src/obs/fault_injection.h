@@ -20,12 +20,19 @@
 /// FaultPlan (stall for N ms, or throw) and the seam fires according to
 /// the plan's deterministic schedule: hit counters plus a seeded
 /// splitmix64 Bernoulli gate, never wall-clock or thread timing, so a
-/// failing run replays exactly.
+/// failing run replays exactly. A seam that several threads reach in
+/// racing order uses SPER_FAULT_HIT_AT("site", index) instead: its
+/// schedule reads the caller's position (e.g. a refill batch index) in
+/// place of the shared hit counter, so the same batch fires whichever
+/// thread gets there first.
 ///
 /// Instrumented seams (site names are part of the test/bench contract):
-///   - "ring.acquire_slot"        SpscSlotRing producer-side acquire
-///   - "refill" / "refill.<lbl>"  one refill-batch production (per shard
-///                                when sharded, e.g. "refill.shard0")
+///   - "ring.acquire_slot"        one EmissionPipeline slot taken by a
+///                                producer, keyed to its group index (a
+///                                throw fails the group's first batch)
+///   - "refill" / "refill.<lbl>"  one refill batch, keyed to its batch
+///                                index (per shard when sharded, e.g.
+///                                "refill.shard0")
 ///   - "merge.draw"               one ShardedEngine k-way-merge draw
 ///   - "session.admit"            one Resolver::Serve admission
 ///   - "qos.admit"                one QosAdmissionController::Resolve entry
@@ -48,7 +55,10 @@ namespace sper {
 namespace obs {
 
 /// What an armed site does, and on which hits. All scheduling fields are
-/// deterministic functions of the site's hit counter and `seed`.
+/// deterministic functions of the site's hit counter and `seed` — or, at
+/// an indexed seam (SPER_FAULT_HIT_AT), of the passed index and `seed`,
+/// where `limit` then caps the scheduled indices rather than counting
+/// fires.
 struct FaultPlan {
   enum class Action {
     kStall,  // sleep stall_ms, then continue normally
@@ -109,7 +119,15 @@ class FaultRegistry {
   /// through SPER_FAULT_HIT so normal builds compile it out entirely.
   void Hit(std::string_view site);
 
+  /// The indexed seam call (SPER_FAULT_HIT_AT): like Hit, but the plan's
+  /// schedule is evaluated at `index` instead of the site's hit counter,
+  /// so whether it fires is a pure function of (plan, index).
+  void HitAt(std::string_view site, std::uint64_t index);
+
  private:
+  /// Hit/HitAt: `index` == nullptr schedules on the hit counter.
+  void Fire(std::string_view site, const std::uint64_t* index);
+
   struct SiteState {
     FaultPlan plan;
     std::uint64_t hits = 0;
@@ -126,11 +144,14 @@ class FaultRegistry {
 #ifdef SPER_FAULT_INJECT
 inline constexpr bool kFaultInjectionEnabled = true;
 #define SPER_FAULT_HIT(site) ::sper::obs::FaultRegistry::Global().Hit(site)
+#define SPER_FAULT_HIT_AT(site, index) \
+  ::sper::obs::FaultRegistry::Global().HitAt(site, index)
 #else
 /// Normal builds: seams vanish; the registry class stays available so
 /// fault tests compile (and skip themselves via this flag).
 inline constexpr bool kFaultInjectionEnabled = false;
 #define SPER_FAULT_HIT(site) ((void)0)
+#define SPER_FAULT_HIT_AT(site, index) ((void)0)
 #endif
 
 }  // namespace obs

@@ -49,10 +49,14 @@ HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snapshot;
   snapshot.count = count();
   snapshot.sum = sum_.load(std::memory_order_relaxed);
-  snapshot.max = max_.load(std::memory_order_relaxed);
   snapshot.p50 = Quantile(0.50);
   snapshot.p90 = Quantile(0.90);
   snapshot.p99 = Quantile(0.99);
+  // Record() bumps its bucket before max_, so a snapshot taken mid-record
+  // can count a sample that max_ does not show yet. Each quantile is the
+  // lower bound of a recorded sample, so the max is at least every one.
+  snapshot.max = std::max({max_.load(std::memory_order_relaxed),
+                           snapshot.p50, snapshot.p90, snapshot.p99});
   return snapshot;
 }
 

@@ -1,11 +1,13 @@
 #ifndef SPER_PARALLEL_EMISSION_PIPELINE_H_
 #define SPER_PARALLEL_EMISSION_PIPELINE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/mutex.h"
 #include "core/thread_annotations.h"
@@ -13,25 +15,24 @@
 #include "obs/fault_injection.h"
 #include "obs/metrics.h"
 #include "parallel/cancel.h"
-#include "parallel/spsc_ring.h"
-#include "parallel/thread_pool.h"
 
 /// \file emission_pipeline.h
-/// The emission pipeline: overlaps refill-batch *production* with
-/// comparison *consumption* while preserving the exact serial emission
-/// order. A single producer task on a ThreadPool runs the method's refill
-/// procedure strictly in cursor order, up to `lookahead` batches ahead of
-/// the consumer; the consumer pops completed batches from a bounded SPSC
-/// ring (spsc_ring.h) instead of computing them inline.
+/// The emission pipeline: W producer threads compute refill batches ahead
+/// of one consumer, which still reads them in exactly the serial order.
 ///
-/// Why a *single in-order* producer is enough: in PPS (paper Alg. 6) the
-/// only dependency between refills is the checkedEntities array written by
-/// consecutive ProcessProfile calls, and in PBS (Alg. 4) refills are
-/// independent per scheduled block — either way, producing batches one at
-/// a time in cursor order yields byte-for-byte the batches the serial path
-/// would compute, so the consumer-side stream is bit-identical at every
-/// lookahead. Parallelism across *streams* (one producer per shard) is
-/// what keeps multiple cores busy; see engine/sharded_engine.h.
+/// The stream is a fixed sequence of batches, each a pure function of the
+/// built state and its index (BatchSource, progressive/emitter.h), cut into
+/// consecutive *groups* before anything is produced. Producer w fills
+/// groups w, w + W, w + 2W, ... into one ordered ring of reusable slots —
+/// group g always lands in slot g mod capacity — and the consumer reads
+/// groups in order. Batch content never depends on which producer made it
+/// or when, so the consumed stream is bit-identical at every W and
+/// capacity. A producer may fill group g only once the consumer released
+/// group g - capacity, so look-ahead is bounded by the ring and the stream
+/// is never buffered whole.
+///
+/// ShardedEngine runs one producer per shard (W = 1); a plain engine on
+/// one shard runs num_threads of them (engine/progressive_engine.h).
 
 namespace sper {
 
@@ -39,70 +40,58 @@ namespace sper {
 /// optional (nullptr = not recorded); the owner wires them to its
 /// registry and must keep them alive for the pipeline's lifetime.
 struct EmissionPipelineMetrics {
-  /// Batches committed by the producer.
+  /// Groups committed by the producers.
   obs::Counter* batches = nullptr;
-  /// Producer AcquireSlot calls that found the ring full (back-pressure:
-  /// consumption is the bottleneck).
+  /// Producer slot acquisitions that found their group's slot still held
+  /// (back-pressure: consumption is the bottleneck).
   obs::Counter* producer_stalls = nullptr;
-  /// Consumer Front calls that found the ring empty (starvation:
-  /// production is the bottleneck).
+  /// Consumer Front calls that found the next group not yet committed
+  /// (starvation: production is the bottleneck).
   obs::Counter* consumer_waits = nullptr;
-  /// Wall nanoseconds per refill-batch production.
+  /// Wall nanoseconds per group production.
   obs::Histogram* refill_ns = nullptr;
-  /// Committed-batch count observed after each commit (0..lookahead).
+  /// Committed-but-unconsumed slots observed after each commit
+  /// (0..capacity).
   obs::Histogram* ring_occupancy = nullptr;
 };
 
-/// How a pipeline's producer died, surfaced to the consumer instead of
-/// rethrown across it: the zero-based cursor of the refill batch that was
-/// being produced, and the captured exception. `exception == nullptr`
-/// means the producer finished (or is still running) cleanly.
+/// How the stream failed, surfaced to the consumer instead of rethrown
+/// across it: the index of the batch whose production threw, and the
+/// captured exception. `exception == nullptr` means no failure.
 struct EmissionPipelineError {
   std::size_t batch_index = 0;
   std::exception_ptr exception;
 };
 
-/// Runs `produce` on a pool worker, `lookahead` batches ahead of the
-/// consumer. Batch is any reusable buffer type (the engines use
-/// ComparisonList); `produce` must fill the passed batch and return false
-/// once the stream is exhausted.
+/// W producer threads over one ordered ring of `capacity` slots. Batch is
+/// a reusable buffer with Clear(), Reserve(n), size() and Truncate(n) — the
+/// engines use ComparisonList.
 template <typename Batch>
 class EmissionPipeline {
  public:
-  using Produce = std::function<bool(Batch&)>;
+  /// Appends batch `index` to `out`, running on producer `worker`
+  /// (< num_producers). May throw: the failure is contained and surfaces
+  /// when the consumer reaches that batch.
+  using Produce =
+      std::function<void(std::size_t worker, std::size_t index, Batch& out)>;
 
-  /// `lookahead` bounds how many completed batches may be queued (at
-  /// least 1). Production does not start until Start(). `metrics`, when
-  /// given, must outlive the pipeline; it only adds relaxed counter
-  /// updates on the producer path, never extra synchronization, so the
-  /// emitted stream is identical with or without it. `fault_site`, when
-  /// non-empty, names the fault-injection seam fired before each refill
-  /// production (fault builds only; see obs/fault_injection.h).
-  EmissionPipeline(std::size_t lookahead, Produce produce,
-                   const EmissionPipelineMetrics* metrics = nullptr,
-                   std::string fault_site = {})
-      : ring_(lookahead),
+  /// Group g covers batches [group_starts[g], group_starts[g + 1]); the
+  /// last entry is the batch count ({0} = an empty stream). Every slot
+  /// reserves `slot_reserve` items up front. Production does not start
+  /// until Start(). `metrics`, when given, must outlive the pipeline; it
+  /// only adds relaxed counter updates, never extra synchronization, so
+  /// the consumed stream is identical with or without it.
+  EmissionPipeline(std::vector<std::size_t> group_starts,
+                   std::size_t num_producers, std::size_t capacity,
+                   std::size_t slot_reserve, Produce produce,
+                   const EmissionPipelineMetrics* metrics = nullptr)
+      : group_starts_(std::move(group_starts)),
+        num_producers_(std::max<std::size_t>(1, num_producers)),
+        slots_(std::max<std::size_t>(1, capacity)),
+        can_produce_(num_producers_),
         produce_(std::move(produce)),
-        metrics_(metrics),
-        fault_site_(std::move(fault_site)) {}
-
-  /// Submits the producer loop. The pool must have a worker available for
-  /// the pipeline's whole lifetime: the task runs until the stream is
-  /// exhausted or the pipeline shuts down (callers size their pool with
-  /// one worker per live pipeline — see ShardedEngine).
-  void Start(ThreadPool& pool) {
-    started_ = true;
-    pool.Submit([this] { ProducerLoop(); });
-  }
-
-  /// Closes the ring and blocks until the producer task exited. Safe to
-  /// call at any point of the stream (budget exhaustion abandons it
-  /// mid-flight); idempotent.
-  void Shutdown() {
-    if (!started_) return;
-    ring_.Close();
-    MutexLock lock(done_mutex_);
-    while (!done_) done_cv_.Wait(lock);
+        metrics_(metrics) {
+    for (Slot& slot : slots_) slot.batch.Reserve(slot_reserve);
   }
 
   ~EmissionPipeline() { Shutdown(); }
@@ -110,107 +99,203 @@ class EmissionPipeline {
   EmissionPipeline(const EmissionPipeline&) = delete;
   EmissionPipeline& operator=(const EmissionPipeline&) = delete;
 
-  /// Consumer: the oldest completed batch, blocking until the producer
-  /// commits one. nullptr once the stream is over — exhausted and drained,
-  /// shut down, or the producer died (check error() to tell the last case
-  /// apart; nothing is ever rethrown across this boundary).
+  /// Spawns the producer threads. Idempotent; consumer side, like
+  /// Shutdown.
+  void Start() {
+    if (!threads_.empty()) return;
+    threads_.reserve(num_producers_);
+    for (std::size_t w = 0; w < num_producers_; ++w) {
+      threads_.emplace_back([this, w] { ProducerLoop(w); });
+    }
+  }
+
+  /// Closes the ring and joins every producer. Safe at any point of the
+  /// stream (budget exhaustion abandons it mid-flight); idempotent.
+  void Shutdown() {
+    {
+      MutexLock lock(mutex_);
+      closed_ = true;
+    }
+    for (CondVar& cv : can_produce_) cv.NotifyAll();
+    can_consume_.NotifyAll();
+    for (std::thread& thread : threads_) {
+      if (thread.joinable()) thread.join();
+    }
+  }
+
+  /// Consumer: the next group's batches, blocking until its producer
+  /// commits them. nullptr once the stream is over — exhausted, shut down,
+  /// or failed (error() tells the last case apart; nothing is ever
+  /// rethrown across this boundary).
   Batch* Front() {
-    bool waited = false;
-    Batch* front = ring_.Front(&waited);
-    if (waited && metrics_ != nullptr &&
-        metrics_->consumer_waits != nullptr) {
-      metrics_->consumer_waits->Add();
-    }
-    return front;
+    bool expired = false;
+    return FrontUntil(CancelToken(), &expired);
   }
 
-  /// Consumer: like Front(), but gives up when `token` fires before a
-  /// batch is committed: returns nullptr with *expired = true, stream
-  /// untouched — the producer keeps running and a later Front()/
-  /// FrontUntil() resumes exactly where this one left off.
+  /// Consumer: like Front(), but gives up when `token` fires before the
+  /// group is committed: nullptr with *expired = true, stream untouched —
+  /// a later Front()/FrontUntil() resumes exactly where this one left
+  /// off. A deadline is honored via wait_until; an explicit Cancel() with
+  /// no deadline is noticed within kCancelPollInterval.
   Batch* FrontUntil(const CancelToken& token, bool* expired) {
-    bool waited = false;
-    Batch* front = ring_.FrontUntil(token, expired, &waited);
+    *expired = false;
+    MutexLock lock(mutex_);
+    const bool waited = !CanConsumeLocked();
+    while (!CanConsumeLocked()) {
+      if (!token.valid()) {
+        can_consume_.Wait(lock);
+        continue;
+      }
+      if (token.cancelled()) {
+        *expired = true;
+        break;
+      }
+      auto wake = CancelToken::Clock::now() + kCancelPollInterval;
+      if (token.has_deadline()) wake = std::min(wake, token.deadline());
+      can_consume_.WaitUntil(lock, wake);
+    }
     if (waited && metrics_ != nullptr &&
         metrics_->consumer_waits != nullptr) {
       metrics_->consumer_waits->Add();
     }
-    return front;
+    if (*expired || closed_ || failed_ || head_ == num_groups()) {
+      return nullptr;
+    }
+    return &slots_[head_ % slots_.size()].batch;
   }
 
-  /// The error that killed the producer, if any: meaningful once Front()
-  /// returned an end-of-stream nullptr (the producer publishes it before
-  /// finishing the ring, so the consumer can never see the nullptr first).
-  /// `.exception == nullptr` means the stream ended cleanly.
+  /// Consumer: releases the drained Front() group, handing its slot to the
+  /// producer of the group `capacity` places on. Releasing a group whose
+  /// production failed ends the stream instead: its batches before the
+  /// failing one were just consumed, and error() now reports the failure.
+  void PopFront() {
+    std::size_t producer = 0;
+    {
+      MutexLock lock(mutex_);
+      if (slots_[head_ % slots_.size()].error.exception != nullptr) {
+        failed_ = true;
+        return;
+      }
+      slots_[head_ % slots_.size()].ready = false;
+      --ready_;
+      ++head_;
+      producer = (head_ + slots_.size() - 1) % num_producers_;
+    }
+    can_produce_[producer].NotifyOne();
+  }
+
+  /// The failure that ended the stream, once Front() returned nullptr
+  /// after the failed group; `.exception == nullptr` otherwise.
   EmissionPipelineError error() const {
-    MutexLock lock(done_mutex_);
-    return error_;
+    MutexLock lock(mutex_);
+    return failed_ ? slots_[head_ % slots_.size()].error
+                   : EmissionPipelineError{};
   }
-
-  /// Consumer: recycles the drained Front() batch for the producer.
-  void PopFront() { ring_.PopFront(); }
 
  private:
-  void ProducerLoop() {
-    std::size_t batch_index = 0;
-    try {
-      for (;;) {
-        bool stalled = false;
-        Batch* slot = ring_.AcquireSlot(&stalled);
-        if (stalled && metrics_ != nullptr &&
-            metrics_->producer_stalls != nullptr) {
-          metrics_->producer_stalls->Add();
+  struct Slot {
+    Batch batch;
+    bool ready = false;  // committed, not yet released by the consumer
+    EmissionPipelineError error;
+  };
+
+  std::size_t num_groups() const { return group_starts_.size() - 1; }
+
+  void ProducerLoop(std::size_t worker) {
+    for (std::size_t g = worker; g < num_groups(); g += num_producers_) {
+      Slot* slot = AcquireSlot(worker, g);
+      if (slot == nullptr) return;  // shut down
+      const obs::Stopwatch watch;
+      slot->batch.Clear();
+      std::size_t index = group_starts_[g];
+      std::size_t kept = 0;
+      bool failed = false;
+      try {
+        SPER_FAULT_HIT_AT("ring.acquire_slot", g);
+        for (; index < group_starts_[g + 1]; ++index) {
+          kept = slot->batch.size();
+          produce_(worker, index, slot->batch);
         }
-        if (slot == nullptr) break;  // consumer closed the stream
-        SPER_FAULT_HIT(fault_site_);
-        if (metrics_ == nullptr) {
-          if (!produce_(*slot)) break;  // stream exhausted
-        } else {
-          const obs::Stopwatch watch;
-          const bool more = produce_(*slot);
-          if (metrics_->refill_ns != nullptr) {
-            metrics_->refill_ns->Record(watch.ElapsedNanos());
-          }
-          if (!more) break;  // stream exhausted
-        }
-        ring_.CommitSlot();
-        ++batch_index;
-        if (metrics_ != nullptr) {
-          if (metrics_->batches != nullptr) metrics_->batches->Add();
-          if (metrics_->ring_occupancy != nullptr) {
-            metrics_->ring_occupancy->Record(ring_.size());
-          }
-        }
+      } catch (...) {
+        // The group's batches before `index` are still served, exactly
+        // as the serial path serves them before it fails.
+        slot->batch.Truncate(kept);
+        slot->error = {index, std::current_exception()};
+        failed = true;
       }
-    } catch (...) {
-      // Publish before FinishProduction: once the consumer observes the
-      // end-of-stream nullptr, error() is guaranteed to be populated.
-      MutexLock lock(done_mutex_);
-      error_ = {batch_index, std::current_exception()};
-    }
-    ring_.FinishProduction();
-    {
-      // Notify while still holding the mutex: the moment a Shutdown()
-      // waiter can observe done_ the pipeline may be destroyed, so the
-      // notify must not touch done_cv_ after the unlock.
-      MutexLock lock(done_mutex_);
-      done_ = true;
-      done_cv_.NotifyAll();
+      if (metrics_ != nullptr && metrics_->refill_ns != nullptr) {
+        metrics_->refill_ns->Record(watch.ElapsedNanos());
+      }
+      CommitSlot(g);
+      if (failed) return;  // later groups would never be consumed
     }
   }
 
-  SpscSlotRing<Batch> ring_;
+  /// Producer: the slot of `group`, once the consumer released the group
+  /// `capacity` places back; nullptr after Shutdown().
+  Slot* AcquireSlot(std::size_t worker, std::size_t group) {
+    MutexLock lock(mutex_);
+    const bool stalled = !CanProduceLocked(group);
+    while (!CanProduceLocked(group)) can_produce_[worker].Wait(lock);
+    if (stalled && metrics_ != nullptr &&
+        metrics_->producer_stalls != nullptr) {
+      metrics_->producer_stalls->Add();
+    }
+    return closed_ ? nullptr : &slots_[group % slots_.size()];
+  }
+
+  /// Producer: publishes `group`'s slot.
+  void CommitSlot(std::size_t group) {
+    // Counted before it is published: whoever consumed the group also
+    // sees it counted.
+    if (metrics_ != nullptr && metrics_->batches != nullptr) {
+      metrics_->batches->Add();
+    }
+    std::size_t occupancy = 0;
+    bool next_up = false;
+    {
+      MutexLock lock(mutex_);
+      slots_[group % slots_.size()].ready = true;
+      occupancy = ++ready_;
+      next_up = group == head_;
+    }
+    if (next_up) can_consume_.NotifyOne();
+    if (metrics_ != nullptr && metrics_->ring_occupancy != nullptr) {
+      metrics_->ring_occupancy->Record(occupancy);
+    }
+  }
+
+  bool CanProduceLocked(std::size_t group) const SPER_REQUIRES(mutex_) {
+    return closed_ || group < head_ + slots_.size();
+  }
+
+  bool CanConsumeLocked() const SPER_REQUIRES(mutex_) {
+    return closed_ || failed_ || head_ == num_groups() ||
+           slots_[head_ % slots_.size()].ready;
+  }
+
+  const std::vector<std::size_t> group_starts_;
+  const std::size_t num_producers_;
+  /// A slot's batch and error are deliberately NOT guarded: a producer
+  /// fills its slot between AcquireSlot and CommitSlot, the consumer
+  /// drains it between Front and PopFront, and the slot index arithmetic
+  /// keeps the two (and the producers among themselves) on disjoint
+  /// slots. `ready` and `head_` change only under the mutex, which
+  /// provides the happens-before edge of each handoff.
+  std::vector<Slot> slots_;
+  mutable Mutex mutex_;
+  /// One per producer, so a release wakes exactly the producer whose
+  /// group it frees.
+  std::vector<CondVar> can_produce_;
+  CondVar can_consume_;
+  std::size_t head_ SPER_GUARDED_BY(mutex_) = 0;  // next group to consume
+  std::size_t ready_ SPER_GUARDED_BY(mutex_) = 0;  // committed, unconsumed
+  bool failed_ SPER_GUARDED_BY(mutex_) = false;
+  bool closed_ SPER_GUARDED_BY(mutex_) = false;
   Produce produce_;
   const EmissionPipelineMetrics* metrics_ = nullptr;
-  std::string fault_site_;
-  /// Consumer-thread only (Start/Shutdown/destructor are all consumer
-  /// side), so unguarded by design.
-  bool started_ = false;
-
-  mutable Mutex done_mutex_;
-  CondVar done_cv_;
-  bool done_ SPER_GUARDED_BY(done_mutex_) = false;
-  EmissionPipelineError error_ SPER_GUARDED_BY(done_mutex_);
+  /// Consumer-thread only (Start/Shutdown), so unguarded by design.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace sper

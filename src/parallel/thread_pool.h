@@ -12,7 +12,6 @@
 
 #include "core/mutex.h"
 #include "core/thread_annotations.h"
-#include "obs/metrics.h"
 
 /// \file thread_pool.h
 /// A minimal fixed-size worker pool with a FIFO work queue — the execution
@@ -43,8 +42,7 @@ class ThreadPool {
 
   /// Blocks until all submitted tasks have completed. If any task threw,
   /// rethrows the first captured exception; later ones are counted in
-  /// dropped_exceptions() (and the optional counter sink) rather than
-  /// silently discarded.
+  /// dropped_exceptions() rather than silently discarded.
   void Wait();
 
   /// Number of worker threads.
@@ -55,12 +53,6 @@ class ThreadPool {
   /// masked — a health signal, not a control-flow one.
   std::uint64_t dropped_exceptions() const {
     return dropped_exceptions_.load(std::memory_order_relaxed);
-  }
-
-  /// Mirrors every future dropped exception into `counter` (nullptr to
-  /// detach). The counter must outlive the pool or the next call here.
-  void set_dropped_exceptions_counter(obs::Counter* counter) {
-    dropped_counter_.store(counter, std::memory_order_release);
   }
 
  private:
@@ -82,7 +74,6 @@ class ThreadPool {
   std::size_t in_flight_ SPER_GUARDED_BY(mutex_) = 0;
   bool shutting_down_ SPER_GUARDED_BY(mutex_) = false;
   std::atomic<std::uint64_t> dropped_exceptions_{0};
-  std::atomic<obs::Counter*> dropped_counter_{nullptr};
   std::vector<std::thread> workers_;
 };
 

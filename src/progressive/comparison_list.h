@@ -20,33 +20,29 @@ class ComparisonList {
   /// Appends a comparison to the unsorted tail.
   void Add(const Comparison& c) { items_.push_back(c); }
 
-  /// Pre-allocates for `n` comparisons (refills that know their upper
-  /// bound, e.g. a block's cardinality, avoid regrowth).
+  /// Pre-allocates for `n` comparisons.
   void Reserve(std::size_t n) { items_.reserve(n); }
 
-  /// Sorts the whole buffer by descending weight (deterministic ties) and
-  /// rewinds the cursor. Call once per refill, after the Adds — the path
-  /// for producers with no useful order (PBS blocks, the PPS initial
-  /// top-comparison set).
-  void SortDescending() {
-    std::sort(items_.begin(), items_.end(), ByWeightDesc());
-    cursor_ = 0;
+  /// Sorts the comparisons from position `from` on by descending weight
+  /// (deterministic ties). A refill appends its comparisons, then sorts
+  /// just that tail — the path for producers with no useful order (PBS
+  /// blocks, the PPS initial top-comparison set) — so several refills
+  /// can share one buffer (an emission pipeline slot) in refill order.
+  void SortDescending(std::size_t from = 0) {
+    std::sort(items_.begin() + static_cast<std::ptrdiff_t>(from),
+              items_.end(), ByWeightDesc());
   }
 
-  /// Replaces the buffer with `ascending` reversed. The path for
-  /// producers whose natural output order is non-decreasing likelihood —
-  /// a bounded top-k drain (PPS refills) — already a total order under
-  /// ByWeightDesc read backwards, so an O(n) reverse replaces the
-  /// O(n log n) re-sort of SortDescending().
-  void FillFromAscending(std::span<const Comparison> ascending) {
-    items_.assign(ascending.rbegin(), ascending.rend());
-    cursor_ = 0;
+  /// Appends `ascending` reversed. The path for producers whose natural
+  /// output order is non-decreasing likelihood — a bounded top-k drain
+  /// (PPS refills) — already a total order under ByWeightDesc read
+  /// backwards, so an O(n) reverse replaces the O(n log n) sort.
+  void AppendFromAscending(std::span<const Comparison> ascending) {
+    items_.insert(items_.end(), ascending.rbegin(), ascending.rend());
   }
 
   /// Appends `other`'s not-yet-popped comparisons to the tail, preserving
-  /// their order. The emission pipeline coalesces several small refill
-  /// batches into one ring slot this way: consecutive refills are emitted
-  /// back to back anyway, so concatenation preserves the serial order.
+  /// their order.
   void AppendFrom(const ComparisonList& other) {
     items_.insert(items_.end(), other.items_.begin() + other.cursor_,
                   other.items_.end());
@@ -67,6 +63,13 @@ class ComparisonList {
 
   /// Comparisons not yet popped.
   std::size_t remaining() const { return items_.size() - cursor_; }
+
+  /// Comparisons held, popped or not (a producer's append position).
+  std::size_t size() const { return items_.size(); }
+
+  /// Drops every comparison from position `n` on — undoes the appends of
+  /// a refill that failed part-way. Must not cut below the cursor.
+  void Truncate(std::size_t n) { items_.resize(n); }
 
  private:
   std::vector<Comparison> items_;

@@ -1,6 +1,8 @@
 #ifndef SPER_PROGRESSIVE_EMITTER_H_
 #define SPER_PROGRESSIVE_EMITTER_H_
 
+#include <cstddef>
+#include <memory>
 #include <optional>
 #include <string_view>
 
@@ -39,25 +41,61 @@ class ProgressiveEmitter {
   virtual std::string_view name() const = 0;
 };
 
-/// Optional capability of the Comparison-List methods (PBS, PPS): exposes
-/// the deterministic refill boundary, so the emission pipeline
-/// (parallel/emission_pipeline.h) can run batch production ahead of
-/// consumption instead of computing refills inline in Next().
-///
-/// Contract: batches must be requested strictly in order by one caller at
-/// a time — a refill mutates method state the following refills depend on
-/// (PPS's checkedEntities, PBS's block cursor). Interleaving ProduceBatch
-/// with Next() on the same emitter is undefined: both advance the same
-/// refill cursor.
+/// Optional capability of the Comparison-List methods (PBS, PPS): the
+/// emission phase as a fixed sequence of refill batches, each a pure
+/// function of the built state and its index. Concatenating every batch in
+/// index order is exactly the serial Next() sequence, so any number of
+/// workers can produce batches concurrently and out of order (the emission
+/// pipeline, parallel/emission_pipeline.h) while a consumer still reads
+/// them in order.
 class BatchSource {
  public:
+  /// One worker's mutable refill state (accumulators, buffers): each
+  /// concurrent caller of AppendRefill brings its own.
+  class Scratch {
+   public:
+    virtual ~Scratch() = default;
+  };
+
   virtual ~BatchSource() = default;
 
-  /// Fills `out` (previous content discarded) with the next *non-empty*
-  /// refill batch in non-increasing likelihood order. Returns false once
-  /// the method is exhausted. Consuming every batch front to back yields
-  /// exactly the serial Next() sequence.
-  virtual bool ProduceBatch(ComparisonList& out) = 0;
+  /// Refill batches in the stream; some may be empty.
+  virtual std::size_t num_refills() const = 0;
+
+  /// Upper bound on the comparisons batch `index` holds, fixed by the
+  /// built state — lets a pipeline size its slots before producing
+  /// anything.
+  virtual std::size_t RefillBound(std::size_t index) const = 0;
+
+  /// Fresh scratch for one worker.
+  virtual std::unique_ptr<Scratch> NewScratch() const = 0;
+
+  /// Appends batch `index` (< num_refills()) to `out`, in non-increasing
+  /// likelihood order, leaving `out`'s earlier content alone. Thread-safe
+  /// across distinct scratches; the result does not depend on which
+  /// batches a scratch saw before.
+  virtual void AppendRefill(std::size_t index, Scratch& scratch,
+                            ComparisonList& out) const = 0;
+};
+
+/// The serial walk over a BatchSource — the Next() path of PBS and PPS.
+class RefillCursor {
+ public:
+  /// Fills `out` (previous content discarded) with the next non-empty
+  /// batch. False once every batch was produced.
+  bool Next(const BatchSource& source, ComparisonList& out) {
+    if (scratch_ == nullptr) scratch_ = source.NewScratch();
+    while (next_ < source.num_refills()) {
+      out.Clear();
+      source.AppendRefill(next_++, *scratch_, out);
+      if (!out.Empty()) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::size_t next_ = 0;
+  std::unique_ptr<BatchSource::Scratch> scratch_;
 };
 
 }  // namespace sper

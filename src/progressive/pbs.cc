@@ -1,7 +1,5 @@
 #include "progressive/pbs.h"
 
-#include <algorithm>
-
 #include "blocking/block_scheduling.h"
 
 namespace sper {
@@ -15,13 +13,19 @@ PbsEmitter::PbsEmitter(const ProfileStore& store,
       weighter_(scheduled_, index_, store, options.scheme,
                 options.num_threads, options.telemetry) {}
 
-void PbsEmitter::ProcessBlock(BlockId id, ComparisonList& out) {
-  out.Clear();
-  // ||b|| bounds the Adds below, but most pairs are LeCoBI-filtered:
-  // reserving it all would over-allocate on large blocks, so cap it and
-  // let the (reused) vector grow past the cap the normal way.
-  out.Reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(scheduled_.Cardinality(id), 1024)));
+std::size_t PbsEmitter::RefillBound(std::size_t index) const {
+  return static_cast<std::size_t>(
+      scheduled_.Cardinality(static_cast<BlockId>(index)));
+}
+
+std::unique_ptr<BatchSource::Scratch> PbsEmitter::NewScratch() const {
+  return std::make_unique<Scratch>();
+}
+
+void PbsEmitter::AppendRefill(std::size_t index, Scratch& /*scratch*/,
+                              ComparisonList& out) const {
+  const BlockId id = static_cast<BlockId>(index);
+  const std::size_t begin = out.size();
   scheduled_.ForEachComparison(id, [&](ProfileId i, ProfileId j) {
     // One pass over the two block lists serves both operations of the
     // Profile Index: the LeCoBI repetition test (is `id` the least common
@@ -38,15 +42,7 @@ void PbsEmitter::ProcessBlock(BlockId id, ComparisonList& out) {
     if (least != id) return;
     out.Add(Comparison(i, j, weighter_.Finalize(i, j, accumulated)));
   });
-  out.SortDescending();
-}
-
-bool PbsEmitter::ProduceBatch(ComparisonList& out) {
-  for (;;) {
-    if (next_block_ >= scheduled_.size()) return false;
-    ProcessBlock(next_block_++, out);
-    if (!out.Empty()) return true;
-  }
+  out.SortDescending(begin);
 }
 
 std::optional<Comparison> PbsEmitter::Next() {

@@ -1,6 +1,9 @@
 #ifndef SPER_PROGRESSIVE_PBS_H_
 #define SPER_PROGRESSIVE_PBS_H_
 
+#include <cstddef>
+#include <memory>
+
 #include "blocking/block_collection.h"
 #include "blocking/profile_index.h"
 #include "core/profile_store.h"
@@ -26,7 +29,8 @@ struct PbsOptions {
   /// Blocking-graph scheme used to order comparisons inside a block.
   WeightingScheme scheme = WeightingScheme::kArcs;
   /// Threads for the initialization phase (the kEjs degree pass; the rest
-  /// of PBS initialization is already lazy). Emission stays sequential.
+  /// of PBS initialization is already lazy). Emission may run on other
+  /// threads through the BatchSource interface.
   std::size_t num_threads = 1;
   /// Telemetry sink for the initialization phase timers
   /// ("block_scheduling", "edge_weighting").
@@ -48,28 +52,32 @@ class PbsEmitter : public ProgressiveEmitter, public BatchSource {
   /// scheduled block. nullopt once every block has been processed.
   std::optional<Comparison> Next() override;
 
-  /// Batch boundary for the emission pipeline: one batch per scheduled
-  /// block, in schedule order (blocks whose comparisons were all
-  /// LeCoBI-filtered are skipped). See BatchSource for the single-caller
-  /// contract.
-  bool ProduceBatch(ComparisonList& out) override;
+  /// The serial refill walk behind Next(): fills `out` with the next
+  /// block's comparisons, skipping blocks whose comparisons were all
+  /// LeCoBI-filtered. Advances the same cursor as Next().
+  bool ProduceBatch(ComparisonList& out) { return refills_.Next(*this, out); }
 
   std::string_view name() const override { return "PBS"; }
+
+  /// Batch k is scheduled block k (Algorithm 3 lines 4-12): LeCoBI
+  /// assigns every pair to exactly one block, so no batch depends on
+  /// another.
+  std::size_t num_refills() const override { return scheduled_.size(); }
+  std::size_t RefillBound(std::size_t index) const override;
+  std::unique_ptr<Scratch> NewScratch() const override;
+  void AppendRefill(std::size_t index, Scratch& scratch,
+                    ComparisonList& out) const override;
 
   /// The scheduled block collection (diagnostics / tests).
   const BlockCollection& scheduled_blocks() const { return scheduled_; }
 
  private:
-  /// Algorithm 3 lines 4-12 for block `id`: LeCoBI-filter and weight its
-  /// comparisons into `out`.
-  void ProcessBlock(BlockId id, ComparisonList& out);
-
   const ProfileStore& store_;
   BlockCollection scheduled_;
   ProfileIndex index_;
   EdgeWeighter weighter_;
-  BlockId next_block_ = 0;
-  ComparisonList comparisons_;
+  RefillCursor refills_;  // Next()'s walk
+  ComparisonList comparisons_;  // Next()'s current batch
 };
 
 }  // namespace sper

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "parallel/parallel_for.h"
+#include "progressive/top_k.h"
 
 namespace sper {
 
@@ -19,6 +20,27 @@ struct NodeInit {
 
 }  // namespace
 
+/// One worker's Algorithm 6 state: the sparse neighborhood accumulator
+/// (weights[] and its touched list), the reusable SortedStack, and
+/// checkedEntities for the Sorted Profile List prefix up to `ranked`.
+/// Sized in full here, so a refill never allocates.
+struct PpsEmitter::RefillScratch final : BatchSource::Scratch {
+  RefillScratch(std::size_t num_profiles, std::size_t kmax)
+      : weights(num_profiles, 0.0), checked(num_profiles, false) {
+    touched.reserve(num_profiles);
+    // The SortedStack holds at most 2 * kmax pending comparisons, and
+    // never more than a profile has neighbors.
+    topk.Reserve(2 * std::min(kmax, num_profiles / 2));
+  }
+
+  std::vector<double> weights;
+  std::vector<ProfileId> touched;
+  TopKBuffer topk;
+  /// checked[j] <=> profile j's Sorted Profile List rank is < ranked.
+  std::vector<bool> checked;
+  std::size_t ranked = 0;
+};
+
 PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
                        const PpsOptions& options)
     : store_(store),
@@ -26,11 +48,8 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
       index_(blocks_, store.size()),
       weighter_(blocks_, index_, store, options.scheme,
                 options.num_threads, options.telemetry),
-      options_(options),
-      checked_(store.size(), false),
-      weights_(store.size(), 0.0) {
+      options_(options) {
   obs::ScopedPhase phase(options_.telemetry, "profile_scheduling");
-  touched_.reserve(store.size());
   // Algorithm 5: one pass over every node's neighborhood computes the
   // duplication likelihood (mean incident-edge weight) and the node's
   // top-weighted comparison. Nodes are independent, so the pass runs over
@@ -132,59 +151,71 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
   initial_.SortDescending();
 }
 
-void PpsEmitter::ProcessProfile(ProfileId i, ComparisonList& out) {
-  checked_[i] = true;
+std::size_t PpsEmitter::RefillBound(std::size_t index) const {
+  return index == 0 ? initial_.size()
+                    : std::min(options_.kmax, store_.size());
+}
+
+std::unique_ptr<BatchSource::Scratch> PpsEmitter::NewScratch() const {
+  return std::make_unique<RefillScratch>(store_.size(), options_.kmax);
+}
+
+void PpsEmitter::AppendRefill(std::size_t index, Scratch& scratch,
+                              ComparisonList& out) const {
+  if (index == 0) {
+    out.AppendFrom(initial_);
+    return;
+  }
+  RefillScratch& s = static_cast<RefillScratch&>(scratch);
+  const std::size_t rank = index - 1;
+  const ProfileId i = sorted_profiles_[rank].first;
+  // checkedEntities (Algorithm 6) at this rank: exactly the profiles
+  // ranked at or before it — the ones a serial run has processed by now.
+  // A worker walks the list forward, so marking the prefix is amortized
+  // O(1) per refill; a step back re-marks from the start.
+  if (s.ranked > rank + 1) {
+    std::fill(s.checked.begin(), s.checked.end(), false);
+    s.ranked = 0;
+  }
+  while (s.ranked <= rank) s.checked[sorted_profiles_[s.ranked++].first] = true;
+
   // Gather unchecked comparable neighbors (Algorithm 6 lines 9-14): a
   // neighbor that was processed earlier had higher duplication likelihood,
   // and its Kmax best comparisons already covered this pair with more
-  // reliable evidence. Partition-aware like the init pass; checked_[i] is
-  // set above, so the Dirty scan needs no separate j != i test.
+  // reliable evidence. Partition-aware like the init pass; i itself is
+  // checked, so the Dirty scan needs no separate j != i test.
   if (blocks_.er_type() == ErType::kCleanClean) {
     for (BlockId b : index_.BlocksOf(i)) {
       const double share = weighter_.BlockContribution(b);
       for (ProfileId j : blocks_.OppositeSource(b, i)) {
-        if (checked_[j]) continue;
-        if (weights_[j] == 0.0) touched_.push_back(j);
-        weights_[j] += share;
+        if (s.checked[j]) continue;
+        if (s.weights[j] == 0.0) s.touched.push_back(j);
+        s.weights[j] += share;
       }
     }
   } else {
     for (BlockId b : index_.BlocksOf(i)) {
       const double share = weighter_.BlockContribution(b);
       for (ProfileId j : blocks_.members(b)) {
-        if (checked_[j]) continue;
-        if (weights_[j] == 0.0) touched_.push_back(j);
-        weights_[j] += share;
+        if (s.checked[j]) continue;
+        if (s.weights[j] == 0.0) s.touched.push_back(j);
+        s.weights[j] += share;
       }
     }
   }
 
   // SortedStack (lines 15-18): the reusable bounded top-k buffer keeps
   // the Kmax top-weighted comparisons without a per-refill heap
-  // allocation; its ascending drain is reversed into the list (ByWeightDesc
+  // allocation; its ascending drain is appended reversed (ByWeightDesc
   // is total, so the result is bit-identical to the min-heap reference).
-  topk_.Reset(options_.kmax);
-  for (ProfileId j : touched_) {
-    const double w = weighter_.Finalize(i, j, weights_[j]);
-    topk_.Push(Comparison(i, j, w));
-    weights_[j] = 0.0;
+  s.topk.Reset(options_.kmax);
+  for (ProfileId j : s.touched) {
+    const double w = weighter_.Finalize(i, j, s.weights[j]);
+    s.topk.Push(Comparison(i, j, w));
+    s.weights[j] = 0.0;
   }
-  touched_.clear();
-  out.FillFromAscending(topk_.SortedAscending());
-}
-
-bool PpsEmitter::ProduceBatch(ComparisonList& out) {
-  for (;;) {
-    if (initial_pending_) {
-      initial_pending_ = false;
-      out = std::move(initial_);
-    } else if (cursor_ >= sorted_profiles_.size()) {
-      return false;
-    } else {
-      ProcessProfile(sorted_profiles_[cursor_++].first, out);
-    }
-    if (!out.Empty()) return true;
-  }
+  s.touched.clear();
+  out.AppendFromAscending(s.topk.SortedAscending());
 }
 
 std::optional<Comparison> PpsEmitter::Next() {

@@ -2,6 +2,7 @@
 #define SPER_PROGRESSIVE_PPS_H_
 
 #include <cstddef>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -12,7 +13,6 @@
 #include "obs/telemetry.h"
 #include "progressive/comparison_list.h"
 #include "progressive/emitter.h"
-#include "progressive/top_k.h"
 
 /// \file pps.h
 /// Progressive Profile Scheduling (PPS, paper Sec. 5.2.2, Algorithms 5-6).
@@ -39,8 +39,9 @@ struct PpsOptions {
   /// configuration).
   std::size_t kmax = 100;
   /// Threads for the initialization phase (per-profile duplication
-  /// likelihoods + top comparisons). Emission stays sequential. The
-  /// emitted sequence is identical at every thread count.
+  /// likelihoods + top comparisons). Emission may run on other threads
+  /// through the BatchSource interface. The emitted sequence is identical
+  /// at every thread count.
   std::size_t num_threads = 1;
   /// Telemetry sink for the initialization phase timers
   /// ("edge_weighting", "profile_scheduling").
@@ -62,12 +63,22 @@ class PpsEmitter : public ProgressiveEmitter, public BatchSource {
   /// gathering its Kmax best comparisons among not-yet-checked neighbors.
   std::optional<Comparison> Next() override;
 
-  /// Batch boundary for the emission pipeline: the initial top-comparison
-  /// list first, then one batch per Sorted Profile List entry (empty
-  /// refills skipped). See BatchSource for the single-caller contract.
-  bool ProduceBatch(ComparisonList& out) override;
+  /// The serial refill walk behind Next(): fills `out` with the next
+  /// non-empty batch (the initial top-comparison list, then one per Sorted
+  /// Profile List entry). Advances the same cursor as Next().
+  bool ProduceBatch(ComparisonList& out) { return refills_.Next(*this, out); }
 
   std::string_view name() const override { return "PPS"; }
+
+  /// Batch 0 is the initial top-comparison list; batch r + 1 processes
+  /// the profile at Sorted Profile List rank r.
+  std::size_t num_refills() const override {
+    return sorted_profiles_.size() + 1;
+  }
+  std::size_t RefillBound(std::size_t index) const override;
+  std::unique_ptr<Scratch> NewScratch() const override;
+  void AppendRefill(std::size_t index, Scratch& scratch,
+                    ComparisonList& out) const override;
 
   /// The Sorted Profile List as (profile, duplication likelihood) pairs in
   /// processing order (diagnostics / tests).
@@ -76,9 +87,7 @@ class PpsEmitter : public ProgressiveEmitter, public BatchSource {
   }
 
  private:
-  /// Gathers the Kmax top-weighted comparisons of profile `i` among
-  /// unchecked neighbors into `out`.
-  void ProcessProfile(ProfileId i, ComparisonList& out);
+  struct RefillScratch;
 
   const ProfileStore& store_;
   BlockCollection blocks_;
@@ -87,18 +96,9 @@ class PpsEmitter : public ProgressiveEmitter, public BatchSource {
   PpsOptions options_;
 
   std::vector<std::pair<ProfileId, double>> sorted_profiles_;
-  std::size_t cursor_ = 0;  // next Sorted Profile List entry
-  std::vector<bool> checked_;  // checkedEntities of Algorithm 6
   ComparisonList initial_;  // batch 0: every node's top comparison
-  bool initial_pending_ = true;
-  ComparisonList comparisons_;  // serial-path buffer (Next())
-
-  // Sparse neighborhood accumulator (weights[] of Algorithms 5-6) and the
-  // reusable SortedStack replacement — refill scratch, allocation-free
-  // once warm.
-  std::vector<double> weights_;
-  std::vector<ProfileId> touched_;
-  TopKBuffer topk_;
+  RefillCursor refills_;  // Next()'s walk
+  ComparisonList comparisons_;  // Next()'s current batch
 };
 
 }  // namespace sper

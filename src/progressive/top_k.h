@@ -34,6 +34,9 @@ class TopKBuffer {
         k >= items_.max_size() / 2 ? items_.max_size() : std::max<std::size_t>(2 * k, 2);
   }
 
+  /// Pre-allocates for `n` pending comparisons; Reset() keeps capacity.
+  void Reserve(std::size_t n) { items_.reserve(n); }
+
   void Push(const Comparison& c) {
     if (k_ == 0) return;
     items_.push_back(c);

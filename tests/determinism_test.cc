@@ -6,13 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "datagen/datagen.h"
 #include "engine/progressive_engine.h"
 #include "eval/evaluator.h"
 #include "eval/experiment.h"
+#include "progressive/pbs.h"
+#include "progressive/pps.h"
 #include "progressive/sa_psn.h"
 #include "progressive/workflow.h"
 
@@ -106,41 +114,93 @@ TEST(DeterminismTest, DifferentNeighborListSeedsChangeCoincidentalOrder) {
   EXPECT_TRUE(any_difference);
 }
 
-// The parallel initialization paths (block filtering, edge weighting)
-// promise bit-identical results at every thread count. Drain the full
-// emission sequence at 1 and 4 threads and require exact equality —
+// The parallel initialization paths (block filtering, edge weighting) and
+// the refill workers of a one-shard engine promise bit-identical streams
+// at every thread count. Drain PPS and PBS in full on every generator
+// under every weighting scheme at 1, 2, 4 and 8 threads and require exact
+// equality with the 1-thread drain and with a bare emitter's Next() —
 // weights compared bit-for-bit, not approximately.
-class ThreadCountInvarianceTest : public ::testing::TestWithParam<MethodId> {
+struct Generator {
+  const char* name;
+  double scale;  // small enough for a full drain per scheme and count
 };
 
-TEST_P(ThreadCountInvarianceTest, OneAndFourThreadsEmitIdenticalSequences) {
-  Result<DatasetBundle> dataset = GenerateDataset("restaurant");
-  ASSERT_TRUE(dataset.ok());
-  auto run = [&](std::size_t num_threads) {
-    ResolverOptions options;
-    options.method = GetParam();
-    options.num_threads = num_threads;
-    ProgressiveEngine engine(dataset.value().store, options);
-    return Drain(&engine, 1000000);
-  };
-  const std::vector<Comparison> one = run(1);
-  const std::vector<Comparison> four = run(4);
-  ASSERT_EQ(one.size(), four.size());
-  ASSERT_GT(one.size(), 0u);
-  for (std::size_t k = 0; k < one.size(); ++k) {
-    ASSERT_EQ(one[k].i, four[k].i) << "position " << k;
-    ASSERT_EQ(one[k].j, four[k].j) << "position " << k;
-    // Bit-identical, not EXPECT_DOUBLE_EQ: the parallel merge must not
-    // reorder any floating-point accumulation.
-    ASSERT_EQ(one[k].weight, four[k].weight) << "position " << k;
+class ThreadCountInvarianceTest
+    : public ::testing::TestWithParam<std::tuple<MethodId, Generator>> {};
+
+void ExpectBitIdentical(const std::vector<Comparison>& expected,
+                        const std::vector<Comparison>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    ASSERT_EQ(expected[k].i, actual[k].i) << "position " << k;
+    ASSERT_EQ(expected[k].j, actual[k].j) << "position " << k;
+    // Bit-identical, not EXPECT_DOUBLE_EQ: neither the parallel init
+    // merge nor the refill workers may reorder any floating-point
+    // accumulation.
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(expected[k].weight),
+              std::bit_cast<std::uint64_t>(actual[k].weight))
+        << "position " << k;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(ParallelMethods, ThreadCountInvarianceTest,
-                         ::testing::Values(MethodId::kPbs, MethodId::kPps),
-                         [](const ::testing::TestParamInfo<MethodId>& info) {
-                           return std::string(ToString(info.param));
-                         });
+TEST_P(ThreadCountInvarianceTest, EveryThreadCountEmitsTheSerialStream) {
+  const auto [method, generator] = GetParam();
+  DatagenOptions gen;
+  gen.scale = generator.scale;
+  Result<DatasetBundle> dataset = GenerateDataset(generator.name, gen);
+  ASSERT_TRUE(dataset.ok());
+  const ProfileStore& store = dataset.value().store;
+  for (WeightingScheme scheme :
+       {WeightingScheme::kArcs, WeightingScheme::kCbs, WeightingScheme::kJs,
+        WeightingScheme::kEcbs, WeightingScheme::kEjs}) {
+    SCOPED_TRACE(std::string("scheme ") + ToString(scheme));
+    const auto run = [&](std::size_t num_threads) {
+      ResolverOptions options;
+      options.method = method;
+      options.scheme = scheme;
+      options.num_threads = num_threads;
+      ProgressiveEngine engine(store, options);
+      return Drain(&engine, std::numeric_limits<std::size_t>::max());
+    };
+    const std::vector<Comparison> serial = run(1);
+    ASSERT_GT(serial.size(), 0u);
+    for (std::size_t num_threads : {2u, 4u, 8u}) {
+      SCOPED_TRACE(std::to_string(num_threads) + " threads");
+      ExpectBitIdentical(serial, run(num_threads));
+    }
+
+    BlockCollection blocks = BuildTokenWorkflowBlocks(store, {});
+    std::unique_ptr<ProgressiveEmitter> bare;
+    if (method == MethodId::kPps) {
+      PpsOptions pps;
+      pps.scheme = scheme;
+      bare = std::make_unique<PpsEmitter>(store, std::move(blocks), pps);
+    } else {
+      PbsOptions pbs;
+      pbs.scheme = scheme;
+      bare = std::make_unique<PbsEmitter>(store, blocks, pbs);
+    }
+    SCOPED_TRACE("bare emitter");
+    ExpectBitIdentical(
+        serial, Drain(bare.get(), std::numeric_limits<std::size_t>::max()));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PpsAndPbsOnEveryGenerator, ThreadCountInvarianceTest,
+    ::testing::Combine(::testing::Values(MethodId::kPps, MethodId::kPbs),
+                       ::testing::Values(Generator{"census", 1.0},
+                                         Generator{"restaurant", 1.0},
+                                         Generator{"cora", 1.0},
+                                         Generator{"cddb", 0.1},
+                                         Generator{"movies", 0.03},
+                                         Generator{"dbpedia", 0.02},
+                                         Generator{"freebase", 0.02})),
+    [](const ::testing::TestParamInfo<
+        std::tuple<MethodId, Generator>>& info) {
+      return std::string(ToString(std::get<0>(info.param))) + "_" +
+             std::get<1>(info.param).name;
+    });
 
 TEST(DeterminismTest, WorkflowBlocksAreThreadCountInvariant) {
   // The workflow collection itself (keys, membership, order) must match
@@ -166,28 +226,6 @@ TEST(DeterminismTest, WorkflowBlocksAreThreadCountInvariant) {
       ASSERT_TRUE(std::equal(members.begin(), members.end(),
                              expected.begin(), expected.end()));
     }
-  }
-}
-
-TEST(DeterminismTest, EjsDegreePassIsThreadCountInvariant) {
-  // kEjs is the one scheme whose initialization runs a full-graph degree
-  // pass; cover it separately from the ARCS-default engine tests.
-  Result<DatasetBundle> dataset = GenerateDataset("restaurant");
-  ASSERT_TRUE(dataset.ok());
-  auto run = [&](std::size_t num_threads) {
-    ResolverOptions options;
-    options.method = MethodId::kPps;
-    options.scheme = WeightingScheme::kEjs;
-    options.num_threads = num_threads;
-    ProgressiveEngine engine(dataset.value().store, options);
-    return Drain(&engine, 5000);
-  };
-  const std::vector<Comparison> one = run(1);
-  const std::vector<Comparison> four = run(4);
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t k = 0; k < one.size(); ++k) {
-    ASSERT_TRUE(one[k].SamePair(four[k])) << "position " << k;
-    ASSERT_EQ(one[k].weight, four[k].weight) << "position " << k;
   }
 }
 

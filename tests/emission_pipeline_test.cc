@@ -1,34 +1,37 @@
 // Emission pipeline suite. The contract under test
 // (src/parallel/emission_pipeline.h + engine wiring):
 //
-// - the pipelined emission stream is *bit-identical* to the serial
-//   reference path (lookahead 0) for PPS and PBS on Dirty and
-//   Clean-Clean stores, at every lookahead (1/4/64) and init thread
-//   count (1/2/4/8);
-// - the same holds through ShardedEngine (S = 1/4): parallel per-shard
-//   refills never change the merged order;
-// - a ProgressiveEngine pipelines only on a pool its caller provides
-//   (ShardedEngine, or these tests);
+// - the ordered multi-producer ring hands the consumer every batch in
+//   index order at every producer count and ring capacity, bounds the
+//   look-ahead by its capacity, and contains producer failures: the
+//   batches before the failing one are served, the failure surfaces at
+//   its batch index, and nothing is rethrown across the ring;
+// - a plain engine's refill workers start on the first pull, not in the
+//   constructor (their stream is pinned bit-identical to the serial path
+//   by determinism_test's ThreadCountInvarianceTest);
+// - ShardedEngine (S = 1/4) with pipelined refills keeps the merged order
+//   of serial refills for PPS and PBS on Dirty and Clean-Clean stores;
 // - the pay-as-you-go budget composes with the pipeline, and abandoning
 //   a pipelined stream mid-flight (budget exhaustion, early destruction)
-//   shuts down cleanly — no hang, no leak, producer unblocked;
-// - the SpscSlotRing / EmissionPipeline primitives handle shutdown,
-//   exhaustion and producer exceptions.
+//   shuts down cleanly — no hang, no leak, workers joined.
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <atomic>
+#include <chrono>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datagen/datagen.h"
 #include "engine/progressive_engine.h"
 #include "engine/sharded_engine.h"
+#include "obs/registry.h"
+#include "obs/telemetry.h"
 #include "parallel/emission_pipeline.h"
-#include "parallel/spsc_ring.h"
-#include "parallel/thread_pool.h"
+#include "progressive/comparison_list.h"
 
 namespace sper {
 namespace {
@@ -68,148 +71,173 @@ void ExpectSameSequence(const std::vector<Comparison>& a,
   }
 }
 
-// ------------------------------------------------------- SpscSlotRing unit
-
-TEST(SpscSlotRingTest, HandsOverEverythingInOrder) {
-  SpscSlotRing<int> ring(3);
-  ThreadPool pool(1);
-  pool.Submit([&ring] {
-    for (int v = 0; v < 100; ++v) {
-      int* slot = ring.AcquireSlot();
-      ASSERT_NE(slot, nullptr);
-      *slot = v;
-      ring.CommitSlot();
-    }
-    ring.FinishProduction();
-  });
-  std::vector<int> seen;
-  for (;;) {
-    int* front = ring.Front();
-    if (front == nullptr) break;
-    seen.push_back(*front);
-    ring.PopFront();
-  }
-  pool.Wait();
-  std::vector<int> expected(100);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(seen, expected);
-}
-
-TEST(SpscSlotRingTest, CloseUnblocksAFullRingProducer) {
-  SpscSlotRing<int> ring(1);
-  ThreadPool pool(1);
-  pool.Submit([&ring] {
-    // Fill the single slot, then block on the second acquire until the
-    // consumer closes the ring.
-    int* slot = ring.AcquireSlot();
-    ASSERT_NE(slot, nullptr);
-    ring.CommitSlot();
-    EXPECT_EQ(ring.AcquireSlot(), nullptr);
-    ring.FinishProduction();
-  });
-  ASSERT_NE(ring.Front(), nullptr);  // wait until the slot is committed
-  ring.Close();
-  pool.Wait();  // must not hang
-}
-
-TEST(SpscSlotRingTest, ZeroCapacityIsClampedToOneSlot) {
-  SpscSlotRing<int> ring(0);
-  EXPECT_EQ(ring.capacity(), 1u);
-}
-
 // --------------------------------------------------- EmissionPipeline unit
 
-TEST(EmissionPipelineTest, DrainsTheWholeStreamThenSignalsExhaustion) {
-  ThreadPool pool(1);
-  int next = 0;
-  EmissionPipeline<std::vector<int>> pipeline(
-      4, [&next](std::vector<int>& batch) {
-        if (next >= 30) return false;
-        batch.assign({next, next + 1, next + 2});
-        next += 3;
-        return true;
-      });
-  pipeline.Start(pool);
-  std::vector<int> seen;
-  for (;;) {
-    std::vector<int>* front = pipeline.Front();
-    if (front == nullptr) break;
-    seen.insert(seen.end(), front->begin(), front->end());
-    pipeline.PopFront();
-  }
-  EXPECT_EQ(pipeline.Front(), nullptr);  // exhaustion is sticky
-  std::vector<int> expected(30);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(seen, expected);
+using Pipeline = EmissionPipeline<ComparisonList>;
+
+/// Groups of `size` batches over `num_batches` batches.
+std::vector<std::size_t> EvenGroups(std::size_t num_batches,
+                                    std::size_t size) {
+  std::vector<std::size_t> starts;
+  for (std::size_t b = 0; b < num_batches; b += size) starts.push_back(b);
+  starts.push_back(num_batches);
+  return starts;
 }
 
-TEST(EmissionPipelineTest, ShutdownMidStreamDoesNotHang) {
-  ThreadPool pool(1);
-  int produced = 0;
+/// Batch b holds b % 3 comparisons (some batches are empty), all tagged
+/// with b, so the consumed sequence shows the batch order.
+void TaggedBatch(std::size_t index, ComparisonList& out) {
+  for (std::size_t k = 0; k < index % 3; ++k) {
+    out.Add(Comparison(static_cast<ProfileId>(index),
+                       static_cast<ProfileId>(index + k + 1), 1.0));
+  }
+}
+
+std::vector<std::size_t> ConsumeTags(Pipeline& pipeline) {
+  std::vector<std::size_t> tags;
+  for (;;) {
+    ComparisonList* front = pipeline.Front();
+    if (front == nullptr) break;
+    while (!front->Empty()) tags.push_back(front->PopFirst().i);
+    pipeline.PopFront();
+  }
+  return tags;
+}
+
+std::vector<std::size_t> ExpectedTags(std::size_t num_batches) {
+  std::vector<std::size_t> tags;
+  for (std::size_t b = 0; b < num_batches; ++b) {
+    for (std::size_t k = 0; k < b % 3; ++k) tags.push_back(b);
+  }
+  return tags;
+}
+
+TEST(EmissionPipelineTest, ConsumerReadsEveryBatchInIndexOrder) {
+  constexpr std::size_t kBatches = 500;
+  for (std::size_t producers : {1u, 2u, 3u, 4u, 8u}) {
+    for (std::size_t capacity :
+         {std::size_t{1}, std::size_t{2}, 4 * producers}) {
+      for (std::size_t group : {1u, 7u, 64u}) {
+        SCOPED_TRACE("producers=" + std::to_string(producers) +
+                     " capacity=" + std::to_string(capacity) +
+                     " group=" + std::to_string(group));
+        Pipeline pipeline(EvenGroups(kBatches, group), producers, capacity,
+                          16, [](std::size_t, std::size_t index,
+                                 ComparisonList& out) {
+                            TaggedBatch(index, out);
+                          });
+        pipeline.Start();
+        EXPECT_EQ(ConsumeTags(pipeline), ExpectedTags(kBatches));
+        EXPECT_EQ(pipeline.Front(), nullptr);  // exhaustion is sticky
+        EXPECT_EQ(pipeline.error().exception, nullptr);
+      }
+    }
+  }
+}
+
+TEST(EmissionPipelineTest, EmptyStreamIsExhaustedAtOnce) {
+  Pipeline pipeline({0}, 4, 16, 0,
+                    [](std::size_t, std::size_t, ComparisonList&) {
+                      ADD_FAILURE() << "no batch to produce";
+                    });
+  pipeline.Start();
+  EXPECT_EQ(pipeline.Front(), nullptr);
+  EXPECT_EQ(pipeline.error().exception, nullptr);
+}
+
+TEST(EmissionPipelineTest, LookaheadIsBoundedByTheRing) {
+  // One batch per group, four slots: the producers may run at most four
+  // groups ahead of the consumer, however many of them there are.
+  std::atomic<std::size_t> produced{0};
+  Pipeline pipeline(EvenGroups(1000, 1), 3, 4, 0,
+                    [&produced](std::size_t, std::size_t index,
+                                ComparisonList& out) {
+                      TaggedBatch(index, out);
+                      produced.fetch_add(1);
+                    });
+  const auto await = [&produced](std::size_t n) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (produced.load() < n &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  pipeline.Start();
+  await(4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(produced.load(), 4u);
+  ASSERT_NE(pipeline.Front(), nullptr);
+  pipeline.PopFront();  // frees exactly one slot
+  await(5);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(produced.load(), 5u);
+}
+
+TEST(EmissionPipelineTest, ShutdownMidStreamJoinsTheProducers) {
+  std::atomic<std::size_t> produced{0};
   {
-    EmissionPipeline<std::vector<int>> pipeline(
-        2, [&produced](std::vector<int>& batch) {
-          batch.assign(1, produced++);
-          return true;  // endless stream
-        });
-    pipeline.Start(pool);
-    ASSERT_NE(pipeline.Front(), nullptr);  // consume one batch...
+    Pipeline pipeline(EvenGroups(1000000, 4), 4, 16, 0,
+                      [&produced](std::size_t, std::size_t index,
+                                  ComparisonList& out) {
+                        TaggedBatch(index, out);
+                        produced.fetch_add(1);
+                      });
+    pipeline.Start();
+    ASSERT_NE(pipeline.Front(), nullptr);  // consume one group...
     pipeline.PopFront();
   }  // ...and abandon: the destructor closes the ring and joins
-  const int at_shutdown = produced;
-  EXPECT_GE(at_shutdown, 1);
-  // The producer really exited: nothing is produced after shutdown.
-  EXPECT_EQ(produced, at_shutdown);
+  const std::size_t at_shutdown = produced.load();
+  EXPECT_GE(at_shutdown, 4u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(produced.load(), at_shutdown);  // nothing runs any more
 }
 
 TEST(EmissionPipelineTest, NeverStartedPipelineDestructsCleanly) {
-  EmissionPipeline<std::vector<int>> pipeline(
-      2, [](std::vector<int>&) { return false; });
+  Pipeline pipeline(EvenGroups(10, 2), 4, 8, 0,
+                    [](std::size_t, std::size_t, ComparisonList&) {});
 }
 
-TEST(EmissionPipelineTest, ProducerExceptionIsContainedWithBatchContext) {
-  ThreadPool pool(1);
-  int batches = 0;
-  EmissionPipeline<std::vector<int>> pipeline(
-      2, [&batches](std::vector<int>& batch) -> bool {
-        if (batches == 2) throw std::runtime_error("producer died");
-        batch.assign(1, batches++);
-        return true;
-      });
-  pipeline.Start(pool);
-  // The producer's death must surface as an end-of-stream plus error(),
-  // never as an exception rethrown across Front().
-  std::size_t drained = 0;
-  for (;;) {
-    std::vector<int>* front = pipeline.Front();
-    if (front == nullptr) break;
-    ++drained;
-    pipeline.PopFront();
-  }
-  EXPECT_EQ(drained, 2u);
-  const EmissionPipelineError error = pipeline.error();
-  ASSERT_NE(error.exception, nullptr);
-  EXPECT_EQ(error.batch_index, 2u);  // died producing the third batch
-  EXPECT_THROW(std::rethrow_exception(error.exception), std::runtime_error);
+TEST(EmissionPipelineTest, ExpiredTokenLeavesTheStreamIntact) {
+  Pipeline pipeline(EvenGroups(30, 5), 2, 4, 0,
+                    [](std::size_t, std::size_t index, ComparisonList& out) {
+                      TaggedBatch(index, out);
+                    });
+  // Not started: nothing is committed, so a fired token gives up at once.
+  CancelSource source;
+  source.Cancel();
+  bool expired = false;
+  EXPECT_EQ(pipeline.FrontUntil(source.token(), &expired), nullptr);
+  EXPECT_TRUE(expired);
+  pipeline.Start();
+  EXPECT_EQ(ConsumeTags(pipeline), ExpectedTags(30));
 }
 
-TEST(EmissionPipelineTest, CleanExhaustionReportsNoError) {
-  ThreadPool pool(1);
-  int batches = 0;
-  EmissionPipeline<std::vector<int>> pipeline(
-      2, [&batches](std::vector<int>& batch) -> bool {
-        if (batches == 3) return false;
-        batch.assign(1, batches++);
-        return true;
-      });
-  pipeline.Start(pool);
-  std::size_t drained = 0;
-  while (pipeline.Front() != nullptr) {
-    ++drained;
-    pipeline.PopFront();
+TEST(EmissionPipelineTest, FailureSurfacesAtItsBatchAfterTheBatchesBefore) {
+  // Batch 37 appends part of its output, then throws. Every producer
+  // count serves exactly batches 0..36 — never 37's partial output, never
+  // a later batch another producer already finished — then reports 37.
+  constexpr std::size_t kFailing = 37;
+  for (std::size_t producers : {1u, 4u}) {
+    SCOPED_TRACE("producers=" + std::to_string(producers));
+    Pipeline pipeline(
+        EvenGroups(200, 8), producers, 4 * producers, 0,
+        [](std::size_t, std::size_t index, ComparisonList& out) {
+          TaggedBatch(index, out);
+          if (index >= kFailing) {
+            out.Add(Comparison(0, 1, 9.0));
+            throw std::runtime_error("producer died");
+          }
+        });
+    pipeline.Start();
+    EXPECT_EQ(ConsumeTags(pipeline), ExpectedTags(kFailing));
+    EXPECT_EQ(pipeline.Front(), nullptr);  // the failure is sticky
+    const EmissionPipelineError error = pipeline.error();
+    ASSERT_NE(error.exception, nullptr);
+    EXPECT_EQ(error.batch_index, kFailing);
+    EXPECT_THROW(std::rethrow_exception(error.exception),
+                 std::runtime_error);
   }
-  EXPECT_EQ(drained, 3u);
-  EXPECT_EQ(pipeline.error().exception, nullptr);
 }
 
 // ------------------------------------------- engine streams, bit-identical
@@ -221,37 +249,6 @@ struct PipelineCase {
 
 class PipelinedDeterminismTest
     : public ::testing::TestWithParam<PipelineCase> {};
-
-std::vector<Comparison> EnginePrefix(const ProfileStore& store,
-                                     MethodId method, std::size_t lookahead,
-                                     std::size_t num_threads,
-                                     std::size_t limit) {
-  ResolverOptions options;
-  options.method = method;
-  options.num_threads = num_threads;
-  options.lookahead = lookahead;
-  ThreadPool pool(1);  // hosts the producer; outlives the engine
-  ProgressiveEngine engine(store, options, &pool);
-  return Drain(&engine, limit);
-}
-
-TEST_P(PipelinedDeterminismTest, LookaheadAndThreadsNeverChangeTheStream) {
-  const ProfileStore store =
-      GetParam().clean_clean ? CleanCleanStore() : DirtyStore();
-  const std::vector<Comparison> reference =
-      EnginePrefix(store, GetParam().method, /*lookahead=*/0,
-                   /*num_threads=*/1, 2000);
-  EXPECT_FALSE(reference.empty());
-  for (std::size_t lookahead : {1u, 4u, 64u}) {
-    for (std::size_t num_threads : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE("lookahead=" + std::to_string(lookahead) +
-                   " threads=" + std::to_string(num_threads));
-      ExpectSameSequence(EnginePrefix(store, GetParam().method, lookahead,
-                                      num_threads, 2000),
-                         reference);
-    }
-  }
-}
 
 TEST_P(PipelinedDeterminismTest, ShardedParallelRefillsKeepTheMergedOrder) {
   const ProfileStore store =
@@ -286,27 +283,43 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --------------------------------------------- budget / shutdown composition
 
+#ifndef SPER_NO_TELEMETRY
+
+TEST(EmissionPipelineEngineTest, RefillWorkersStartOnTheFirstPull) {
+  const ProfileStore store = DirtyStore();
+  obs::Registry registry;
+  ResolverOptions options;
+  options.method = MethodId::kPps;
+  options.num_threads = 4;
+  options.telemetry = obs::TelemetryScope(&registry);
+  ProgressiveEngine engine(store, options);
+  const obs::Counter* groups = registry.FindCounter("pipeline.batches");
+  ASSERT_NE(groups, nullptr);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(groups->value(), 0u) << "set-up must not share the cores";
+  ASSERT_TRUE(engine.Next().has_value());
+  EXPECT_GT(groups->value(), 0u);
+}
+
+#endif  // SPER_NO_TELEMETRY
+
 TEST(EmissionPipelineEngineTest, BudgetExhaustionAbandonsThePipelineCleanly) {
   const ProfileStore store = DirtyStore();
   ResolverOptions unbudgeted;
   unbudgeted.method = MethodId::kPps;
-  unbudgeted.lookahead = 4;
-  // One pool per engine: each pipelined engine needs a free worker for
-  // its whole lifetime, and both stay alive to the end of the test.
-  ThreadPool full_pool(1);
-  ProgressiveEngine full(store, unbudgeted, &full_pool);
+  ProgressiveEngine full(store, unbudgeted);
   const std::vector<Comparison> reference = Drain(&full, 25);
 
   ResolverOptions options = unbudgeted;
+  options.num_threads = 4;
   options.budget = 25;
-  ThreadPool pool(1);
-  ProgressiveEngine engine(store, options, &pool);
+  ProgressiveEngine engine(store, options);
   const std::vector<Comparison> emitted = Drain(&engine, 1000000);
   EXPECT_EQ(emitted.size(), 25u);
   EXPECT_TRUE(engine.BudgetExhausted());
   EXPECT_FALSE(engine.Next().has_value());
   ExpectSameSequence(emitted, reference);
-}  // both engines shut their producers down mid-stream here
+}  // the four workers are abandoned mid-stream here
 
 TEST(EmissionPipelineEngineTest, ShardedGlobalBudgetWithParallelRefills) {
   const ProfileStore store = DirtyStore();
@@ -318,22 +331,33 @@ TEST(EmissionPipelineEngineTest, ShardedGlobalBudgetWithParallelRefills) {
   ShardedEngine engine(store, config);
   EXPECT_EQ(Drain(&engine, 1000000).size(), 25u);
   EXPECT_TRUE(engine.BudgetExhausted());
-}  // four shard producers abandoned mid-stream: destructor must not hang
+}  // four shard workers abandoned mid-stream: destructor must not hang
 
 TEST(EmissionPipelineEngineTest, UndrainedPipelinedEngineDestructsCleanly) {
   const ProfileStore store = DirtyStore();
   ResolverOptions options;
   options.method = MethodId::kPbs;
-  options.lookahead = 64;
-  ThreadPool pool(1);
-  ProgressiveEngine engine(store, options, &pool);
-  ASSERT_TRUE(engine.Next().has_value());  // pipeline primed and running
+  options.num_threads = 8;
+  ProgressiveEngine engine(store, options);
+  ASSERT_TRUE(engine.Next().has_value());  // workers started and running
+}
+
+TEST(EmissionPipelineEngineTest, DrainJoinsTheWorkersAndEndsTheStream) {
+  const ProfileStore store = DirtyStore();
+  ResolverOptions options;
+  options.method = MethodId::kPps;
+  options.num_threads = 4;
+  ProgressiveEngine engine(store, options);
+  ASSERT_TRUE(engine.Next().has_value());
+  engine.Drain();
+  EXPECT_FALSE(engine.Next().has_value());
+  engine.Drain();  // idempotent
 }
 
 TEST(EmissionPipelineEngineTest, ManyShardsFallBackToSerialRefills) {
-  // Past the 64-producer cap ShardedEngine silently drops to serial
-  // refills instead of spawning a thread per shard; the merged stream
-  // must be unchanged.
+  // Past the 64-worker cap ShardedEngine silently drops to serial refills
+  // instead of spawning a thread per shard; the merged stream must be
+  // unchanged.
   const ProfileStore store = DirtyStore();  // 864 profiles, ~128 active
   ResolverOptions serial;
   serial.method = MethodId::kPps;
@@ -347,16 +371,15 @@ TEST(EmissionPipelineEngineTest, ManyShardsFallBackToSerialRefills) {
   ExpectSameSequence(Drain(&engine, 1000), expected);
 }
 
-TEST(EmissionPipelineEngineTest, SortBasedMethodsIgnoreLookahead) {
+TEST(EmissionPipelineEngineTest, SortBasedMethodsIgnoreRefillWorkers) {
   const ProfileStore store = DirtyStore();
   ResolverOptions serial;
   serial.method = MethodId::kSaPsn;
   ProgressiveEngine reference(store, serial);
 
   ResolverOptions options = serial;
-  options.lookahead = 8;
-  ThreadPool pool(1);  // offered, never used
-  ProgressiveEngine engine(store, options, &pool);
+  options.num_threads = 8;
+  ProgressiveEngine engine(store, options);
   ExpectSameSequence(Drain(&engine, 500), Drain(&reference, 500));
 }
 

@@ -90,17 +90,32 @@ TEST(ComparisonListTest, ClearResetsState) {
   EXPECT_EQ(list.remaining(), 0u);
 }
 
-TEST(ComparisonListTest, FillFromAscendingReversesInsteadOfSorting) {
+TEST(ComparisonListTest, AppendFromAscendingReversesInsteadOfSorting) {
   const std::vector<Comparison> ascending = {
       Comparison(0, 3, 0.1), Comparison(1, 2, 0.5), Comparison(0, 1, 0.9)};
   ComparisonList list;
-  list.Add(Comparison(7, 8, 42.0));  // replaced by the fill
-  list.FillFromAscending(ascending);
-  EXPECT_EQ(list.remaining(), 3u);
+  list.Add(Comparison(7, 8, 42.0));  // an earlier refill stays in front
+  list.AppendFromAscending(ascending);
+  EXPECT_EQ(list.remaining(), 4u);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 42.0);
   EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.9);
   EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.5);
   EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.1);
   EXPECT_TRUE(list.Empty());
+}
+
+TEST(ComparisonListTest, SortDescendingFromSortsOnlyTheTail) {
+  ComparisonList list;
+  list.Add(Comparison(0, 1, 0.1));  // an earlier refill: left in place
+  list.Add(Comparison(0, 2, 0.5));
+  list.Add(Comparison(0, 3, 0.9));
+  list.SortDescending(1);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.1);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.9);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.5);
+  list.Truncate(3);
+  EXPECT_TRUE(list.Empty());
+  EXPECT_EQ(list.size(), 3u);
 }
 
 TEST(ComparisonListTest, AppendFromConcatenatesRemainingItems) {

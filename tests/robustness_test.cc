@@ -8,15 +8,15 @@
 // - cancellation and deadlines are *advisory*: a cut request returns its
 //   partial slice with the flag set and nothing torn down — the next
 //   ticket continues the stream bit-identically, at every (method,
-//   shards, lookahead) combination;
+//   shards, lookahead, threads) combination;
 // - Drain() stops admitting, lets in-flight tickets finish, and is safe
 //   to race with concurrent Serve(): every request is either fully
 //   served or cleanly rejected with FailedPrecondition, and the served
 //   slices in ticket order form an exact prefix of the un-batched drain;
 // - the QoS admission controller (src/serving/qos.h) composes with all
 //   of the above: shed-then-retry clients still reassemble the exact
-//   stream at every (method, shards, lookahead) combination, batch
-//   requests wait a bounded number of dispatches under sustained
+//   stream at every (method, shards, lookahead, threads) combination,
+//   batch requests wait a bounded number of dispatches under sustained
 //   interactive load (smooth WRR), doomed requests are evicted without
 //   consuming stream capacity while barely-feasible ones are served, and
 //   Drain() racing a full shed queue rejects every parked request
@@ -25,9 +25,10 @@
 //   the rest in dropped_exceptions() instead of discarding them;
 // - with SPER_FAULT_INJECT compiled in (skipped otherwise): an injected
 //   refill failure poisons the engine with shard and batch context, later
-//   requests get FailedPrecondition; an injected stall plus a deadline
-//   cuts slices short, and disarming then draining the rest still
-//   reassembles the exact reference stream.
+//   requests get FailedPrecondition, and the same plan fails the same
+//   batch after the same served prefix at 1 and 4 refill workers; an
+//   injected stall plus a deadline cuts slices short, and disarming then
+//   draining the rest still reassembles the exact reference stream.
 
 #include <gtest/gtest.h>
 
@@ -91,24 +92,24 @@ std::unique_ptr<Resolver> MustCreate(const ProfileStore& store,
   return std::move(resolver).value();
 }
 
-/// The (method, shards, lookahead) matrix every continuation guarantee is
-/// checked against — the same coverage the determinism suite uses.
-/// Pipelined emission runs only across shards, so one shard is serial.
+/// The (method, shards, lookahead, threads) matrix every continuation
+/// guarantee is checked against — the same coverage the determinism suite
+/// uses. Each method runs serially and pipelined on one shard (four
+/// refill workers) and on four shards (lookahead 4).
 struct ServingConfig {
   MethodId method;
   std::size_t num_shards;
   std::size_t lookahead;
+  std::size_t num_threads;
 };
 
 std::vector<ServingConfig> ServingMatrix() {
   std::vector<ServingConfig> matrix;
   for (MethodId method : {MethodId::kPps, MethodId::kPbs}) {
-    for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t lookahead : {std::size_t{0}, std::size_t{4}}) {
-        if (lookahead > 0 && shards == 1) continue;
-        matrix.push_back({method, shards, lookahead});
-      }
-    }
+    matrix.push_back({method, 1, 0, 1});
+    matrix.push_back({method, 1, 0, 4});
+    matrix.push_back({method, 4, 0, 1});
+    matrix.push_back({method, 4, 4, 1});
   }
   return matrix;
 }
@@ -116,7 +117,8 @@ std::vector<ServingConfig> ServingMatrix() {
 std::string TraceOf(const ServingConfig& config) {
   return std::string(ToString(config.method)) +
          " shards=" + std::to_string(config.num_shards) +
-         " lookahead=" + std::to_string(config.lookahead);
+         " lookahead=" + std::to_string(config.lookahead) +
+         " threads=" + std::to_string(config.num_threads);
 }
 
 // ---------------------------------------------------------- cancel tokens
@@ -190,6 +192,7 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     options.method = config.method;
     options.num_shards = config.num_shards;
     options.lookahead = config.lookahead;
+    options.num_threads = config.num_threads;
     options.budget = kBudget;
 
     const std::vector<Comparison> reference =
@@ -293,6 +296,7 @@ TEST(ResolverDrainTest, ConcurrentDrainVsServeNeverCorruptsTheStream) {
     options.method = config.method;
     options.num_shards = config.num_shards;
     options.lookahead = config.lookahead;
+    options.num_threads = config.num_threads;
     options.budget = kBudget;
 
     const std::vector<Comparison> reference =
@@ -451,8 +455,8 @@ void AwaitQueueDepth(const serving::QosAdmissionController& controller,
 
 // A rate-limited client that backs off by exactly the controller's
 // retry_after_ms hint and retries still reassembles the bit-identical
-// stream at every (method, shards, lookahead) combination — sheds never
-// consume stream capacity and never reorder it.
+// stream at every (method, shards, lookahead, threads) combination —
+// sheds never consume stream capacity and never reorder it.
 TEST(QosRobustnessTest, ShedThenRetryKeepsStreamBitIdentical) {
   const ProfileStore store = DirtyStore();
   for (const ServingConfig& config : ServingMatrix()) {
@@ -461,6 +465,7 @@ TEST(QosRobustnessTest, ShedThenRetryKeepsStreamBitIdentical) {
     options.method = config.method;
     options.num_shards = config.num_shards;
     options.lookahead = config.lookahead;
+    options.num_threads = config.num_threads;
     options.budget = 600;
     const std::vector<Comparison> reference =
         Drain(MustCreate(store, options).get(), 1000000);
@@ -729,27 +734,108 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
   }
 }
 
+TEST_F(FaultInjectionTest, RefillThrowReplaysAtEveryThreadCount) {
+  // The refill seam is keyed to the batch index, so one plan fails the
+  // same batch whichever of four workers reaches it first: the status,
+  // the batch it names and the prefix served before it all match the
+  // serial path.
+  const ProfileStore store = DirtyStore();
+  struct Outcome {
+    std::vector<Comparison> served;
+    ResolveOutcome outcome = ResolveOutcome::kServed;
+    Status status;
+  };
+  const auto run = [&](std::size_t num_threads) {
+    obs::FaultRegistry::Global().Reset();
+    obs::FaultPlan plan;
+    plan.action = obs::FaultPlan::Action::kThrow;
+    plan.message = "injected refill failure";
+    plan.start_after = 150;
+    obs::FaultRegistry::Global().Arm("refill", plan);
+    ResolverOptions options;
+    options.num_threads = num_threads;
+    std::unique_ptr<Resolver> resolver = MustCreate(store, options);
+    Outcome outcome;
+    for (;;) {
+      ResolveResult slice = resolver->Serve({256, 0});
+      outcome.served.insert(outcome.served.end(), slice.comparisons.begin(),
+                            slice.comparisons.end());
+      if (slice.outcome != ResolveOutcome::kServed ||
+          slice.stream_exhausted) {
+        outcome.outcome = slice.outcome;
+        outcome.status = slice.status;
+        break;
+      }
+    }
+    resolver->Drain();  // joins the workers stopped at the failure
+    return outcome;
+  };
+
+  const Outcome serial = run(1);
+  ASSERT_EQ(serial.outcome, ResolveOutcome::kFailed)
+      << serial.status.ToString();
+  EXPECT_NE(serial.status.message().find("batch 150"), std::string::npos)
+      << serial.status.ToString();
+  obs::FaultRegistry::Global().Reset();
+  ExpectSameSequence(
+      serial.served,
+      Drain(MustCreate(store, {}).get(), serial.served.size()));
+
+  const Outcome parallel = run(4);
+  EXPECT_EQ(parallel.outcome, ResolveOutcome::kFailed);
+  EXPECT_EQ(parallel.status.ToString(), serial.status.ToString());
+  ExpectSameSequence(parallel.served, serial.served);
+}
+
+TEST_F(FaultInjectionTest, IndexedSeamFiresOnItsIndicesInAnyCallOrder) {
+  // start_after 10, every 5, limit 2: indices 10 and 15 fire, whatever
+  // order the callers reach them in (here: backwards).
+  obs::FaultPlan plan;
+  plan.action = obs::FaultPlan::Action::kThrow;
+  plan.start_after = 10;
+  plan.every = 5;
+  plan.limit = 2;
+  obs::FaultRegistry::Global().Arm("indexed", plan);
+  std::vector<std::uint64_t> fired;
+  for (std::uint64_t index = 30; index-- > 0;) {
+    try {
+      SPER_FAULT_HIT_AT("indexed", index);
+    } catch (const obs::FaultInjectedError&) {
+      fired.push_back(index);
+    }
+  }
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{15, 10}));
+  EXPECT_EQ(obs::FaultRegistry::Global().hits("indexed"), 30u);
+  EXPECT_EQ(obs::FaultRegistry::Global().fires("indexed"), 2u);
+}
+
 TEST_F(FaultInjectionTest, StalledRefillsPlusDeadlinesStillReassemble) {
   const ProfileStore store = DirtyStore();
   constexpr std::uint64_t kBudget = 400;
-  // The serial engine's refill seam, and the pipelined variant across
-  // two shards with one seam per shard.
+  // The serial engine's refill seam, the same seam under four refill
+  // workers, and the pipelined variant across two shards with one seam
+  // per shard.
   struct Variant {
     std::size_t num_shards;
     std::size_t lookahead;
+    std::size_t num_threads;
     std::vector<std::string> seams;
   };
   const std::vector<Variant> variants = {
-      {1, 0, {"refill"}}, {2, 4, {"refill.shard0", "refill.shard1"}}};
+      {1, 0, 1, {"refill"}},
+      {1, 0, 4, {"refill"}},
+      {2, 4, 1, {"refill.shard0", "refill.shard1"}}};
   for (const Variant& variant : variants) {
     SCOPED_TRACE("shards=" + std::to_string(variant.num_shards) +
-                 " lookahead=" + std::to_string(variant.lookahead));
+                 " lookahead=" + std::to_string(variant.lookahead) +
+                 " threads=" + std::to_string(variant.num_threads));
     obs::FaultRegistry::Global().Reset();
 
     ResolverOptions options;
     options.budget = kBudget;
     options.num_shards = variant.num_shards;
     options.lookahead = variant.lookahead;
+    options.num_threads = variant.num_threads;
     const std::vector<Comparison> reference =
         Drain(MustCreate(store, options).get(), 1000000);
     ASSERT_FALSE(reference.empty());

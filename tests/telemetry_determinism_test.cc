@@ -1,7 +1,8 @@
 // Telemetry must be a pure observer: attaching a TelemetryScope to a
 // resolver records metrics and spans but MUST NOT perturb the emitted
 // comparison stream — bit-identical with telemetry on or off at every
-// serving shape (plain, sharded serial, sharded pipelined). These tests
+// serving shape (plain serial, plain with four refill workers, sharded
+// serial, sharded pipelined). These tests
 // pin that contract for both batch-refilling methods, plus the shape of
 // what gets recorded (per-phase InitStats, session histograms, spans).
 
@@ -47,6 +48,7 @@ struct Shape {
   MethodId method;
   std::size_t num_shards;
   std::size_t lookahead;
+  std::size_t num_threads = 1;
 };
 
 class TelemetryShapeTest : public ::testing::TestWithParam<Shape> {};
@@ -60,6 +62,7 @@ TEST_P(TelemetryShapeTest, StreamBitIdenticalWithTelemetryOnAndOff) {
   off.method = shape.method;
   off.num_shards = shape.num_shards;
   off.lookahead = shape.lookahead;
+  off.num_threads = shape.num_threads;
   std::unique_ptr<Resolver> plain = MakeResolver(dataset.value(), off);
   ASSERT_NE(plain, nullptr);
 
@@ -75,8 +78,11 @@ TEST_P(TelemetryShapeTest, StreamBitIdenticalWithTelemetryOnAndOff) {
 
 INSTANTIATE_TEST_SUITE_P(
     MethodsByShape, TelemetryShapeTest,
-    ::testing::Values(Shape{MethodId::kPps, 1, 0}, Shape{MethodId::kPps, 4, 0},
-                      Shape{MethodId::kPps, 4, 4}, Shape{MethodId::kPbs, 1, 0},
+    ::testing::Values(Shape{MethodId::kPps, 1, 0},
+                      Shape{MethodId::kPps, 1, 0, 4},
+                      Shape{MethodId::kPps, 4, 0}, Shape{MethodId::kPps, 4, 4},
+                      Shape{MethodId::kPbs, 1, 0},
+                      Shape{MethodId::kPbs, 1, 0, 4},
                       Shape{MethodId::kPbs, 4, 0},
                       Shape{MethodId::kPbs, 4, 4}),
     [](const ::testing::TestParamInfo<Shape>& info) {
@@ -84,8 +90,12 @@ INSTANTIATE_TEST_SUITE_P(
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_shards" + std::to_string(info.param.num_shards) +
-             "_lookahead" + std::to_string(info.param.lookahead);
+      name += "_shards" + std::to_string(info.param.num_shards) +
+              "_lookahead" + std::to_string(info.param.lookahead);
+      if (info.param.num_threads > 1) {
+        name += "_threads" + std::to_string(info.param.num_threads);
+      }
+      return name;
     });
 
 TEST(TelemetryInitStatsTest, PlainEnginePhasesSumBelowTotal) {

@@ -14,17 +14,19 @@
 //                [--metrics-json=FILE] [--trace=FILE]
 //       Run one progressive method under the paper's evaluation protocol;
 //       print the recall curve and AUC*, optionally dump the curve as CSV.
-//       --threads parallelizes the initialization phase (same output at
-//       every thread count). --shards=N hash-partitions the store and
-//       serves one engine per shard behind a merged emission stream.
-//       --lookahead=N pipelines emission across shards: each shard's
-//       refill batches are produced ahead of the merge, up to N queue
-//       slots of >=256 comparisons each, bit-identical to the serial
-//       stream; 0 keeps the serial reference path. Defaults to 4 with
-//       --shards > 1 and to 0 otherwise; with --shards=1 it must be 0
-//       (one pipelined shard is slower than serial). The assembled
-//       options are checked like Resolver::Create checks them: an
-//       invalid combination exits 2 with the validation message.
+//       --threads parallelizes the initialization phase and, on one
+//       shard, the PPS/PBS refills: N workers produce refill batches
+//       ahead of the consumer (same output at every thread count).
+//       --shards=N hash-partitions the store and serves one engine per
+//       shard behind a merged emission stream. --lookahead=N pipelines
+//       emission across shards: each shard's refill batches are produced
+//       ahead of the merge by one worker, up to N slots of up to 64
+//       consecutive refills each, bit-identical to the serial stream; 0
+//       keeps the serial reference path. Defaults to 4 with --shards > 1
+//       and to 0 otherwise; with --shards=1 it must be 0 (one shard
+//       pipelines through --threads instead). The assembled options are
+//       checked like Resolver::Create checks them: an invalid
+//       combination exits 2 with the validation message.
 //       --budget=N caps the run at N emitted comparisons (the
 //       pay-as-you-go budget, ResolverOptions::budget; 0 = unlimited).
 //       --deadline-ms=N serves the drain through Resolver::Serve with an
@@ -238,10 +240,10 @@ std::size_t OptShards(const CliArgs& args) {
 }
 
 std::size_t OptLookahead(const CliArgs& args) {
-  // Pipelined emission exists only across shards, so sharded runs default
-  // to a small lookahead (the stream is bit-identical either way) and
-  // single-shard runs to the serial path; an explicit --lookahead=0
-  // always forces the serial path.
+  // Look-ahead exists only across shards (one shard pipelines through
+  // --threads), so sharded runs default to a small lookahead (the stream
+  // is bit-identical either way) and single-shard runs to 0; an explicit
+  // --lookahead=0 always forces serial shard refills.
   const std::uint64_t fallback = OptShards(args) > 1 ? 4 : 0;
   return OptUint(args, "lookahead", fallback, 0,
                  ResolverOptions::kMaxLookahead);
@@ -622,10 +624,14 @@ int CmdInspect(const CliArgs& args) {
   }
   std::printf("\n  matches |D_P|:  %zu\n", ds.truth.num_matches());
   std::printf("  mean |p|:       %.2f\n", ds.store.MeanProfileSize());
+  const bool pipelined =
+      MethodHasBatchRefills(method) &&
+      (config.num_shards == 1 ? config.num_threads > 1
+                              : config.lookahead > 0);
   std::printf("  serving:        threads=%zu shards=%zu lookahead=%zu "
               "(%s emission)\n",
               config.num_threads, config.num_shards, config.lookahead,
-              config.lookahead > 0 ? "pipelined" : "serial");
+              pipelined ? "pipelined" : "serial");
 
   TokenWorkflowOptions workflow_options;
   workflow_options.num_threads = config.num_threads;
