@@ -29,32 +29,42 @@ BlockCollection BlockFiltering(const BlockCollection& input,
   // Pass 1 (parallel over profiles): each profile's cut is the rank of its
   // ceil(ratio*|B_i|)-th smallest block, so it stays in block b iff
   // rank(b) <= cut. A block holding the profile has |b| >= 1, so cut 0
-  // keeps none and UINT64_MAX keeps all. Each profile owns its slot.
+  // keeps none and UINT64_MAX keeps all. Each profile owns its slot, and
+  // each chunk's rank buffer is sized here, so the workers allocate
+  // nothing.
   std::vector<std::uint64_t> cuts(num_profiles, UINT64_MAX);
-  ParallelForChunks(
-      num_profiles, options.num_threads,
-      [&](std::size_t /*chunk*/, IndexRange range) {
-        std::vector<std::uint64_t> ranks;
-        for (std::size_t p = range.begin; p < range.end; ++p) {
-          std::span<const BlockId> blocks =
-              index.BlocksOf(static_cast<ProfileId>(p));
-          // Written so that a NaN or negative ratio retains nothing and a
-          // huge one everything, with no out-of-range conversion.
-          const double wanted =
-              std::ceil(options.ratio * static_cast<double>(blocks.size()));
-          if (wanted >= static_cast<double>(blocks.size())) continue;
-          if (!(wanted >= 1.0)) {
-            cuts[p] = 0;
-            continue;
-          }
-          const std::size_t retained = static_cast<std::size_t>(wanted);
-          ranks.clear();
-          for (BlockId b : blocks) ranks.push_back(rank(b));
-          std::nth_element(ranks.begin(), ranks.begin() + (retained - 1),
-                           ranks.end());
-          cuts[p] = ranks[retained - 1];
-        }
-      });
+  const std::vector<IndexRange> chunks =
+      StaticChunks(num_profiles, options.num_threads);
+  std::size_t most_blocks = 0;
+  for (ProfileId p = 0; p < num_profiles; ++p) {
+    most_blocks = std::max(most_blocks, index.NumBlocksOf(p));
+  }
+  std::vector<std::vector<std::uint64_t>> chunk_ranks(chunks.size());
+  for (std::vector<std::uint64_t>& ranks : chunk_ranks) {
+    ranks.reserve(most_blocks);
+  }
+  ParallelForRanges(chunks, [&](std::size_t chunk, IndexRange range) {
+    std::vector<std::uint64_t>& ranks = chunk_ranks[chunk];
+    for (std::size_t p = range.begin; p < range.end; ++p) {
+      std::span<const BlockId> blocks =
+          index.BlocksOf(static_cast<ProfileId>(p));
+      // Written so that a NaN or negative ratio retains nothing and a
+      // huge one everything, with no out-of-range conversion.
+      const double wanted =
+          std::ceil(options.ratio * static_cast<double>(blocks.size()));
+      if (wanted >= static_cast<double>(blocks.size())) continue;
+      if (!(wanted >= 1.0)) {
+        cuts[p] = 0;
+        continue;
+      }
+      const std::size_t retained = static_cast<std::size_t>(wanted);
+      ranks.clear();
+      for (BlockId b : blocks) ranks.push_back(rank(b));
+      std::nth_element(ranks.begin(), ranks.begin() + (retained - 1),
+                       ranks.end());
+      cuts[p] = ranks[retained - 1];
+    }
+  });
 
   // Pass 2: rebuild every block with the members whose cut admits it, in
   // block-id order; blocks left without a comparison are dropped. The

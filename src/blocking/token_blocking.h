@@ -1,6 +1,8 @@
 #ifndef SPER_BLOCKING_TOKEN_BLOCKING_H_
 #define SPER_BLOCKING_TOKEN_BLOCKING_H_
 
+#include <cstddef>
+
 #include "blocking/block_collection.h"
 #include "core/profile_store.h"
 #include "core/tokenizer.h"
@@ -24,11 +26,15 @@ struct TokenBlockingOptions {
 /// block iff the block would yield at least one valid comparison (>= 2
 /// profiles for Dirty ER; >= 1 profile per source for Clean-Clean ER).
 /// Blocks are ordered by key; profiles inside a block are sorted
-/// ascending. One sequential pass interns every token into a dense id in
-/// order of first occurrence, so the result depends only on the store and
-/// the tokenizer options.
+/// ascending. The profiles are split into `num_threads` static chunks,
+/// each interning its tokens into a table of its own on its own thread;
+/// the tables merge in chunk order, so every token keeps the dense id of
+/// its first occurrence in the whole store, and the postings are scattered
+/// per chunk. The result depends only on the store and the tokenizer
+/// options, never on `num_threads`.
 BlockCollection TokenBlocking(const ProfileStore& store,
-                              const TokenBlockingOptions& options = {});
+                              const TokenBlockingOptions& options = {},
+                              std::size_t num_threads = 1);
 
 }  // namespace sper
 

@@ -45,6 +45,10 @@ class TokenScanner {
       : table_(TokenByteTable(options.lowercase)),
         min_length_(std::max<std::size_t>(options.min_token_length, 1)) {}
 
+  /// Pre-sizes the token buffer, so no token of up to `length` bytes
+  /// allocates.
+  void Reserve(std::size_t length) { token_.reserve(length); }
+
   /// Calls `fn(std::string_view token)` for every token of `value`, left
   /// to right. The view is valid only during the call.
   template <typename Fn>

@@ -62,8 +62,9 @@ struct ResolverOptions {
   /// Progressive method to run.
   MethodId method = MethodId::kPps;
 
-  /// Threads for the initialization phase (block filtering, edge
-  /// weighting; split across shard constructions when sharded) and, on
+  /// Threads for the initialization phase (token blocking, block
+  /// filtering, edge weighting and the PPS init pass; split across shard
+  /// constructions when sharded) and, on
   /// one shard, the PPS/PBS refill workers: num_threads > 1 computes
   /// refills on that many threads ahead of the consumer, started by the
   /// first pull; 1 keeps the serial reference path. Each refill worker

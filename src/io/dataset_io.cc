@@ -1,13 +1,39 @@
 #include "io/dataset_io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <fstream>
+#include <optional>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "io/csv.h"
 
 namespace sper {
+
+namespace {
+
+/// A profile id field: decimal digits only, below kInvalidProfile.
+std::optional<ProfileId> ParseProfileId(std::string_view field) {
+  std::uint64_t value = 0;
+  const char* end = field.data() + field.size();
+  const auto [stop, error] = std::from_chars(field.data(), end, value);
+  if (error != std::errc() || stop != end || value >= kInvalidProfile) {
+    return std::nullopt;
+  }
+  return static_cast<ProfileId>(value);
+}
+
+/// The IoError for a bad row: what is wrong, where, and the row itself.
+Status RowError(const std::string& path, std::size_t row,
+                const std::string& what, const std::string& record) {
+  return Status::IoError(path + " row " + std::to_string(row) + ": " + what +
+                         ": " + record);
+}
+
+}  // namespace
 
 Status WriteProfilesCsv(const ProfileStore& store, const std::string& path) {
   std::ofstream out(path);
@@ -32,28 +58,30 @@ Result<ProfileStore> ReadProfilesCsv(const std::string& path,
   std::vector<Profile> source1;
   std::vector<Profile> source2;
   std::string record;
-  bool header = true;
-  std::uint64_t last_profile = UINT64_MAX;
+  std::size_t row = 0;
+  ProfileId last_profile = kInvalidProfile;
   std::vector<Profile>* current = nullptr;
   // Record-aware reading: a record may span physical lines when a quoted
   // attribute value contains newlines (CsvEscape quotes them on write).
   while (CsvReadRecord(in, &record)) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    if (record.empty()) continue;
+    if (++row == 1 || record.empty()) continue;  // header, blank line
     std::vector<std::string> fields = CsvSplit(record);
     if (fields.size() != 4) {
-      return Status::IoError("malformed profile row: " + record);
+      return RowError(path, row, "expected 4 fields", record);
     }
-    const std::uint64_t id = std::stoull(fields[0]);
+    const std::optional<ProfileId> id = ParseProfileId(fields[0]);
+    if (!id.has_value()) {
+      return RowError(path, row, "bad profile id", record);
+    }
+    if (fields[1] != "1" && fields[1] != "2") {
+      return RowError(path, row, "source is neither 1 nor 2", record);
+    }
     const bool in_source1 = fields[1] == "1";
     std::vector<Profile>& target =
         (er_type == ErType::kCleanClean && !in_source1) ? source2 : source1;
-    if (id != last_profile || current != &target) {
+    if (*id != last_profile || current != &target) {
       target.emplace_back();
-      last_profile = id;
+      last_profile = *id;
       current = &target;
     }
     target.back().AddAttribute(std::move(fields[2]), std::move(fields[3]));
@@ -89,19 +117,19 @@ Result<GroundTruth> ReadGroundTruthCsv(const std::string& path) {
   if (!in) return Status::IoError("cannot open for reading: " + path);
   GroundTruth truth;
   std::string record;
-  bool header = true;
+  std::size_t row = 0;
   while (CsvReadRecord(in, &record)) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    if (record.empty()) continue;
+    if (++row == 1 || record.empty()) continue;  // header, blank line
     std::vector<std::string> fields = CsvSplit(record);
     if (fields.size() != 2) {
-      return Status::IoError("malformed ground-truth row: " + record);
+      return RowError(path, row, "expected 2 fields", record);
     }
-    truth.AddMatch(static_cast<ProfileId>(std::stoul(fields[0])),
-                   static_cast<ProfileId>(std::stoul(fields[1])));
+    const std::optional<ProfileId> a = ParseProfileId(fields[0]);
+    const std::optional<ProfileId> b = ParseProfileId(fields[1]);
+    if (!a.has_value() || !b.has_value()) {
+      return RowError(path, row, "bad profile id", record);
+    }
+    truth.AddMatch(*a, *b);
   }
   return truth;
 }

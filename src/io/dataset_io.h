@@ -15,7 +15,10 @@
 ///   ground-truth CSV: profile1,profile2                (header included)
 ///
 /// `source` is 1 or 2 (always 1 for Dirty ER). Profile ids must be dense
-/// and source-contiguous, as produced by ProfileStore.
+/// and source-contiguous, as produced by ProfileStore. The readers return
+/// an IoError naming the row for a row with the wrong field count, an id
+/// that is not a plain decimal below kInvalidProfile, or (profiles) a
+/// source other than 1 or 2.
 
 namespace sper {
 

@@ -53,24 +53,29 @@ void EdgeWeighter::ComputeDegrees(const ProfileStore& store,
   degrees_.assign(store.size(), 0);
   // Each chunk owns a contiguous range of profiles: degrees_[i] is only
   // written by i's chunk, and the per-chunk edge counts are summed in
-  // chunk order, so the result is thread-count invariant.
-  const std::size_t num_chunks =
-      StaticChunks(store.size(), num_threads).size();
-  std::vector<std::uint64_t> chunk_twice_edges(num_chunks, 0);
-  ParallelForChunks(
-      store.size(), num_threads, [&](std::size_t chunk, IndexRange range) {
-        NeighborhoodAccumulator acc(store.size());
-        std::uint64_t twice_edges = 0;
-        for (std::size_t i = range.begin; i < range.end; ++i) {
-          acc.Gather(static_cast<ProfileId>(i), blocks_, index_,
-                     [](BlockId) { return 1.0; },
-                     [&](ProfileId, double) {
-                       ++degrees_[i];
-                       ++twice_edges;
-                     });
-        }
-        chunk_twice_edges[chunk] = twice_edges;
-      });
+  // chunk order, so the result is thread-count invariant. Each chunk's
+  // accumulator is allocated here, so the workers allocate nothing.
+  const std::vector<IndexRange> chunks =
+      StaticChunks(store.size(), num_threads);
+  std::vector<std::uint64_t> chunk_twice_edges(chunks.size(), 0);
+  std::vector<NeighborhoodAccumulator> accumulators;
+  accumulators.reserve(chunks.size());
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    accumulators.emplace_back(store.size());
+  }
+  ParallelForRanges(chunks, [&](std::size_t chunk, IndexRange range) {
+    NeighborhoodAccumulator& acc = accumulators[chunk];
+    std::uint64_t twice_edges = 0;
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      acc.Gather(static_cast<ProfileId>(i), blocks_, index_,
+                 [](BlockId) { return 1.0; },
+                 [&](ProfileId, double) {
+                   ++degrees_[i];
+                   ++twice_edges;
+                 });
+    }
+    chunk_twice_edges[chunk] = twice_edges;
+  });
   std::uint64_t twice_edges = 0;
   for (std::uint64_t count : chunk_twice_edges) twice_edges += count;
   const double num_edges = static_cast<double>(twice_edges) / 2.0;

@@ -2,6 +2,8 @@
 #define SPER_PARALLEL_PARALLEL_FOR_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,27 +49,63 @@ inline std::vector<IndexRange> StaticChunks(std::size_t n,
   return chunks;
 }
 
+/// Contiguous ranges of about equal total work, for loops whose items
+/// cost very different amounts: `work[i]` is item i's cost, and at most
+/// `num_chunks` non-empty ranges cover [0, work.size()) in index order.
+/// Range c ends at the first item whose running total reaches
+/// (c + 1) / num_chunks of the whole, so one heavy item ends its range
+/// and zero total work gives a single range. Like StaticChunks, the split
+/// depends only on its arguments, never on timing.
+inline std::vector<IndexRange> BalancedChunks(
+    std::span<const std::uint64_t> work, std::size_t num_chunks) {
+  if (num_chunks == 0) num_chunks = 1;
+  std::uint64_t total = 0;
+  for (std::uint64_t w : work) total += w;
+  std::vector<IndexRange> chunks;
+  std::size_t begin = 0, end = 0;
+  std::uint64_t prefix = 0;  // work of [0, end)
+  for (std::size_t c = 1; c < num_chunks; ++c) {
+    // floor(total * c / num_chunks), without overflowing the product.
+    const std::uint64_t target = total / num_chunks * c +
+                                 total % num_chunks * c / num_chunks;
+    while (end < work.size() && prefix < target) prefix += work[end++];
+    if (end > begin) {
+      chunks.push_back({begin, end});
+      begin = end;
+    }
+  }
+  if (begin < work.size()) chunks.push_back({begin, work.size()});
+  return chunks;
+}
+
+/// Runs `fn(chunk_index, ranges[chunk_index])` for every range, one thread
+/// per range (inline when there is at most one). The calling thread runs
+/// range 0 itself. Exceptions from any range propagate to the caller
+/// (first captured one). `fn` must not touch state shared with other
+/// ranges unless it is its own range-indexed slot. A pool worker's first
+/// allocation binds it to a malloc arena of its own, whose freed memory
+/// the calling thread cannot reuse; so the engine's set-up passes size
+/// every buffer `fn` grows on the calling thread, before the call.
+template <typename ChunkFn>
+void ParallelForRanges(std::span<const IndexRange> ranges, ChunkFn&& fn) {
+  if (ranges.size() <= 1) {
+    for (std::size_t c = 0; c < ranges.size(); ++c) fn(c, ranges[c]);
+    return;
+  }
+  ThreadPool pool(ranges.size() - 1);
+  for (std::size_t c = 1; c < ranges.size(); ++c) {
+    pool.Submit([&fn, ranges, c] { fn(c, ranges[c]); });
+  }
+  fn(std::size_t{0}, ranges[0]);
+  pool.Wait();
+}
+
 /// Runs `fn(chunk_index, range)` over the static chunks of [0, n) on
-/// `num_threads` threads (inline when 1 thread or a single chunk).
-/// Exceptions from any chunk propagate to the caller (first captured one).
-/// `fn` must not touch state shared with other chunks unless it is its own
-/// chunk-indexed slot.
+/// `num_threads` threads (see ParallelForRanges).
 template <typename ChunkFn>
 void ParallelForChunks(std::size_t n, std::size_t num_threads, ChunkFn&& fn) {
   const std::vector<IndexRange> chunks = StaticChunks(n, num_threads);
-  if (chunks.empty()) return;
-  if (num_threads <= 1 || chunks.size() == 1) {
-    for (std::size_t c = 0; c < chunks.size(); ++c) fn(c, chunks[c]);
-    return;
-  }
-  // The calling thread processes chunk 0 itself instead of idling in
-  // Wait(), so only chunks.size() - 1 workers are spawned.
-  ThreadPool pool(chunks.size() - 1);
-  for (std::size_t c = 1; c < chunks.size(); ++c) {
-    pool.Submit([&fn, &chunks, c] { fn(c, chunks[c]); });
-  }
-  fn(std::size_t{0}, chunks[0]);
-  pool.Wait();
+  ParallelForRanges(chunks, fn);
 }
 
 /// Runs `fn(i)` for every i in [0, n), statically chunked over

@@ -1,9 +1,11 @@
 #include "progressive/pps.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "metablocking/neighborhood.h"
 #include "parallel/parallel_for.h"
 #include "progressive/top_k.h"
 
@@ -53,66 +55,56 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
   // Algorithm 5: one pass over every node's neighborhood computes the
   // duplication likelihood (mean incident-edge weight) and the node's
   // top-weighted comparison. Nodes are independent, so the pass runs over
-  // static profile chunks with per-chunk accumulators; results land in a
-  // per-node slot and are reduced below in id order, making the outcome
-  // identical at every thread count.
+  // contiguous profile ranges of equal gather work: a node's work is the
+  // member range it scans in each of its blocks, which on Clean-Clean data
+  // differs by source. Results land in a per-node slot and are reduced
+  // below in id order, making the outcome identical at every thread count.
+  const bool clean_clean = blocks_.er_type() == ErType::kCleanClean;
+  std::vector<std::uint64_t> work(store_.size());
+  ParallelFor(store_.size(), options_.num_threads, [&](std::size_t idx) {
+    const ProfileId i = static_cast<ProfileId>(idx);
+    std::uint64_t scanned = 0;
+    for (BlockId b : index_.BlocksOf(i)) {
+      scanned += clean_clean ? blocks_.OppositeSource(b, i).size()
+                             : blocks_.block_size(b);
+    }
+    work[i] = scanned;
+  });
+  const std::vector<IndexRange> ranges =
+      BalancedChunks(work, options_.num_threads);
+  work = std::vector<std::uint64_t>();
+  // One dense accumulator per range (8 B * |P| each; size num_threads
+  // accordingly on huge stores), allocated here so the workers allocate
+  // nothing.
+  std::vector<NeighborhoodAccumulator> accumulators;
+  accumulators.reserve(ranges.size());
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    accumulators.emplace_back(store_.size());
+  }
   std::vector<NodeInit> nodes(store_.size());
-  ParallelForChunks(
-      store_.size(), options_.num_threads,
-      [&](std::size_t /*chunk*/, IndexRange range) {
-        // Dense dirty-array accumulator per chunk: peak memory is
-        // 8 B * |P| per thread, traded for hash-free O(1) accumulation
-        // on the hottest loop of the whole initialization. Size
-        // num_threads accordingly on huge stores.
-        std::vector<double> weights(store_.size(), 0.0);
-        std::vector<ProfileId> touched;
-        touched.reserve(store_.size());
-        const bool clean_clean = blocks_.er_type() == ErType::kCleanClean;
-        for (std::size_t idx = range.begin; idx < range.end; ++idx) {
-          const ProfileId i = static_cast<ProfileId>(idx);
-          // Algorithm 5 line 10, partition-aware: Clean-Clean scans only
-          // the opposite-source range of each block (no comparability
-          // branch); Dirty keeps only the j != i check.
-          if (clean_clean) {
-            for (BlockId b : index_.BlocksOf(i)) {
-              const double share = weighter_.BlockContribution(b);
-              for (ProfileId j : blocks_.OppositeSource(b, i)) {
-                if (weights[j] == 0.0) touched.push_back(j);
-                weights[j] += share;
-              }
-            }
-          } else {
-            for (BlockId b : index_.BlocksOf(i)) {
-              const double share = weighter_.BlockContribution(b);
-              for (ProfileId j : blocks_.members(b)) {
-                if (j == i) continue;
-                if (weights[j] == 0.0) touched.push_back(j);
-                weights[j] += share;
-              }
-            }
-          }
-          if (touched.empty()) continue;
-
-          double likelihood_sum = 0.0;
-          Comparison top;
-          bool has_top = false;
-          for (ProfileId j : touched) {
-            const double w = weighter_.Finalize(i, j, weights[j]);
+  ParallelForRanges(ranges, [&](std::size_t r, IndexRange range) {
+    for (std::size_t idx = range.begin; idx < range.end; ++idx) {
+      const ProfileId i = static_cast<ProfileId>(idx);
+      double likelihood_sum = 0.0;
+      std::size_t neighbors = 0;
+      Comparison top;
+      accumulators[r].Gather(
+          i, blocks_, index_,
+          [&](BlockId b) { return weighter_.BlockContribution(b); },
+          [&](ProfileId j, double accumulated) {
+            const double w = weighter_.Finalize(i, j, accumulated);
             likelihood_sum += w;
             const Comparison candidate(i, j, w);
-            if (!has_top || ByWeightDesc()(candidate, top)) {
+            if (neighbors++ == 0 || ByWeightDesc()(candidate, top)) {
               top = candidate;
-              has_top = true;
             }
-            weights[j] = 0.0;
-          }
-          nodes[i].likelihood =
-              likelihood_sum / static_cast<double>(touched.size());
-          nodes[i].top = top;
-          nodes[i].has_neighbors = true;
-          touched.clear();
-        }
-      });
+          });
+      if (neighbors == 0) continue;
+      nodes[i].likelihood = likelihood_sum / static_cast<double>(neighbors);
+      nodes[i].top = top;
+      nodes[i].has_neighbors = true;
+    }
+  });
 
   std::vector<Comparison> top_comparisons;
   for (ProfileId i = 0; i < store_.size(); ++i) {

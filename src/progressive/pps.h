@@ -39,7 +39,9 @@ struct PpsOptions {
   /// configuration).
   std::size_t kmax = 100;
   /// Threads for the initialization phase (per-profile duplication
-  /// likelihoods + top comparisons). Emission may run on other threads
+  /// likelihoods + top comparisons, over profile ranges of equal gather
+  /// work, each with its own 8 B·|P| accumulator). Emission may run on
+  /// other threads
   /// through the BatchSource interface. The emitted sequence is identical
   /// at every thread count.
   std::size_t num_threads = 1;

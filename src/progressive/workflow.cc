@@ -10,7 +10,7 @@ BlockCollection BuildTokenWorkflowBlocks(const ProfileStore& store,
   BlockCollection blocks = [&] {
     obs::ScopedPhase phase(options.telemetry, "token_blocking",
                            &timing->token_blocking_seconds);
-    return TokenBlocking(store, options.token_blocking);
+    return TokenBlocking(store, options.token_blocking, options.num_threads);
   }();
   if (options.enable_purging) {
     obs::ScopedPhase phase(options.telemetry, "block_purging",

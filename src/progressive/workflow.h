@@ -26,10 +26,10 @@ struct TokenWorkflowOptions {
   /// Disable individual steps (used by the workflow ablation bench).
   bool enable_purging = true;
   bool enable_filtering = true;
-  /// Threads for Block Filtering's per-profile cut pass, the one parallel
-  /// step (token blocking and purging are sequential). Overrides
-  /// `filtering.num_threads`; the collection is identical at every
-  /// thread count.
+  /// Threads for token blocking's per-chunk interning and scatter and for
+  /// Block Filtering's per-profile cut pass (purging is sequential).
+  /// Overrides `filtering.num_threads`; the collection is identical at
+  /// every thread count.
   std::size_t num_threads = 1;
   /// Telemetry sink for the per-step phase timers (spans + gauges);
   /// default-constructed = disabled.

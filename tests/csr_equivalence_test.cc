@@ -203,17 +203,42 @@ TEST_P(CsrEquivalenceTest, TokenBlockingMatchesReferenceByteForByte) {
     const ProfileStore& store = dataset.value().store;
     for (const TokenizerOptions& tokenizer :
          {TokenizerOptions{}, keep_case, min_length_3}) {
-      SCOPED_TRACE(std::string(name) + " lowercase=" +
-                   std::to_string(tokenizer.lowercase) + " min_length=" +
-                   std::to_string(tokenizer.min_token_length));
+      const std::vector<LegacyBlock> reference =
+          ReferenceTokenBlocking(store, tokenizer);
       TokenBlockingOptions options;
       options.tokenizer = tokenizer;
-      const BlockCollection blocks = TokenBlocking(store, options);
-      ASSERT_FALSE(blocks.empty());
-      ExpectSameBlocks(blocks, ReferenceTokenBlocking(store, tokenizer),
-                       store);
+      // Chunk-local interning gives the same blocks at every count,
+      // including counts that do not divide the profile count evenly.
+      for (std::size_t num_threads : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(std::string(name) + " lowercase=" +
+                     std::to_string(tokenizer.lowercase) + " min_length=" +
+                     std::to_string(tokenizer.min_token_length) + " @ " +
+                     std::to_string(num_threads) + " threads");
+        const BlockCollection blocks =
+            TokenBlocking(store, options, num_threads);
+        ASSERT_FALSE(blocks.empty());
+        ExpectSameBlocks(blocks, reference, store);
+      }
     }
   }
+
+  // More threads than profiles: one profile per chunk. No profiles: no
+  // chunk and no block.
+  std::vector<Profile> three(3);
+  three[0].AddAttribute("name", "carl white");
+  three[1].AddAttribute("name", "Carl");
+  three[2].AddAttribute("title", "white carl");
+  const ProfileStore small =
+      GetParam() ? ProfileStore::MakeCleanClean(
+                       {three[0]}, {three[1], three[2]})
+                 : ProfileStore::MakeDirty(three);
+  const BlockCollection blocks = TokenBlocking(small, {}, 8);
+  ASSERT_FALSE(blocks.empty());
+  ExpectSameBlocks(blocks, ReferenceTokenBlocking(small, {}), small);
+  const ProfileStore empty = GetParam()
+                                 ? ProfileStore::MakeCleanClean({}, {})
+                                 : ProfileStore::MakeDirty({});
+  EXPECT_TRUE(TokenBlocking(empty, {}, 8).empty());
 }
 
 TEST_P(CsrEquivalenceTest, BlockFilteringMatchesReferenceByteForByte) {
@@ -301,9 +326,31 @@ TEST_P(CsrEquivalenceTest, BlockingGraphMatchesReferenceForAllSchemes) {
 
 // ------------------------------------------------ PPS / PBS equivalence
 
-TEST_P(CsrEquivalenceTest, PpsInitMatchesReferenceBitwise) {
-  const ProfileStore store = GetParam() ? CleanCleanStore() : DirtyStore();
-  BlockCollection blocks = BuildTokenWorkflowBlocks(store, {});
+/// A store where profile 5 shares a token with every other profile, and a
+/// second one with every third, so it alone does half of all gather work:
+/// the most one profile can, as each pair is scanned from both ends.
+ProfileStore SkewedStore(bool clean_clean) {
+  constexpr std::size_t kProfiles = 64, kHeavy = 5, kSource1 = 16;
+  std::vector<Profile> profiles(kProfiles);
+  std::string links;
+  for (std::size_t j = 0; j < kProfiles; ++j) {
+    if (j == kHeavy) continue;
+    std::string value = "t" + std::to_string(j);
+    if (j % 3 == 0) value += " u" + std::to_string(j);
+    profiles[j].AddAttribute("name", value);
+    links += " " + value;
+  }
+  profiles[kHeavy].AddAttribute("links", links);
+  if (!clean_clean) return ProfileStore::MakeDirty(std::move(profiles));
+  std::vector<Profile> source2(profiles.begin() + kSource1, profiles.end());
+  profiles.resize(kSource1);
+  return ProfileStore::MakeCleanClean(std::move(profiles), std::move(source2));
+}
+
+/// PPS's Sorted Profile List equals seed Algorithm 5 bitwise at 1, 2, 4
+/// and 8 threads.
+void ExpectPpsInitMatchesReference(const ProfileStore& store,
+                                   const BlockCollection& blocks) {
   const ProfileIndex index(blocks, store.size());
   const std::vector<LegacyBlock> legacy = ToLegacy(blocks);
   const EdgeWeighter weighter(blocks, index, store,
@@ -324,6 +371,7 @@ TEST_P(CsrEquivalenceTest, PpsInitMatchesReferenceBitwise) {
       expected.emplace_back(i, sum / static_cast<double>(count));
     }
   }
+  ASSERT_FALSE(expected.empty());
   std::sort(expected.begin(), expected.end(),
             [](const auto& a, const auto& b) {
               if (a.second != b.second) return a.second > b.second;
@@ -342,6 +390,14 @@ TEST_P(CsrEquivalenceTest, PpsInitMatchesReferenceBitwise) {
       ASSERT_EQ(pps.sorted_profiles()[k].second, expected[k].second);
     }
   }
+}
+
+TEST_P(CsrEquivalenceTest, PpsInitMatchesReferenceBitwise) {
+  const ProfileStore store = GetParam() ? CleanCleanStore() : DirtyStore();
+  ExpectPpsInitMatchesReference(store, BuildTokenWorkflowBlocks(store, {}));
+  // Ranges of equal gather work differ widely in profile count here.
+  const ProfileStore skewed = SkewedStore(GetParam());
+  ExpectPpsInitMatchesReference(skewed, TokenBlocking(skewed));
 }
 
 template <typename Emitter>

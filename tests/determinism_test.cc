@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "datagen/datagen.h"
@@ -205,26 +206,36 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DeterminismTest, WorkflowBlocksAreThreadCountInvariant) {
   // The workflow collection itself (keys, membership, order) must match
   // exactly, whatever the thread count — including counts that do not
-  // divide the profile count evenly.
-  Result<DatasetBundle> dataset = GenerateDataset("cora");
-  ASSERT_TRUE(dataset.ok());
-  TokenWorkflowOptions sequential;
-  BlockCollection reference =
-      BuildTokenWorkflowBlocks(dataset.value().store, sequential);
-  for (std::size_t num_threads : {2u, 3u, 4u, 7u}) {
-    TokenWorkflowOptions parallel;
-    parallel.num_threads = num_threads;
-    BlockCollection blocks =
-        BuildTokenWorkflowBlocks(dataset.value().store, parallel);
-    ASSERT_EQ(blocks.size(), reference.size()) << num_threads << " threads";
-    EXPECT_EQ(blocks.AggregateCardinality(),
-              reference.AggregateCardinality());
-    for (BlockId b = 0; b < blocks.size(); ++b) {
-      ASSERT_EQ(blocks.key(b), reference.key(b));
-      std::span<const ProfileId> members = blocks.members(b);
-      std::span<const ProfileId> expected = reference.members(b);
-      ASSERT_TRUE(std::equal(members.begin(), members.end(),
-                             expected.begin(), expected.end()));
+  // divide the profile count evenly. Token blocking and filtering both
+  // run on the threads; dbpedia is Clean-Clean.
+  DatagenOptions small;
+  small.scale = 0.02;
+  for (const auto& [name, gen] :
+       {std::pair<const char*, DatagenOptions>{"cora", {}},
+        std::pair<const char*, DatagenOptions>{"dbpedia", small}}) {
+    SCOPED_TRACE(name);
+    Result<DatasetBundle> dataset = GenerateDataset(name, gen);
+    ASSERT_TRUE(dataset.ok());
+    TokenWorkflowOptions sequential;
+    BlockCollection reference =
+        BuildTokenWorkflowBlocks(dataset.value().store, sequential);
+    ASSERT_FALSE(reference.empty());
+    for (std::size_t num_threads : {2u, 3u, 4u, 7u}) {
+      TokenWorkflowOptions parallel;
+      parallel.num_threads = num_threads;
+      BlockCollection blocks =
+          BuildTokenWorkflowBlocks(dataset.value().store, parallel);
+      ASSERT_EQ(blocks.size(), reference.size())
+          << num_threads << " threads";
+      EXPECT_EQ(blocks.AggregateCardinality(),
+                reference.AggregateCardinality());
+      for (BlockId b = 0; b < blocks.size(); ++b) {
+        ASSERT_EQ(blocks.key(b), reference.key(b));
+        std::span<const ProfileId> members = blocks.members(b);
+        std::span<const ProfileId> expected = reference.members(b);
+        ASSERT_TRUE(std::equal(members.begin(), members.end(),
+                               expected.begin(), expected.end()));
+      }
     }
   }
 }

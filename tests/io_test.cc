@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -187,6 +188,55 @@ TEST_F(DatasetIoTest, GroundTruthRoundTrip) {
   EXPECT_EQ(loaded.value().num_matches(), 2u);
   EXPECT_TRUE(loaded.value().AreMatching(5, 0));
   EXPECT_TRUE(loaded.value().AreMatching(1, 3));
+}
+
+TEST_F(DatasetIoTest, GroundTruthRejectsBadIds) {
+  // Each row once loaded as a wrong pair or threw out of the Result API:
+  // 4294967297 wrapped to 1, and -1 to 4294967295.
+  for (const std::string row :
+       {"4294967297,2", "-1,3", "3,-1", "abc,1", "1,", "4294967295,0",
+        "12x,1", " 1,2", "+1,2"}) {
+    SCOPED_TRACE(row);
+    {
+      std::ofstream out(Path("gt.csv"));
+      out << "profile1,profile2\n0,1\n" << row << "\n";
+    }
+    Result<GroundTruth> loaded = ReadGroundTruthCsv(Path("gt.csv"));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+    EXPECT_NE(loaded.status().message().find("row 3"), std::string::npos)
+        << loaded.status().message();
+    EXPECT_NE(loaded.status().message().find(row), std::string::npos);
+  }
+  // The largest valid id still loads.
+  {
+    std::ofstream out(Path("gt.csv"));
+    out << "profile1,profile2\n4294967294,0\n";
+  }
+  Result<GroundTruth> loaded = ReadGroundTruthCsv(Path("gt.csv"));
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_TRUE(loaded.value().AreMatching(0, 4294967294u));
+}
+
+TEST_F(DatasetIoTest, ProfilesRejectBadIdsAndSources) {
+  for (ErType er_type : {ErType::kDirty, ErType::kCleanClean}) {
+    for (const std::string row :
+         {"abc,1,name,x", "-1,1,name,x", "4294967296,1,name,x",
+          "4294967295,1,name,x", "1,3,name,x", "1,,name,x", "1,x,name,x",
+          "1,1,name"}) {
+      SCOPED_TRACE(row);
+      {
+        std::ofstream out(Path("p.csv"));
+        out << "profile,source,attribute,value\n0,1,name,a\n" << row
+            << "\n";
+      }
+      Result<ProfileStore> loaded = ReadProfilesCsv(Path("p.csv"), er_type);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+      EXPECT_NE(loaded.status().message().find("row 3"), std::string::npos)
+          << loaded.status().message();
+    }
+  }
 }
 
 TEST_F(DatasetIoTest, MissingFileYieldsIoError) {

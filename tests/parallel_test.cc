@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "parallel/parallel_for.h"
@@ -94,6 +97,127 @@ TEST(StaticChunksTest, DependsOnlyOnSizeAndThreadCount) {
   for (std::size_t c = 0; c < a.size(); ++c) {
     EXPECT_EQ(a[c].begin, b[c].begin);
     EXPECT_EQ(a[c].end, b[c].end);
+  }
+}
+
+/// The ranges are non-empty, contiguous, cover [0, work.size()) exactly
+/// and number at most `parts`.
+void ExpectTiling(const std::vector<IndexRange>& ranges, std::size_t n,
+                  std::size_t parts) {
+  EXPECT_LE(ranges.size(), std::max<std::size_t>(parts, 1));
+  std::size_t expected_begin = 0;
+  for (const IndexRange& range : ranges) {
+    EXPECT_EQ(range.begin, expected_begin);
+    EXPECT_GT(range.size(), 0u);
+    expected_begin = range.end;
+  }
+  EXPECT_EQ(expected_begin, n);
+}
+
+std::uint64_t WorkOf(const std::vector<std::uint64_t>& work,
+                     IndexRange range) {
+  return std::accumulate(work.begin() + range.begin,
+                         work.begin() + range.end, std::uint64_t{0});
+}
+
+TEST(BalancedChunksTest, TilesTheRangeForEveryShape) {
+  const std::vector<std::vector<std::uint64_t>> shapes = {
+      {},
+      {7},
+      {0, 0, 0, 0, 0},
+      {1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+      {0, 0, 1000, 0, 0, 1, 1, 1},
+  };
+  for (const std::vector<std::uint64_t>& work : shapes) {
+    for (std::size_t parts : {0u, 1u, 2u, 3u, 4u, 8u, 13u, 64u}) {
+      SCOPED_TRACE(std::to_string(work.size()) + " items, " +
+                   std::to_string(parts) + " parts");
+      const std::vector<IndexRange> ranges = BalancedChunks(work, parts);
+      ExpectTiling(ranges, work.size(), parts);
+      // Same arguments, same split.
+      const std::vector<IndexRange> again = BalancedChunks(work, parts);
+      ASSERT_EQ(again.size(), ranges.size());
+      for (std::size_t c = 0; c < ranges.size(); ++c) {
+        EXPECT_EQ(again[c].begin, ranges[c].begin);
+        EXPECT_EQ(again[c].end, ranges[c].end);
+      }
+    }
+  }
+}
+
+TEST(BalancedChunksTest, EqualWorkSplitsLikeStaticChunks) {
+  const std::vector<std::uint64_t> work(1000, 3);
+  for (std::size_t parts : {1u, 2u, 4u, 8u}) {
+    const std::vector<IndexRange> ranges = BalancedChunks(work, parts);
+    ASSERT_EQ(ranges.size(), parts);
+    for (const IndexRange& range : ranges) {
+      EXPECT_EQ(range.size(), 1000 / parts);
+    }
+  }
+}
+
+TEST(BalancedChunksTest, OneHeavyItemEndsItsRange) {
+  // Item 10 holds 3/4 of the work: the first range ends right after it,
+  // and the light items after it share the remaining parts.
+  std::vector<std::uint64_t> work(100, 1);
+  work[10] = 300;
+  const std::vector<IndexRange> ranges = BalancedChunks(work, 4);
+  ExpectTiling(ranges, work.size(), 4);
+  ASSERT_EQ(ranges.size(), 2u);
+  EXPECT_EQ(ranges[0].end, 11u);
+  EXPECT_EQ(WorkOf(work, ranges[0]), 310u);
+  EXPECT_EQ(WorkOf(work, ranges[1]), 89u);
+}
+
+TEST(BalancedChunksTest, RangesHoldAboutEqualWork) {
+  // Work rises linearly, so equal-work ranges shrink along the index.
+  std::vector<std::uint64_t> work(1000);
+  std::iota(work.begin(), work.end(), std::uint64_t{1});
+  const std::uint64_t total = WorkOf(work, {0, work.size()});
+  const std::vector<IndexRange> ranges = BalancedChunks(work, 4);
+  ASSERT_EQ(ranges.size(), 4u);
+  for (std::size_t c = 1; c < ranges.size(); ++c) {
+    EXPECT_LT(ranges[c].size(), ranges[c - 1].size());
+  }
+  for (const IndexRange& range : ranges) {
+    // Within one item's work (at most 1000) of a quarter of the total.
+    EXPECT_LE(WorkOf(work, range), total / 4 + 1000);
+    EXPECT_GE(WorkOf(work, range) + 1000, total / 4);
+  }
+}
+
+TEST(BalancedChunksTest, ZeroWorkIsOneRange) {
+  const std::vector<std::uint64_t> work(50, 0);
+  const std::vector<IndexRange> ranges = BalancedChunks(work, 4);
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0].begin, 0u);
+  EXPECT_EQ(ranges[0].end, 50u);
+}
+
+TEST(BalancedChunksTest, MorePartsThanItems) {
+  const std::vector<std::uint64_t> work = {5, 1, 9};
+  const std::vector<IndexRange> ranges = BalancedChunks(work, 8);
+  ExpectTiling(ranges, work.size(), 8);
+  EXPECT_LE(ranges.size(), work.size());
+}
+
+TEST(ParallelForRangesTest, RunsEveryRangeOnceWithItsIndex) {
+  std::vector<std::uint64_t> work(997, 1);
+  work[500] = 5000;
+  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    const std::vector<IndexRange> ranges = BalancedChunks(work, threads);
+    std::vector<IndexRange> seen(ranges.size());
+    std::vector<int> visits(work.size(), 0);
+    ParallelForRanges(ranges, [&](std::size_t chunk, IndexRange range) {
+      seen[chunk] = range;
+      for (std::size_t i = range.begin; i < range.end; ++i) ++visits[i];
+    });
+    for (std::size_t c = 0; c < ranges.size(); ++c) {
+      EXPECT_EQ(seen[c].begin, ranges[c].begin);
+      EXPECT_EQ(seen[c].end, ranges[c].end);
+    }
+    for (int v : visits) ASSERT_EQ(v, 1) << "threads " << threads;
   }
 }
 

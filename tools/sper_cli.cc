@@ -635,8 +635,8 @@ int CmdInspect(const CliArgs& args) {
 
   TokenWorkflowOptions workflow_options;
   workflow_options.num_threads = config.num_threads;
-  BlockCollection raw =
-      TokenBlocking(ds.store, workflow_options.token_blocking);
+  BlockCollection raw = TokenBlocking(
+      ds.store, workflow_options.token_blocking, config.num_threads);
   BlockCollection workflow =
       BuildTokenWorkflowBlocks(ds.store, workflow_options);
   std::printf("  token blocks:   %zu (||B|| = %llu)\n", raw.size(),
