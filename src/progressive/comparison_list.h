@@ -2,7 +2,6 @@
 #define SPER_PROGRESSIVE_COMPARISON_LIST_H_
 
 #include <algorithm>
-#include <span>
 #include <vector>
 
 #include "core/comparison.h"
@@ -31,14 +30,6 @@ class ComparisonList {
   void SortDescending(std::size_t from = 0) {
     std::sort(items_.begin() + static_cast<std::ptrdiff_t>(from),
               items_.end(), ByWeightDesc());
-  }
-
-  /// Appends `ascending` reversed. The path for producers whose natural
-  /// output order is non-decreasing likelihood — a bounded top-k drain
-  /// (PPS refills) — already a total order under ByWeightDesc read
-  /// backwards, so an O(n) reverse replaces the O(n log n) sort.
-  void AppendFromAscending(std::span<const Comparison> ascending) {
-    items_.insert(items_.end(), ascending.rbegin(), ascending.rend());
   }
 
   /// Appends `other`'s not-yet-popped comparisons to the tail, preserving

@@ -198,8 +198,9 @@ void PpsEmitter::AppendRefill(std::size_t index, Scratch& scratch,
 
   // SortedStack (lines 15-18): the reusable bounded top-k buffer keeps
   // the Kmax top-weighted comparisons without a per-refill heap
-  // allocation; its ascending drain is appended reversed (ByWeightDesc
-  // is total, so the result is bit-identical to the min-heap reference).
+  // allocation, selecting on integer order keys behind a rejection floor,
+  // and appends them best first (ByWeightDesc is total, so the result is
+  // bit-identical to the min-heap reference).
   s.topk.Reset(options_.kmax);
   for (ProfileId j : s.touched) {
     const double w = weighter_.Finalize(i, j, s.weights[j]);
@@ -207,7 +208,7 @@ void PpsEmitter::AppendRefill(std::size_t index, Scratch& scratch,
     s.weights[j] = 0.0;
   }
   s.touched.clear();
-  out.AppendFromAscending(s.topk.SortedAscending());
+  s.topk.AppendDescending(out);
 }
 
 std::optional<Comparison> PpsEmitter::Next() {

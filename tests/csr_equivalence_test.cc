@@ -7,14 +7,21 @@
 // IsComparable branch) and compared against the CSR-backed library paths
 // — byte-identical keys and members, bitwise-identical edge weights for
 // all five weighting schemes, and identical PPS/PBS emission prefixes —
-// for Dirty and Clean-Clean ER at 1/2/4/8 threads.
+// for Dirty and Clean-Clean ER at 1/2/4/8 threads. PPS's full emission is
+// also compared with a straight-line Algorithm 6 whose SortedStack is a
+// bounded std::priority_queue, on all seven generators.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <ostream>
+#include <queue>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -494,6 +501,118 @@ INSTANTIATE_TEST_SUITE_P(DirtyAndCleanClean, CsrEquivalenceTest,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "CleanClean" : "Dirty";
                          });
+
+// ------------------------------------------- PPS emission vs Algorithm 6
+
+/// The seed's SortedStack order: a min-heap under ByWeightAsc, the worst
+/// kept comparison on top.
+struct WorstOnTop {
+  bool operator()(const Comparison& a, const Comparison& b) const {
+    return ByWeightAsc()(b, a);
+  }
+};
+
+/// Seed-style Algorithm 6, straight-line: batch 0, then every profile of
+/// the Sorted Profile List in order with one shared checkedEntities
+/// vector, the legacy full-scan gather, and a std::priority_queue bounded
+/// at kmax, drained worst first and then reversed.
+std::vector<Comparison> ReferencePpsEmission(
+    const PpsEmitter& pps, const ProfileStore& store,
+    const BlockCollection& blocks, WeightingScheme scheme, std::size_t kmax) {
+  const ProfileIndex index(blocks, store.size());
+  const std::vector<LegacyBlock> legacy = ToLegacy(blocks);
+  const EdgeWeighter weighter(blocks, index, store, scheme);
+
+  std::vector<Comparison> emitted;
+  ComparisonList batch0;
+  pps.AppendRefill(0, *pps.NewScratch(), batch0);
+  while (!batch0.Empty()) emitted.push_back(batch0.PopFirst());
+
+  std::vector<bool> checked(store.size(), false);
+  std::vector<double> weights(store.size(), 0.0);
+  std::vector<ProfileId> touched;
+  for (const auto& [i, likelihood] : pps.sorted_profiles()) {
+    checked[i] = true;
+    for (BlockId b : index.BlocksOf(i)) {
+      const double share = weighter.BlockContribution(b);
+      for (ProfileId j : legacy[b].profiles) {
+        if (j == i || checked[j] || !store.IsComparable(i, j)) continue;
+        if (weights[j] == 0.0) touched.push_back(j);
+        weights[j] += share;
+      }
+    }
+    std::priority_queue<Comparison, std::vector<Comparison>, WorstOnTop>
+        stack;
+    for (ProfileId j : touched) {
+      stack.push(Comparison(i, j, weighter.Finalize(i, j, weights[j])));
+      if (stack.size() > kmax) stack.pop();
+      weights[j] = 0.0;
+    }
+    touched.clear();
+    std::vector<Comparison> ascending;
+    while (!stack.empty()) {
+      ascending.push_back(stack.top());
+      stack.pop();
+    }
+    emitted.insert(emitted.end(), ascending.rbegin(), ascending.rend());
+  }
+  return emitted;
+}
+
+struct Generator {
+  const char* name;
+  double scale;  // determinism_test's: small enough for full drains
+};
+
+void PrintTo(const Generator& generator, std::ostream* os) {
+  *os << generator.name << " at scale " << generator.scale;
+}
+
+class PpsReferenceTest : public ::testing::TestWithParam<Generator> {};
+
+TEST_P(PpsReferenceTest, PpsEmissionMatchesReferenceBitwise) {
+  DatagenOptions gen;
+  gen.scale = GetParam().scale;
+  Result<DatasetBundle> dataset = GenerateDataset(GetParam().name, gen);
+  ASSERT_TRUE(dataset.ok());
+  const ProfileStore& store = dataset.value().store;
+  const BlockCollection blocks = BuildTokenWorkflowBlocks(store, {});
+  for (WeightingScheme scheme :
+       {WeightingScheme::kArcs, WeightingScheme::kCbs, WeightingScheme::kJs,
+        WeightingScheme::kEcbs, WeightingScheme::kEjs}) {
+    for (std::size_t kmax : {std::size_t{1}, std::size_t{2},
+                             std::size_t{100}, std::size_t{SIZE_MAX}}) {
+      SCOPED_TRACE(std::string("scheme ") + ToString(scheme) + ", kmax " +
+                   std::to_string(kmax));
+      PpsOptions options;
+      options.scheme = scheme;
+      options.kmax = kmax;
+      PpsEmitter pps(store, blocks, options);
+      const std::vector<Comparison> expected =
+          ReferencePpsEmission(pps, store, blocks, scheme, kmax);
+      const std::vector<Comparison> got =
+          Drain(pps, std::numeric_limits<std::size_t>::max());
+      ASSERT_GT(expected.size(), 0u);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t k = 0; k < expected.size(); ++k) {
+        ASSERT_TRUE(got[k].SamePair(expected[k])) << "emission " << k;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k].weight),
+                  std::bit_cast<std::uint64_t>(expected[k].weight))
+            << "emission " << k;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryGenerator, PpsReferenceTest,
+    ::testing::Values(Generator{"census", 1.0}, Generator{"restaurant", 1.0},
+                      Generator{"cora", 1.0}, Generator{"cddb", 0.1},
+                      Generator{"movies", 0.03}, Generator{"dbpedia", 0.02},
+                      Generator{"freebase", 0.02}),
+    [](const ::testing::TestParamInfo<Generator>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace sper

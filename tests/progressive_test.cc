@@ -1,10 +1,18 @@
 // Unit tests for src/progressive: per-method behaviour on small
-// hand-checkable inputs, ComparisonList, the workflow helper and batch ER.
+// hand-checkable inputs, ComparisonList, TopKBuffer with the ComparisonKey
+// order it selects on, the workflow helper and batch ER.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <optional>
+#include <random>
 #include <set>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -90,20 +98,6 @@ TEST(ComparisonListTest, ClearResetsState) {
   EXPECT_EQ(list.remaining(), 0u);
 }
 
-TEST(ComparisonListTest, AppendFromAscendingReversesInsteadOfSorting) {
-  const std::vector<Comparison> ascending = {
-      Comparison(0, 3, 0.1), Comparison(1, 2, 0.5), Comparison(0, 1, 0.9)};
-  ComparisonList list;
-  list.Add(Comparison(7, 8, 42.0));  // an earlier refill stays in front
-  list.AppendFromAscending(ascending);
-  EXPECT_EQ(list.remaining(), 4u);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 42.0);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.9);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.5);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.1);
-  EXPECT_TRUE(list.Empty());
-}
-
 TEST(ComparisonListTest, SortDescendingFromSortsOnlyTheTail) {
   ComparisonList list;
   list.Add(Comparison(0, 1, 0.1));  // an earlier refill: left in place
@@ -135,18 +129,30 @@ TEST(ComparisonListTest, AppendFromConcatenatesRemainingItems) {
 
 // ------------------------------------------------------------- TopKBuffer
 
-TEST(TopKBufferTest, KeepsTheKBestInAscendingOrder) {
+/// The buffer's kept comparisons, best first.
+std::vector<Comparison> Kept(TopKBuffer& topk) {
+  ComparisonList list;
+  topk.AppendDescending(list);
+  std::vector<Comparison> out;
+  while (!list.Empty()) out.push_back(list.PopFirst());
+  return out;
+}
+
+TEST(TopKBufferTest, KeepsTheKBestInDescendingOrder) {
   TopKBuffer topk;
   topk.Reset(3);
-  // Push enough to force several nth_element prunes (prune at 2k = 6).
+  // Push enough to force several nth_element cuts (cut at 2k = 6).
   for (int v = 0; v < 20; ++v) {
     topk.Push(Comparison(0, static_cast<ProfileId>(v + 1), 0.05 * v));
   }
-  std::span<const Comparison> kept = topk.SortedAscending();
-  ASSERT_EQ(kept.size(), 3u);
-  EXPECT_DOUBLE_EQ(kept[0].weight, 0.05 * 17);
-  EXPECT_DOUBLE_EQ(kept[1].weight, 0.05 * 18);
-  EXPECT_DOUBLE_EQ(kept[2].weight, 0.05 * 19);
+  ComparisonList list;
+  list.Add(Comparison(7, 8, 42.0));  // an earlier refill stays in front
+  topk.AppendDescending(list);
+  ASSERT_EQ(list.remaining(), 4u);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 42.0);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * 19);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * 18);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * 17);
 }
 
 TEST(TopKBufferTest, TiesResolveByIdsLikeByWeightDesc) {
@@ -155,11 +161,11 @@ TEST(TopKBufferTest, TiesResolveByIdsLikeByWeightDesc) {
   topk.Push(Comparison(5, 6, 1.0));
   topk.Push(Comparison(1, 2, 1.0));
   topk.Push(Comparison(3, 4, 1.0));
-  std::span<const Comparison> kept = topk.SortedAscending();
+  const std::vector<Comparison> kept = Kept(topk);
   ASSERT_EQ(kept.size(), 2u);
   // ByWeightDesc ranks equal weights by ascending ids: (1,2) then (3,4).
-  EXPECT_EQ(kept[0].i, 3u);  // ascending = worst kept first
-  EXPECT_EQ(kept[1].i, 1u);
+  EXPECT_EQ(kept[0].i, 1u);
+  EXPECT_EQ(kept[1].i, 3u);
 }
 
 TEST(TopKBufferTest, UnboundedAndZeroAndReuse) {
@@ -168,15 +174,103 @@ TEST(TopKBufferTest, UnboundedAndZeroAndReuse) {
   for (int v = 0; v < 100; ++v) {
     topk.Push(Comparison(0, static_cast<ProfileId>(v + 1), 1.0 * v));
   }
-  EXPECT_EQ(topk.SortedAscending().size(), 100u);
+  EXPECT_EQ(Kept(topk).size(), 100u);
 
   topk.Reset(0);  // keep nothing
   topk.Push(Comparison(0, 1, 1.0));
-  EXPECT_TRUE(topk.SortedAscending().empty());
+  EXPECT_TRUE(Kept(topk).empty());
 
   topk.Reset(5);  // reuse after both extremes
   topk.Push(Comparison(0, 1, 1.0));
-  EXPECT_EQ(topk.SortedAscending().size(), 1u);
+  EXPECT_EQ(Kept(topk).size(), 1u);
+}
+
+TEST(TopKBufferTest, MatchesAFullSortWhenCandidatesTieWithTheFloor) {
+  // Three weights only, so most candidates tie on weight with the floor
+  // and only their ids decide; one buffer serves every stream and k.
+  const double weights[] = {0.0, 0.5, 1.0};
+  std::mt19937_64 rng(7);
+  TopKBuffer topk;
+  for (std::size_t n : {1u, 2u, 3u, 8u, 50u, 333u}) {
+    std::vector<Comparison> stream;
+    for (std::size_t t = 0; t < n; ++t) {
+      // Distinct pairs: j is unique, i repeats.
+      stream.emplace_back(static_cast<ProfileId>(t % 5),
+                          static_cast<ProfileId>(10 + t),
+                          weights[rng() % 3]);
+    }
+    std::shuffle(stream.begin(), stream.end(), rng);
+    std::vector<Comparison> sorted = stream;
+    std::sort(sorted.begin(), sorted.end(), ByWeightDesc());
+    for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                          n - 1, n, std::size_t{SIZE_MAX}}) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", k " + std::to_string(k));
+      topk.Reset(k);
+      for (const Comparison& c : stream) topk.Push(c);
+      const std::vector<Comparison> kept = Kept(topk);
+      ASSERT_EQ(kept.size(), std::min(k, n));
+      for (std::size_t r = 0; r < kept.size(); ++r) {
+        ASSERT_TRUE(kept[r].SamePair(sorted[r])) << "rank " << r;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(kept[r].weight),
+                  std::bit_cast<std::uint64_t>(sorted[r].weight));
+      }
+    }
+  }
+}
+
+TEST(TopKBufferTest, KeepsACandidateThatTiesTheFloorWithSmallerIds) {
+  TopKBuffer topk;
+  topk.Reset(2);
+  topk.Push(Comparison(0, 10, 1.0));
+  topk.Push(Comparison(0, 11, 0.5));
+  topk.Push(Comparison(0, 12, 0.5));
+  topk.Push(Comparison(0, 13, 0.5));  // 2k stored: cut, floor (0, 11, 0.5)
+  topk.Push(Comparison(0, 12, 0.5));  // the floor's weight, larger ids
+  topk.Push(Comparison(0, 5, 0.5));   // the floor's weight, smaller ids
+  const std::vector<Comparison> kept = Kept(topk);
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_TRUE(kept[0].SamePair(Comparison(0, 10, 1.0)));
+  EXPECT_TRUE(kept[1].SamePair(Comparison(0, 5, 0.5)));
+}
+
+// ---------------------------------------------------------- ComparisonKey
+
+TEST(ComparisonKeyTest, OrdersLikeByWeightDescAndDecodesBitForBit) {
+  // Heavily tied weights at the edges of Finalize's domain: +0.0, the
+  // smallest subnormal and normal, neighbors of 1.0, the largest finite.
+  const double weights[] = {0.0,
+                            std::numeric_limits<double>::denorm_min(),
+                            2 * std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::min(),
+                            std::nextafter(1.0, 0.0),
+                            1.0,
+                            std::nextafter(1.0, 2.0),
+                            1e308,
+                            std::numeric_limits<double>::max()};
+  const ProfileId ids[] = {0, 1, 2, 1u << 31, kInvalidProfile - 2,
+                           kInvalidProfile - 1};
+  std::mt19937_64 rng(11);
+  const auto random_comparison = [&] {
+    const ProfileId a = ids[rng() % std::size(ids)];
+    const ProfileId b = ids[rng() % std::size(ids)];
+    return Comparison(a, b, weights[rng() % std::size(weights)]);
+  };
+  const auto same_bits = [](const Comparison& a, const Comparison& b) {
+    return a.i == b.i && a.j == b.j &&
+           std::bit_cast<std::uint64_t>(a.weight) ==
+               std::bit_cast<std::uint64_t>(b.weight);
+  };
+  for (int t = 0; t < 20000; ++t) {
+    const Comparison a = random_comparison();
+    const Comparison b = random_comparison();
+    const ComparisonKey ka = ComparisonKey::Of(a);
+    const ComparisonKey kb = ComparisonKey::Of(b);
+    ASSERT_EQ(ByWeightDesc()(a, b), ka > kb)
+        << "(" << a.i << "," << a.j << "," << a.weight << ") vs (" << b.i
+        << "," << b.j << "," << b.weight << ")";
+    ASSERT_EQ(ByWeightDesc()(b, a), ka < kb);
+    ASSERT_TRUE(same_bits(ka.Decode(), a));
+  }
 }
 
 // ------------------------------------------------------------------- PSN
