@@ -1,6 +1,8 @@
 #ifndef SPER_ENGINE_ENGINE_H_
 #define SPER_ENGINE_ENGINE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -8,6 +10,7 @@
 #include <vector>
 
 #include "core/comparison.h"
+#include "core/macros.h"
 #include "core/status.h"
 #include "parallel/cancel.h"
 #include "progressive/emitter.h"
@@ -18,9 +21,10 @@
 /// comes next — is a `ProgressiveEmitter` plus the serving contract the
 /// `Resolver` builds on: a pay-as-you-go budget, an emission counter,
 /// unified initialization diagnostics, and the robustness contract —
-/// cancellable pulls (Pull), sticky failure containment (status), and
-/// graceful teardown (Drain). `BudgetedEngine` implements that contract
-/// once, so concrete engines only provide the unbudgeted stream.
+/// cancellable pulls (Pull, and PullMany in bulk), sticky failure
+/// containment (status), and graceful teardown (Drain). `BudgetedEngine`
+/// implements that contract once, so concrete engines only provide the
+/// unbudgeted stream.
 
 namespace sper {
 
@@ -69,10 +73,10 @@ enum class PullStatus {
 /// from ProgressiveEmitter) plus budget accounting, init diagnostics, and
 /// the robustness contract (cancellable pulls, sticky status, drain).
 ///
-/// Engines are NOT thread-safe: one consumer drains Next()/Pull() at a
-/// time (`Resolver::Serve` serializes concurrent requests on top of
-/// this). Drain() must likewise be externally serialized against pulls —
-/// the Resolver does so via its admission queue.
+/// Engines are NOT thread-safe: one consumer drains Next()/Pull()/
+/// PullMany() at a time (`Resolver::Serve` serializes concurrent requests
+/// on top of this). Drain() must likewise be externally serialized
+/// against pulls — the Resolver does so via its admission queue.
 class Engine : public ProgressiveEmitter {
  public:
   /// Comparisons emitted so far.
@@ -94,6 +98,16 @@ class Engine : public ProgressiveEmitter {
   /// strict superset of Next().
   virtual PullStatus Pull(Comparison& out, const CancelToken& token) = 0;
 
+  /// The bulk pull: appends the next comparisons of the stream to `out`,
+  /// at most `max` (> 0) of them, under Pull's contract. kOk when it
+  /// appended at least one; otherwise exactly what Pull would have
+  /// returned. One call copies at most the rest of one refill batch or
+  /// pipeline slot group, or else checks `token` every 16 comparisons, so
+  /// a caller that checks its token between calls overruns a deadline by
+  /// at most one such step.
+  virtual PullStatus PullMany(std::vector<Comparison>& out, std::size_t max,
+                              const CancelToken& token) = 0;
+
   /// Why the engine is poisoned; ok() while healthy. Sticky: once a
   /// producer failure is contained here, every later Pull returns kError
   /// with this same status.
@@ -106,9 +120,10 @@ class Engine : public ProgressiveEmitter {
 };
 
 /// Implements the budget and stats accounting of the Engine contract once:
-/// Pull() charges the budget, counts emissions, and short-circuits the
-/// poisoned and drained states; concrete engines only implement
-/// PullUnbudgeted(). Derived constructors fill `stats_` and set `budget_`
+/// Pull() and PullMany() charge the budget, count emissions, and
+/// short-circuit the poisoned and drained states; concrete engines only
+/// implement PullUnbudgeted(), and PullManyUnbudgeted() where they hold
+/// whole batches. Derived constructors fill `stats_` and set `budget_`
 /// (0 = unlimited).
 class BudgetedEngine : public Engine {
  public:
@@ -128,6 +143,19 @@ class BudgetedEngine : public Engine {
     return pulled;
   }
 
+  PullStatus PullMany(std::vector<Comparison>& out, std::size_t max,
+                      const CancelToken& token) final {
+    SPER_DCHECK(max > 0);
+    if (!status_.ok()) return PullStatus::kError;
+    if (drained_ || BudgetExhausted()) return PullStatus::kExhausted;
+    // Capped at the budget left, so the budget still stops exactly.
+    if (budget_ != 0) max = std::min<std::uint64_t>(max, budget_ - emitted_);
+    const std::size_t before = out.size();
+    const PullStatus pulled = PullManyUnbudgeted(out, max, token);
+    emitted_ += out.size() - before;
+    return pulled;
+  }
+
   std::uint64_t emitted() const final { return emitted_; }
 
   bool BudgetExhausted() const final {
@@ -144,6 +172,26 @@ class BudgetedEngine : public Engine {
   /// contain failures by setting `status_` and returning kError.
   virtual PullStatus PullUnbudgeted(Comparison& out,
                                     const CancelToken& token) = 0;
+
+  /// Up to `max` next comparisons of the underlying stream appended to
+  /// `out`, ignoring the budget; returns as PullMany. This default takes
+  /// one PullUnbudgeted at a time, for streams without whole batches to
+  /// copy (the k-way merge, the sort-based methods). Those may serve many
+  /// pulls between their own token checks, so it checks `token` every 16.
+  virtual PullStatus PullManyUnbudgeted(std::vector<Comparison>& out,
+                                        std::size_t max,
+                                        const CancelToken& token) {
+    for (std::size_t n = 0; n < max; ++n) {
+      if (n > 0 && n % 16 == 0 && token.valid() && token.cancelled()) break;
+      Comparison next;
+      const PullStatus pulled = PullUnbudgeted(next, token);
+      if (pulled != PullStatus::kOk) {
+        return n == 0 ? pulled : PullStatus::kOk;
+      }
+      out.push_back(next);
+    }
+    return PullStatus::kOk;
+  }
 
   /// Filled by the derived constructor (the initialization phase).
   InitStats stats_;

@@ -267,8 +267,7 @@ void ProgressiveEngine::Refill(std::size_t worker, std::size_t index,
   batch_source_->AppendRefill(index, *scratch_[worker], out);
 }
 
-PullStatus ProgressiveEngine::PipelinedPull(Comparison& out,
-                                            const CancelToken& token) {
+PullStatus ProgressiveEngine::PipelinedBatch(const CancelToken& token) {
   // front_ caches the slot being drained so the ring (and its mutex) is
   // only touched once per group, not once per comparison.
   while (front_ == nullptr || front_->Empty()) {
@@ -293,32 +292,41 @@ PullStatus ProgressiveEngine::PipelinedPull(Comparison& out,
       return PullStatus::kExhausted;
     }
   }
-  out = front_->PopFirst();
   return PullStatus::kOk;
 }
 
-PullStatus ProgressiveEngine::SerialPull(Comparison& out,
-                                         const CancelToken& token) {
-  if (batch_source_ != nullptr) {
-    // A refill is the unit of work a token can skip without corrupting
-    // the stream, so the token is checked once per refill.
-    while (serial_batch_.Empty()) {
-      if (token.valid() && token.cancelled()) return PullStatus::kCancelled;
-      if (next_refill_ == batch_source_->num_refills()) {
-        return PullStatus::kExhausted;
-      }
-      serial_batch_.Clear();
-      try {
-        Refill(0, next_refill_, serial_batch_);
-      } catch (...) {
-        return Poison(next_refill_, std::current_exception());
-      }
-      ++next_refill_;
+PullStatus ProgressiveEngine::SerialBatch(const CancelToken& token) {
+  // A refill is the unit of work a token can skip without corrupting the
+  // stream, so the token is checked once per refill.
+  while (serial_batch_.Empty()) {
+    if (token.valid() && token.cancelled()) return PullStatus::kCancelled;
+    if (next_refill_ == batch_source_->num_refills()) {
+      return PullStatus::kExhausted;
     }
-    out = serial_batch_.PopFirst();
-    return PullStatus::kOk;
+    serial_batch_.Clear();
+    try {
+      Refill(0, next_refill_, serial_batch_);
+    } catch (...) {
+      return Poison(next_refill_, std::current_exception());
+    }
+    ++next_refill_;
   }
-  // Sort-based methods: every Next() is one bounded unit of work.
+  return PullStatus::kOk;
+}
+
+PullStatus ProgressiveEngine::NextBatch(const CancelToken& token,
+                                        ComparisonList*& batch) {
+  if (pipeline_ == nullptr) {
+    batch = &serial_batch_;
+    return SerialBatch(token);
+  }
+  const PullStatus reached = PipelinedBatch(token);
+  batch = front_;
+  return reached;
+}
+
+PullStatus ProgressiveEngine::SortedPull(Comparison& out,
+                                         const CancelToken& token) {
   if (token.valid() && token.cancelled()) return PullStatus::kCancelled;
   try {
     std::optional<Comparison> next = inner_->Next();
@@ -332,8 +340,23 @@ PullStatus ProgressiveEngine::SerialPull(Comparison& out,
 
 PullStatus ProgressiveEngine::PullUnbudgeted(Comparison& out,
                                              const CancelToken& token) {
-  return pipeline_ != nullptr ? PipelinedPull(out, token)
-                              : SerialPull(out, token);
+  if (batch_source_ == nullptr) return SortedPull(out, token);
+  ComparisonList* batch = nullptr;
+  const PullStatus reached = NextBatch(token, batch);
+  if (reached == PullStatus::kOk) out = batch->PopFirst();
+  return reached;
+}
+
+PullStatus ProgressiveEngine::PullManyUnbudgeted(std::vector<Comparison>& out,
+                                                 std::size_t max,
+                                                 const CancelToken& token) {
+  if (batch_source_ == nullptr) {
+    return BudgetedEngine::PullManyUnbudgeted(out, max, token);
+  }
+  ComparisonList* batch = nullptr;
+  const PullStatus reached = NextBatch(token, batch);
+  if (reached == PullStatus::kOk) batch->PopInto(out, max);
+  return reached;
 }
 
 void ProgressiveEngine::Drain() {

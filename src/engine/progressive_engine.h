@@ -25,12 +25,13 @@
 ///
 /// Emission of the batch-refilling methods (PBS, PPS) runs on one of two
 /// paths with the same output. The serial reference path computes each
-/// refill inline in Pull(). The emission pipeline
-/// (parallel/emission_pipeline.h) runs refill workers ahead of Pull(),
-/// which pops from completed slots: `num_threads` workers on a plain
-/// engine with num_threads > 1, started by the first pull, or one worker
-/// per shard of a ShardedEngine with lookahead > 0. The sort-based methods
-/// always emit serially.
+/// refill inline in the pull that reaches it. The emission pipeline
+/// (parallel/emission_pipeline.h) runs refill workers ahead of the pulls,
+/// which read completed slots: `num_threads` workers on a plain engine
+/// with num_threads > 1, started by the first pull, or one worker per
+/// shard of a ShardedEngine with lookahead > 0. Either way PullMany()
+/// copies the rest of the batch or slot group at hand in one insert. The
+/// sort-based methods always emit serially, one Next() at a time.
 
 namespace sper {
 
@@ -74,14 +75,27 @@ class ProgressiveEngine : public BudgetedEngine {
   PullStatus PullUnbudgeted(Comparison& out,
                             const CancelToken& token) override;
 
-  /// Pops the next comparison off the pipeline's completed slots,
-  /// starting the refill workers on the first call.
-  PullStatus PipelinedPull(Comparison& out, const CancelToken& token);
+  /// The rest of the current refill batch or slot group, up to `max`, in
+  /// one copy; the sort-based methods take the default one-at-a-time loop.
+  PullStatus PullManyUnbudgeted(std::vector<Comparison>& out,
+                                std::size_t max,
+                                const CancelToken& token) override;
 
-  /// The inline reference path: the batch methods refill one index at a
-  /// time, so the token check, fault seam and failure containment sit at
-  /// the true refill boundary; sort-based methods pull Next().
-  PullStatus SerialPull(Comparison& out, const CancelToken& token);
+  /// Points `batch` at a non-empty batch of the batch methods' stream:
+  /// the pipeline's front slot or the serial path's refill batch.
+  PullStatus NextBatch(const CancelToken& token, ComparisonList*& batch);
+
+  /// Reaches the next non-empty group of the pipeline's completed slots,
+  /// starting the refill workers on the first call.
+  PullStatus PipelinedBatch(const CancelToken& token);
+
+  /// The inline reference path: refills one index at a time, so the
+  /// token check, fault seam and failure containment sit at the true
+  /// refill boundary.
+  PullStatus SerialBatch(const CancelToken& token);
+
+  /// The sort-based methods: every Next() is one bounded unit of work.
+  PullStatus SortedPull(Comparison& out, const CancelToken& token);
 
   /// Refill batch `index` appended to `out` on `worker`'s scratch, behind
   /// the refill fault seam — the one refill step of both paths.
@@ -109,7 +123,7 @@ class ProgressiveEngine : public BudgetedEngine {
   // Members are destroyed in reverse declaration order: the pipeline must
   // join its workers before the scratch and inner_ they use go away.
   std::unique_ptr<EmissionPipeline<ComparisonList>> pipeline_;
-  /// The slot Pull() is draining (owned by the pipeline); caching it
+  /// The slot the pulls are draining (owned by the pipeline); caching it
   /// keeps ring synchronization off the per-comparison path.
   ComparisonList* front_ = nullptr;
   /// The serial path's current refill batch; persists across cancelled

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -251,21 +252,21 @@ ResolveResult Resolver::Serve(const ResolveRequest& request) {
     }
   };
 
-  std::uint64_t tick = 0;
   while (result.comparisons.size() < want) {
-    // The engine checks the token at its own batch boundaries, but a warm
-    // pipeline can serve thousands of pulls without hitting one — this
-    // stride check bounds how far past its deadline a request can run.
-    if (token.valid() && (tick++ & 15) == 0 && token.cancelled()) {
+    // The engine checks the token only where it refills or waits, and a
+    // warm pipeline hands out ready groups without doing either. One bulk
+    // pull copies at most one refill batch or slot group, so checking
+    // before each bounds how far past its deadline a request can run.
+    if (token.valid() && token.cancelled()) {
       record_cut();
       break;
     }
-    Comparison next;
-    const PullStatus pulled = engine_->Pull(next, token);
-    if (pulled == PullStatus::kOk) {
-      result.comparisons.push_back(next);
-      continue;
-    }
+    const std::uint64_t left = want - result.comparisons.size();
+    const PullStatus pulled = engine_->PullMany(
+        result.comparisons,
+        static_cast<std::size_t>(std::min<std::uint64_t>(left, SIZE_MAX)),
+        token);
+    if (pulled == PullStatus::kOk) continue;
     if (pulled == PullStatus::kExhausted) {
       // Exhaustion is either the global budget running out mid-slice or
       // the method running dry; tell the caller which.

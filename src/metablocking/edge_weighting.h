@@ -66,7 +66,9 @@ class EdgeWeighter {
   double Weight(ProfileId i, ProfileId j) const;
 
   /// The contribution one shared block adds to the running accumulator
-  /// (ARCS: 1/||b||; every other scheme: 1). Defined here so the PPS and
+  /// (ARCS: 1/||b||; every other scheme: 1). Never negative: PPS's refill
+  /// gather marks checked profiles with -infinity and relies on a share
+  /// leaving that mark unchanged. Defined here so the PPS and
   /// meta-blocking gather loops inline it once per block.
   double BlockContribution(BlockId b) const {
     if (scheme_ == WeightingScheme::kArcs) {

@@ -1,6 +1,6 @@
 #include "net/wire.h"
 
-#include <cstring>
+#include <bit>
 
 namespace sper {
 namespace net {
@@ -34,22 +34,58 @@ inline constexpr std::uint8_t kMaxStatusCodeByte = 6;
 inline constexpr std::uint8_t kFlagStreamExhausted = 1u << 0;
 inline constexpr std::uint8_t kFlagBudgetExhausted = 1u << 1;
 
-/// Builds the final frame from a payload: length prefix + payload.
-std::string FinishFrame(std::string payload) {
-  SPER_CHECK(payload.size() <= kMaxFramePayload);
-  std::string frame;
-  frame.reserve(4 + payload.size());
-  PutU32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame += payload;
-  return frame;
+/// Every frame's payload starts with the version and type bytes.
+inline constexpr std::size_t kPayloadHeaderBytes = 2;
+/// A ResolveResult body without its status message and comparisons:
+/// ticket, outcome, flags, status code, msg_len, retry_after_ms, count.
+inline constexpr std::size_t kResultFixedBytes = 8 + 1 + 1 + 1 + 4 + 8 + 4;
+/// A ResolveRequest body: budget, max_batch, deadline_ms, client_id,
+/// priority.
+inline constexpr std::size_t kRequestBodyBytes = 8 + 8 + 8 + 8 + 1;
+/// One comparison on the wire: u32 i, u32 j, u64 weight bits.
+inline constexpr std::size_t kComparisonBytes = 16;
+
+/// Explicit little-endian stores and loads through a byte pointer: the
+/// one place the wire's byte order is written down.
+void StoreU32(char* at, std::uint32_t v) {
+  for (int k = 0; k < 4; ++k) at[k] = static_cast<char>(v >> (8 * k));
 }
 
-/// Starts a payload: version + type.
-std::string StartPayload(FrameType type) {
-  std::string payload;
-  PutU8(payload, kWireVersion);
-  PutU8(payload, static_cast<std::uint8_t>(type));
-  return payload;
+void StoreU64(char* at, std::uint64_t v) {
+  for (int k = 0; k < 8; ++k) at[k] = static_cast<char>(v >> (8 * k));
+}
+
+std::uint32_t LoadU32(const char* at) {
+  std::uint32_t v = 0;
+  for (int k = 0; k < 4; ++k) {
+    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(at[k]))
+         << (8 * k);
+  }
+  return v;
+}
+
+std::uint64_t LoadU64(const char* at) {
+  std::uint64_t v = 0;
+  for (int k = 0; k < 8; ++k) {
+    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(at[k]))
+         << (8 * k);
+  }
+  return v;
+}
+
+/// Starts a frame whose body will hold `body_bytes`: reserves the whole
+/// frame once and writes the length prefix, version and type, so the
+/// body is appended in place and never copied. The encoder must append
+/// exactly `body_bytes`.
+std::string StartFrame(FrameType type, std::size_t body_bytes) {
+  const std::size_t payload_bytes = kPayloadHeaderBytes + body_bytes;
+  SPER_CHECK(payload_bytes <= kMaxFramePayload);
+  std::string frame;
+  frame.reserve(4 + payload_bytes);
+  PutU32(frame, static_cast<std::uint32_t>(payload_bytes));
+  PutU8(frame, kWireVersion);
+  PutU8(frame, static_cast<std::uint8_t>(type));
+  return frame;
 }
 
 Status Malformed(const std::string& what) {
@@ -63,22 +99,15 @@ void PutU8(std::string& out, std::uint8_t v) {
 }
 
 void PutU32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xffu));
-  }
+  char bytes[4];
+  StoreU32(bytes, v);
+  out.append(bytes, sizeof(bytes));
 }
 
 void PutU64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xffu));
-  }
-}
-
-void PutF64(std::string& out, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
+  char bytes[8];
+  StoreU64(bytes, v);
+  out.append(bytes, sizeof(bytes));
 }
 
 bool WireReader::ReadU8(std::uint8_t& v) {
@@ -89,81 +118,83 @@ bool WireReader::ReadU8(std::uint8_t& v) {
 
 bool WireReader::ReadU32(std::uint32_t& v) {
   if (remaining() < 4) return false;
-  v = 0;
-  for (int shift = 0; shift < 32; shift += 8) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<std::uint8_t>(data_[cursor_++]))
-         << shift;
-  }
+  v = LoadU32(data_.data() + cursor_);
+  cursor_ += 4;
   return true;
 }
 
 bool WireReader::ReadU64(std::uint64_t& v) {
   if (remaining() < 8) return false;
-  v = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<std::uint8_t>(data_[cursor_++]))
-         << shift;
-  }
-  return true;
-}
-
-bool WireReader::ReadF64(double& v) {
-  std::uint64_t bits = 0;
-  if (!ReadU64(bits)) return false;
-  std::memcpy(&v, &bits, sizeof(v));
+  v = LoadU64(data_.data() + cursor_);
+  cursor_ += 8;
   return true;
 }
 
 bool WireReader::ReadBytes(std::size_t n, std::string& v) {
+  std::string_view view;
+  if (!ReadView(n, view)) return false;
+  v.assign(view);
+  return true;
+}
+
+bool WireReader::ReadView(std::size_t n, std::string_view& v) {
   if (remaining() < n) return false;
-  v.assign(data_.substr(cursor_, n));
+  v = data_.substr(cursor_, n);
   cursor_ += n;
   return true;
 }
 
 std::string EncodeResolveRequestFrame(const ResolveRequest& request) {
-  std::string payload = StartPayload(FrameType::kResolveRequest);
-  PutU64(payload, request.budget);
-  PutU64(payload, request.max_batch);
-  PutU64(payload, request.deadline_ms);
-  PutU64(payload, request.client_id);
-  PutU8(payload, static_cast<std::uint8_t>(request.priority));
-  return FinishFrame(std::move(payload));
+  std::string frame = StartFrame(FrameType::kResolveRequest, kRequestBodyBytes);
+  PutU64(frame, request.budget);
+  PutU64(frame, request.max_batch);
+  PutU64(frame, request.deadline_ms);
+  PutU64(frame, request.client_id);
+  PutU8(frame, static_cast<std::uint8_t>(request.priority));
+  return frame;
 }
 
 std::string EncodeResolveResultFrame(const ResolveResult& result) {
-  std::string payload = StartPayload(FrameType::kResolveResult);
-  PutU64(payload, result.ticket);
-  PutU8(payload, static_cast<std::uint8_t>(result.outcome));
+  const std::string& message = result.status.message();
+  const std::size_t count = result.comparisons.size();
+  std::string frame =
+      StartFrame(FrameType::kResolveResult,
+                 kResultFixedBytes + message.size() + count * kComparisonBytes);
+  PutU64(frame, result.ticket);
+  PutU8(frame, static_cast<std::uint8_t>(result.outcome));
   std::uint8_t flags = 0;
   if (result.stream_exhausted) flags |= kFlagStreamExhausted;
   if (result.budget_exhausted) flags |= kFlagBudgetExhausted;
-  PutU8(payload, flags);
-  PutU8(payload, static_cast<std::uint8_t>(result.status.code()));
-  const std::string& message = result.status.message();
-  PutU32(payload, static_cast<std::uint32_t>(message.size()));
-  payload += message;
-  PutU64(payload, result.retry_after_ms);
-  PutU32(payload, static_cast<std::uint32_t>(result.comparisons.size()));
+  PutU8(frame, flags);
+  PutU8(frame, static_cast<std::uint8_t>(result.status.code()));
+  PutU32(frame, static_cast<std::uint32_t>(message.size()));
+  frame += message;
+  PutU64(frame, result.retry_after_ms);
+  PutU32(frame, static_cast<std::uint32_t>(count));
+  // The comparison array, the bulk of a frame, is written in place: one
+  // resize (within the reservation), then fixed-offset byte stores.
+  const std::size_t array_at = frame.size();
+  frame.resize(array_at + count * kComparisonBytes);
+  char* at = frame.data() + array_at;
   for (const Comparison& c : result.comparisons) {
-    PutU32(payload, c.i);
-    PutU32(payload, c.j);
-    PutF64(payload, c.weight);
+    StoreU32(at, c.i);
+    StoreU32(at + 4, c.j);
+    StoreU64(at + 8, std::bit_cast<std::uint64_t>(c.weight));
+    at += kComparisonBytes;
   }
-  return FinishFrame(std::move(payload));
+  return frame;
 }
 
 std::string EncodeMetricsRequestFrame() {
-  return FinishFrame(StartPayload(FrameType::kMetricsRequest));
+  return StartFrame(FrameType::kMetricsRequest, 0);
 }
 
 std::string EncodeMetricsResultFrame(std::string_view snapshot_json) {
-  std::string payload = StartPayload(FrameType::kMetricsResult);
-  PutU32(payload, static_cast<std::uint32_t>(snapshot_json.size()));
-  payload += snapshot_json;
-  return FinishFrame(std::move(payload));
+  std::string frame =
+      StartFrame(FrameType::kMetricsResult, 4 + snapshot_json.size());
+  PutU32(frame, static_cast<std::uint32_t>(snapshot_json.size()));
+  frame += snapshot_json;
+  return frame;
 }
 
 Result<FrameType> DecodeFrameHeader(std::string_view payload) {
@@ -251,7 +282,8 @@ Result<ResolveResult> DecodeResolveResult(std::string_view payload) {
   if (!reader.ReadU64(result.retry_after_ms) || !reader.ReadU32(count)) {
     return Malformed("truncated resolve-result trailer");
   }
-  if (reader.remaining() != static_cast<std::size_t>(count) * 16) {
+  if (reader.remaining() !=
+      static_cast<std::size_t>(count) * kComparisonBytes) {
     return Malformed("comparison count disagrees with the payload size");
   }
   result.outcome = static_cast<ResolveOutcome>(outcome);
@@ -259,14 +291,17 @@ Result<ResolveResult> DecodeResolveResult(std::string_view payload) {
   result.budget_exhausted = (flags & kFlagBudgetExhausted) != 0;
   result.status =
       Status::FromCode(static_cast<StatusCode>(status_code), std::move(message));
-  result.comparisons.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    Comparison c;
-    if (!reader.ReadU32(c.i) || !reader.ReadU32(c.j) ||
-        !reader.ReadF64(c.weight)) {
-      return Malformed("truncated comparison list");
-    }
-    result.comparisons.push_back(c);
+  // The size check above is the array's only bounds check: read it
+  // through a pointer, one comparison per kComparisonBytes.
+  std::string_view array;
+  reader.ReadView(reader.remaining(), array);
+  result.comparisons.resize(count);
+  const char* at = array.data();
+  for (Comparison& c : result.comparisons) {
+    c.i = LoadU32(at);
+    c.j = LoadU32(at + 4);
+    c.weight = std::bit_cast<double>(LoadU64(at + 8));
+    at += kComparisonBytes;
   }
   return result;
 }
@@ -299,10 +334,7 @@ void StreamDigest::Fold(const Comparison& c) {
   };
   mix(c.i);
   mix(c.j);
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(c.weight));
-  std::memcpy(&bits, &c.weight, sizeof(bits));
-  mix(bits);
+  mix(std::bit_cast<std::uint64_t>(c.weight));
   ++count;
 }
 

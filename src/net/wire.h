@@ -19,13 +19,19 @@
 ///   u32 payload_len (little-endian) | payload
 ///   payload := u8 version (= kWireVersion) | u8 frame type | body
 ///
-/// Every multi-byte integer is explicit little-endian — encoded and
-/// decoded byte by byte, never by memcpy of a host integer — so the
-/// format is identical on every architecture. Doubles travel as the
+/// Every multi-byte integer is explicit little-endian — stored and
+/// loaded as shifted single bytes, never by memcpy of a host integer — so
+/// the format is identical on every architecture. Doubles travel as the
 /// little-endian bytes of their IEEE-754 bit pattern, so a weight that
 /// crossed the wire compares bit-identical to the in-process stream (the
 /// digest checks in tests/net_test.cc and bench_server_loopback rely on
 /// this, including NaN payloads).
+///
+/// Every frame is sized before it is written: one allocation holds the
+/// length prefix and the payload, which is never copied again. The
+/// comparison array of a ResolveResult, the bulk of the bytes, is written
+/// and read through a pointer at fixed 16-byte strides; the decoder
+/// bounds-checks it once, as `count * 16` against the bytes left.
 ///
 /// Decoding is exhaustive-validating: unknown version/type/enum bytes,
 /// truncated bodies, length fields pointing past the payload, and
@@ -69,8 +75,6 @@ enum class FrameType : std::uint8_t {
 void PutU8(std::string& out, std::uint8_t v);
 void PutU32(std::string& out, std::uint32_t v);
 void PutU64(std::string& out, std::uint64_t v);
-/// The IEEE-754 bit pattern of `v`, little-endian.
-void PutF64(std::string& out, double v);
 
 /// Cursor-based reader over one payload. Every Read* returns false on
 /// underrun and leaves the cursor unspecified; callers bail out on first
@@ -82,9 +86,10 @@ class WireReader {
   bool ReadU8(std::uint8_t& v);
   bool ReadU32(std::uint32_t& v);
   bool ReadU64(std::uint64_t& v);
-  bool ReadF64(double& v);
   /// Reads `n` raw bytes into `v`.
   bool ReadBytes(std::size_t n, std::string& v);
+  /// Points `v` at the next `n` raw bytes, without copying them.
+  bool ReadView(std::size_t n, std::string_view& v);
 
   /// Bytes not yet consumed (0 after a complete, exact decode).
   std::size_t remaining() const { return data_.size() - cursor_; }

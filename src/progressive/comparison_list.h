@@ -45,6 +45,15 @@ class ComparisonList {
   /// Pops the highest-weighted remaining comparison.
   Comparison PopFirst() { return items_[cursor_++]; }
 
+  /// Pops up to `max` of the highest-weighted remaining comparisons in
+  /// one copy, appending them to `out` in order.
+  void PopInto(std::vector<Comparison>& out, std::size_t max) {
+    const auto first = items_.begin() + static_cast<std::ptrdiff_t>(cursor_);
+    const std::size_t n = std::min(max, remaining());
+    out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(n));
+    cursor_ += n;
+  }
+
   /// Drops all content (start of a refill). Capacity is retained, so a
   /// reused list (pipeline ring slots) stops allocating once warm.
   void Clear() {

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "core/macros.h"
 #include "metablocking/neighborhood.h"
 #include "parallel/parallel_for.h"
 #include "progressive/top_k.h"
@@ -20,26 +24,33 @@ struct NodeInit {
   bool has_neighbors = false;
 };
 
+/// A checked profile's accumulator entry: adding a block share (>= 0)
+/// leaves it unchanged, and it never reads as a first touch (== 0.0).
+constexpr double kChecked = -std::numeric_limits<double>::infinity();
+
 }  // namespace
 
 /// One worker's Algorithm 6 state: the sparse neighborhood accumulator
-/// (weights[] and its touched list), the reusable SortedStack, and
-/// checkedEntities for the Sorted Profile List prefix up to `ranked`.
-/// Sized in full here, so a refill never allocates.
+/// (weights[] and its touched list), which also holds checkedEntities for
+/// the Sorted Profile List prefix up to `ranked`, and the reusable
+/// SortedStack. Sized in full here, so a refill never allocates.
 struct PpsEmitter::RefillScratch final : BatchSource::Scratch {
   RefillScratch(std::size_t num_profiles, std::size_t kmax)
-      : weights(num_profiles, 0.0), checked(num_profiles, false) {
-    touched.reserve(num_profiles);
+      : weights(num_profiles, 0.0),
+        // Not zero-filled: a refill writes only the pages it reaches.
+        touched(std::make_unique_for_overwrite<ProfileId[]>(num_profiles)) {
     // The SortedStack holds at most 2 * kmax pending comparisons, and
     // never more than a profile has neighbors.
     topk.Reserve(2 * std::min(kmax, num_profiles / 2));
   }
 
+  /// kChecked for a profile ranked before `ranked`; otherwise its running
+  /// weight in the refill under way, 0 until touched.
   std::vector<double> weights;
-  std::vector<ProfileId> touched;
+  /// The refill's unchecked neighbours in first-touch order. |P| entries:
+  /// a refill has at most |P| - 1 unchecked neighbours.
+  std::unique_ptr<ProfileId[]> touched;
   TopKBuffer topk;
-  /// checked[j] <=> profile j's Sorted Profile List rank is < ranked.
-  std::vector<bool> checked;
   std::size_t ranked = 0;
 };
 
@@ -162,37 +173,47 @@ void PpsEmitter::AppendRefill(std::size_t index, Scratch& scratch,
   const std::size_t rank = index - 1;
   const ProfileId i = sorted_profiles_[rank].first;
   // checkedEntities (Algorithm 6) at this rank: exactly the profiles
-  // ranked at or before it — the ones a serial run has processed by now.
-  // A worker walks the list forward, so marking the prefix is amortized
-  // O(1) per refill; a step back re-marks from the start.
+  // ranked at or before it — the ones a serial run has processed by now —
+  // marked kChecked in the accumulator. A worker walks the list forward,
+  // so marking the prefix is amortized O(1) per refill; a step back
+  // clears the accumulator and re-marks from the start.
   if (s.ranked > rank + 1) {
-    std::fill(s.checked.begin(), s.checked.end(), false);
+    std::fill(s.weights.begin(), s.weights.end(), 0.0);
     s.ranked = 0;
   }
-  while (s.ranked <= rank) s.checked[sorted_profiles_[s.ranked++].first] = true;
+  while (s.ranked <= rank) {
+    s.weights[sorted_profiles_[s.ranked++].first] = kChecked;
+  }
 
   // Gather unchecked comparable neighbors (Algorithm 6 lines 9-14): a
   // neighbor that was processed earlier had higher duplication likelihood,
   // and its Kmax best comparisons already covered this pair with more
-  // reliable evidence. Partition-aware like the init pass; i itself is
+  // reliable evidence. A checked neighbor's kChecked entry absorbs the
+  // share and is never a first touch, so the loop has no checked branch;
+  // each first touch is appended unconditionally and kept by advancing
+  // `touched_count`. Partition-aware like the init pass; i itself is
   // checked, so the Dirty scan needs no separate j != i test.
+  double* const weights = s.weights.data();
+  ProfileId* const touched = s.touched.get();
+  std::size_t touched_count = 0;
+  const auto gather = [&](std::span<const ProfileId> neighbors,
+                          double share) {
+    SPER_DCHECK(share >= 0.0);
+    for (ProfileId j : neighbors) {
+      SPER_DCHECK(touched_count < store_.size());
+      const double w = weights[j];
+      touched[touched_count] = j;
+      touched_count += w == 0.0;
+      weights[j] = w + share;
+    }
+  };
   if (blocks_.er_type() == ErType::kCleanClean) {
     for (BlockId b : index_.BlocksOf(i)) {
-      const double share = weighter_.BlockContribution(b);
-      for (ProfileId j : blocks_.OppositeSource(b, i)) {
-        if (s.checked[j]) continue;
-        if (s.weights[j] == 0.0) s.touched.push_back(j);
-        s.weights[j] += share;
-      }
+      gather(blocks_.OppositeSource(b, i), weighter_.BlockContribution(b));
     }
   } else {
     for (BlockId b : index_.BlocksOf(i)) {
-      const double share = weighter_.BlockContribution(b);
-      for (ProfileId j : blocks_.members(b)) {
-        if (s.checked[j]) continue;
-        if (s.weights[j] == 0.0) s.touched.push_back(j);
-        s.weights[j] += share;
-      }
+      gather(blocks_.members(b), weighter_.BlockContribution(b));
     }
   }
 
@@ -202,12 +223,12 @@ void PpsEmitter::AppendRefill(std::size_t index, Scratch& scratch,
   // and appends them best first (ByWeightDesc is total, so the result is
   // bit-identical to the min-heap reference).
   s.topk.Reset(options_.kmax);
-  for (ProfileId j : s.touched) {
-    const double w = weighter_.Finalize(i, j, s.weights[j]);
+  for (std::size_t t = 0; t < touched_count; ++t) {
+    const ProfileId j = touched[t];
+    const double w = weighter_.Finalize(i, j, weights[j]);
     s.topk.Push(Comparison(i, j, w));
-    s.weights[j] = 0.0;
+    weights[j] = 0.0;
   }
-  s.touched.clear();
   s.topk.AppendDescending(out);
 }
 

@@ -9,7 +9,9 @@
 // all five weighting schemes, and identical PPS/PBS emission prefixes —
 // for Dirty and Clean-Clean ER at 1/2/4/8 threads. PPS's full emission is
 // also compared with a straight-line Algorithm 6 whose SortedStack is a
-// bounded std::priority_queue, on all seven generators.
+// bounded std::priority_queue, on all seven generators, and every PPS
+// refill batch is shown not to depend on which batches its scratch
+// produced before.
 
 #include <gtest/gtest.h>
 
@@ -20,8 +22,10 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <ostream>
 #include <queue>
+#include <random>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -599,6 +603,71 @@ TEST_P(PpsReferenceTest, PpsEmissionMatchesReferenceBitwise) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k].weight),
                   std::bit_cast<std::uint64_t>(expected[k].weight))
             << "emission " << k;
+      }
+    }
+  }
+}
+
+/// Every refill batch of `pps`, each produced into a list of its own on
+/// `scratch`, in the order `indices` gives; indexed by batch.
+std::vector<std::vector<Comparison>> ProduceBatches(
+    const PpsEmitter& pps, BatchSource::Scratch& scratch,
+    const std::vector<std::size_t>& indices) {
+  std::vector<std::vector<Comparison>> batches(pps.num_refills());
+  for (std::size_t index : indices) {
+    ComparisonList list;
+    pps.AppendRefill(index, scratch, list);
+    while (!list.Empty()) batches[index].push_back(list.PopFirst());
+  }
+  return batches;
+}
+
+TEST_P(PpsReferenceTest, RefillBatchesDoNotDependOnTheScratchHistory) {
+  // BatchSource promises that a batch is a pure function of the built
+  // state and its index. The pipeline's workers only walk forward, so
+  // replay every batch on one scratch in shuffled and in descending
+  // order: each step back must reset what the scratch holds (the checked
+  // prefix and the accumulator) and give the forward walk's batch.
+  DatagenOptions gen;
+  gen.scale = GetParam().scale;
+  Result<DatasetBundle> dataset = GenerateDataset(GetParam().name, gen);
+  ASSERT_TRUE(dataset.ok());
+  const ProfileStore& store = dataset.value().store;
+  const BlockCollection blocks = BuildTokenWorkflowBlocks(store, {});
+  for (WeightingScheme scheme :
+       {WeightingScheme::kArcs, WeightingScheme::kCbs, WeightingScheme::kJs,
+        WeightingScheme::kEcbs, WeightingScheme::kEjs}) {
+    SCOPED_TRACE(std::string("scheme ") + ToString(scheme));
+    PpsOptions options;
+    options.scheme = scheme;
+    const PpsEmitter pps(store, blocks, options);
+    std::vector<std::size_t> forward(pps.num_refills());
+    std::iota(forward.begin(), forward.end(), std::size_t{0});
+    const std::vector<std::vector<Comparison>> expected =
+        ProduceBatches(pps, *pps.NewScratch(), forward);
+
+    std::vector<std::size_t> shuffled = forward;
+    std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(1));
+    const std::vector<std::size_t> descending(forward.rbegin(),
+                                              forward.rend());
+    for (const auto& [order, indices] :
+         {std::pair<const char*, const std::vector<std::size_t>&>{
+              "shuffled", shuffled},
+          std::pair<const char*, const std::vector<std::size_t>&>{
+              "descending", descending}}) {
+      SCOPED_TRACE(order);
+      const std::vector<std::vector<Comparison>> got =
+          ProduceBatches(pps, *pps.NewScratch(), indices);
+      for (std::size_t index = 0; index < expected.size(); ++index) {
+        ASSERT_EQ(got[index].size(), expected[index].size())
+            << "batch " << index;
+        for (std::size_t k = 0; k < expected[index].size(); ++k) {
+          ASSERT_TRUE(got[index][k].SamePair(expected[index][k]))
+              << "batch " << index << ", comparison " << k;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[index][k].weight),
+                    std::bit_cast<std::uint64_t>(expected[index][k].weight))
+              << "batch " << index << ", comparison " << k;
+        }
       }
     }
   }

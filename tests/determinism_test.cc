@@ -18,6 +18,7 @@
 
 #include "datagen/datagen.h"
 #include "engine/progressive_engine.h"
+#include "engine/resolver.h"
 #include "eval/evaluator.h"
 #include "eval/experiment.h"
 #include "progressive/pbs.h"
@@ -120,7 +121,10 @@ TEST(DeterminismTest, DifferentNeighborListSeedsChangeCoincidentalOrder) {
 // at every thread count. Drain PPS and PBS in full on every generator
 // under every weighting scheme at 1, 2, 4 and 8 threads and require exact
 // equality with the 1-thread drain and with a bare emitter's Next() —
-// weights compared bit-for-bit, not approximately.
+// weights compared bit-for-bit, not approximately. Resolver::Serve pulls
+// whole batches, so the stream is also drained through it in slices that
+// straddle refill batches (97) and pipeline slot groups (4096), at one
+// and at four refill workers.
 struct Generator {
   const char* name;
   double scale;  // small enough for a full drain per scheme and count
@@ -142,6 +146,29 @@ void ExpectBitIdentical(const std::vector<Comparison>& expected,
               std::bit_cast<std::uint64_t>(actual[k].weight))
         << "position " << k;
   }
+}
+
+/// Drains `resolver` through Serve in requests of `slice` comparisons.
+/// Every slice but the last is full, and only the last reports the
+/// stream exhausted.
+std::vector<Comparison> ServeInSlices(Resolver& resolver,
+                                      std::uint64_t slice) {
+  std::vector<Comparison> out;
+  for (;;) {
+    ResolveRequest request;
+    request.budget = slice;
+    request.max_batch = slice;
+    ResolveResult result = resolver.Serve(request);
+    EXPECT_EQ(result.outcome, ResolveOutcome::kServed);
+    EXPECT_FALSE(result.budget_exhausted);
+    out.insert(out.end(), result.comparisons.begin(),
+               result.comparisons.end());
+    if (result.stream_exhausted) break;
+    EXPECT_EQ(result.comparisons.size(), slice);
+    if (result.comparisons.size() != slice) break;
+  }
+  EXPECT_EQ(resolver.emitted(), out.size());
+  return out;
 }
 
 TEST_P(ThreadCountInvarianceTest, EveryThreadCountEmitsTheSerialStream) {
@@ -168,6 +195,20 @@ TEST_P(ThreadCountInvarianceTest, EveryThreadCountEmitsTheSerialStream) {
     for (std::size_t num_threads : {2u, 4u, 8u}) {
       SCOPED_TRACE(std::to_string(num_threads) + " threads");
       ExpectBitIdentical(serial, run(num_threads));
+    }
+    for (std::size_t num_threads : {1u, 4u}) {
+      for (std::uint64_t slice : {97u, 4096u}) {
+        SCOPED_TRACE(std::to_string(num_threads) + " threads, Serve in " +
+                     std::to_string(slice) + "s");
+        ResolverOptions options;
+        options.method = method;
+        options.scheme = scheme;
+        options.num_threads = num_threads;
+        Result<std::unique_ptr<Resolver>> resolver =
+            Resolver::Create(store, options);
+        ASSERT_TRUE(resolver.ok()) << resolver.status().ToString();
+        ExpectBitIdentical(serial, ServeInSlices(*resolver.value(), slice));
+      }
     }
 
     BlockCollection blocks = BuildTokenWorkflowBlocks(store, {});
@@ -202,6 +243,75 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(ToString(std::get<0>(info.param))) + "_" +
              std::get<1>(info.param).name;
     });
+
+TEST(DeterminismTest, GlobalBudgetStopsServeExactlyMidBatch) {
+  // A bulk pull is capped at the budget left, so a global budget that
+  // ends inside a refill batch still stops the stream at exactly that
+  // comparison, at one and at four refill workers.
+  Result<DatasetBundle> dataset = GenerateDataset("restaurant");
+  ASSERT_TRUE(dataset.ok());
+  const ProfileStore& store = dataset.value().store;
+  constexpr std::uint64_t kBudget = 3001;
+  constexpr std::uint64_t kSlice = 97;
+
+  ResolverOptions options;
+  options.method = MethodId::kPps;
+  std::unique_ptr<ProgressiveEmitter> bare = MakeResolver(dataset.value(),
+                                                          options);
+  const std::vector<Comparison> serial =
+      Drain(bare.get(), std::numeric_limits<std::size_t>::max());
+  ASSERT_GT(serial.size(), kBudget);
+  // The budget must end inside a batch, not on a boundary.
+  PpsEmitter pps(store, BuildTokenWorkflowBlocks(store, {}));
+  ComparisonList batch;
+  std::uint64_t boundary = 0;
+  while (boundary < kBudget && pps.ProduceBatch(batch)) {
+    boundary += batch.remaining();
+  }
+  ASSERT_GT(boundary, kBudget);
+  ASSERT_LT(boundary - batch.remaining(), kBudget);
+
+  for (std::size_t num_threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(num_threads) + " threads");
+    options.num_threads = num_threads;
+    options.budget = kBudget;
+    Result<std::unique_ptr<Resolver>> created =
+        Resolver::Create(store, options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    Resolver& resolver = *created.value();
+    std::vector<Comparison> served;
+    for (std::uint64_t full = 0; full < kBudget / kSlice; ++full) {
+      ResolveResult result = resolver.Serve({.budget = kSlice,
+                                             .max_batch = kSlice});
+      ASSERT_EQ(result.comparisons.size(), kSlice);
+      EXPECT_FALSE(result.budget_exhausted);
+      EXPECT_FALSE(result.stream_exhausted);
+      served.insert(served.end(), result.comparisons.begin(),
+                    result.comparisons.end());
+    }
+    // The slice the budget runs out in is short and says why.
+    ResolveResult last = resolver.Serve({.budget = kSlice,
+                                         .max_batch = kSlice});
+    EXPECT_EQ(last.comparisons.size(), kBudget % kSlice);
+    EXPECT_TRUE(last.budget_exhausted);
+    EXPECT_FALSE(last.stream_exhausted);
+    EXPECT_EQ(last.outcome, ResolveOutcome::kServed);
+    served.insert(served.end(), last.comparisons.begin(),
+                  last.comparisons.end());
+    EXPECT_EQ(resolver.emitted(), kBudget);
+    ExpectBitIdentical(
+        std::vector<Comparison>(serial.begin(), serial.begin() + kBudget),
+        served);
+
+    // Later requests draw nothing and still learn why.
+    ResolveResult after = resolver.Serve({.budget = kSlice,
+                                          .max_batch = kSlice});
+    EXPECT_TRUE(after.comparisons.empty());
+    EXPECT_TRUE(after.budget_exhausted);
+    EXPECT_FALSE(after.stream_exhausted);
+    EXPECT_EQ(resolver.emitted(), kBudget);
+  }
+}
 
 TEST(DeterminismTest, WorkflowBlocksAreThreadCountInvariant) {
   // The workflow collection itself (keys, membership, order) must match

@@ -2,6 +2,10 @@
 // validation, endpoint parsing, and the loopback server. The contract
 // under test:
 //
+// - one ResolveRequest and one ResolveResult frame equal bytes written
+//   out by hand from docs/wire_protocol.md's tables, so an encoder and a
+//   decoder that are wrong in the same way (field order, byte order)
+//   cannot pass by round-tripping each other;
 // - wire framing round-trips every ResolveRequest / ResolveResult field
 //   bit-exactly (every Priority, every ResolveOutcome, every StatusCode,
 //   weight bit patterns including NaN/infinities/-0.0/denormals), and
@@ -29,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -36,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -404,6 +410,109 @@ TEST(WireTest, StreamDigestMatchesTheFnvFold) {
   digest.Fold(c);
   EXPECT_EQ(digest.value, expected);
   EXPECT_EQ(digest.count, 1u);
+}
+
+// ------------------------------------------------------------ golden frames
+
+/// The bytes a hex string spells; spaces are ignored.
+std::string FromHex(std::string_view hex) {
+  const auto nibble = [](char c) {
+    return c <= '9' ? c - '0' : c - 'a' + 10;
+  };
+  std::string bytes;
+  std::string digits;
+  for (char c : hex) {
+    if (c != ' ') digits.push_back(c);
+  }
+  for (std::size_t k = 0; k + 1 < digits.size(); k += 2) {
+    bytes.push_back(
+        static_cast<char>(nibble(digits[k]) * 16 + nibble(digits[k + 1])));
+  }
+  return bytes;
+}
+
+/// Lowercase hex of `bytes`, for readable mismatches.
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xf]);
+  }
+  return hex;
+}
+
+TEST(WireTest, RequestFrameMatchesTheSpecBytes) {
+  // docs/wire_protocol.md, "Framing" and "ResolveRequest body", one field
+  // per line, every integer little-endian.
+  const std::string golden = FromHex(
+      "23000000"           // payload_len = 35
+      "01 01"              // version 1, type 1 (ResolveRequest)
+      "0807060504030201"   // budget = 0x0102030405060708
+      "0010000000000000"   // max_batch = 4096
+      "fa00000000000000"   // deadline_ms = 250
+      "8877665544332211"   // client_id = 0x1122334455667788
+      "02");               // priority 2 (best-effort)
+  ResolveRequest request;
+  request.budget = 0x0102030405060708ull;
+  request.max_batch = 4096;
+  request.deadline_ms = 250;
+  request.client_id = 0x1122334455667788ull;
+  request.priority = Priority::kBestEffort;
+  EXPECT_EQ(ToHex(net::EncodeResolveRequestFrame(request)), ToHex(golden));
+
+  Result<ResolveRequest> decoded =
+      net::DecodeResolveRequest(std::string_view(golden).substr(4));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().budget, request.budget);
+  EXPECT_EQ(decoded.value().max_batch, request.max_batch);
+  EXPECT_EQ(decoded.value().deadline_ms, request.deadline_ms);
+  EXPECT_EQ(decoded.value().client_id, request.client_id);
+  EXPECT_EQ(decoded.value().priority, request.priority);
+}
+
+TEST(WireTest, ResultFrameMatchesTheSpecBytes) {
+  // docs/wire_protocol.md, "Framing" and "ResolveResult body": a failed
+  // slice with a status message and two comparisons, the second weighing
+  // a NaN with a payload.
+  const std::uint64_t nan_bits = 0x7ff80000deadbeefull;
+  const std::string golden = FromHex(
+      "41000000"           // payload_len = 65
+      "01 02"              // version 1, type 2 (ResolveResult)
+      "a8a7a6a5a4a3a2a1"   // ticket = 0xa1a2a3a4a5a6a7a8
+      "06"                 // outcome 6 (failed)
+      "02"                 // flags: bit 1, budget_exhausted
+      "05"                 // status_code 5 (internal)
+      "04000000 626f6f6d"  // msg_len = 4, "boom"
+      "a00f000000000000"   // retry_after_ms = 4000
+      "02000000"           // count = 2
+      "02010000 05040300 000000000000e03f"    // i = 258, j = 197637, 0.5
+      "07000000 0d0c0b0a efbeadde0000f87f");  // i = 7, j = 0x0a0b0c0d, NaN
+  ResolveResult result;
+  result.ticket = 0xa1a2a3a4a5a6a7a8ull;
+  result.outcome = ResolveOutcome::kFailed;
+  result.budget_exhausted = true;
+  result.status = Status::Internal("boom");
+  result.retry_after_ms = 4000;
+  result.comparisons = {{258, 197637, 0.5},
+                        {7, 0x0a0b0c0d, std::bit_cast<double>(nan_bits)}};
+  EXPECT_EQ(ToHex(net::EncodeResolveResultFrame(result)), ToHex(golden));
+
+  Result<ResolveResult> decoded =
+      net::DecodeResolveResult(std::string_view(golden).substr(4));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().ticket, result.ticket);
+  EXPECT_EQ(decoded.value().outcome, result.outcome);
+  EXPECT_FALSE(decoded.value().stream_exhausted);
+  EXPECT_TRUE(decoded.value().budget_exhausted);
+  EXPECT_EQ(decoded.value().status.code(), StatusCode::kInternal);
+  EXPECT_EQ(decoded.value().status.message(), "boom");
+  EXPECT_EQ(decoded.value().retry_after_ms, result.retry_after_ms);
+  EXPECT_TRUE(
+      SameComparisons(decoded.value().comparisons, result.comparisons));
+  ASSERT_EQ(decoded.value().comparisons.size(), 2u);
+  EXPECT_EQ(WeightBits(decoded.value().comparisons[1].weight), nan_bits);
 }
 
 TEST(WireTest, MaxFramePayloadFitsAMaximalResponse) {
