@@ -49,7 +49,7 @@ inline BenchArgs ParseArgs(int argc, char** argv) {
 
 /// One drained comparison stream reduced to a comparable digest: FNV-1a
 /// over every emitted (i, j, weight). Shared by the digest-checked
-/// serving benches (bench_emission_throughput, bench_resolver_session) —
+/// serving benches (bench_fault_tolerance, bench_load_generator) —
 /// "match" in their tables means two drains folded to the same digest,
 /// i.e. bit-identical streams.
 struct DrainResult {
@@ -78,17 +78,6 @@ struct DrainResult {
   }
 };
 
-/// Parses a comma-separated size list flag value ("1,4,64").
-inline std::vector<std::size_t> ParseSizeList(const char* p) {
-  std::vector<std::size_t> out;
-  while (*p != '\0') {
-    out.push_back(std::strtoul(p, nullptr, 10));
-    while (*p != '\0' && *p != ',') ++p;
-    if (*p == ',') ++p;
-  }
-  return out;
-}
-
 /// Resolver::Create for bench binaries: prints the error Status and
 /// exits non-zero instead of returning it.
 inline std::unique_ptr<Resolver> CreateResolverOrDie(
@@ -108,7 +97,7 @@ struct JsonRecord {
   std::string dataset;
   double scale = 1.0;
   std::size_t threads = 1;
-  /// Which measured code path the record belongs to (e.g. "gather_csr").
+  /// Which measured code path the record belongs to (e.g. "qos_shed").
   std::string path;
   double wall_ms = 0.0;
   /// Speedup relative to the record's documented baseline (1.0 for the
@@ -118,13 +107,11 @@ struct JsonRecord {
   std::size_t shards = 1;
   /// Emission pipeline lookahead of the run; 0 for serial-emission paths.
   std::size_t lookahead = 0;
-  /// Request size of a drain served in Resolver::Serve slices
-  /// (bench_resolver_session); 0 for un-batched / non-session paths.
+  /// Request size of a drain served in Resolver::Serve slices.
   std::size_t batch_size = 0;
   /// Additional numeric fields serialized verbatim into the record
-  /// (e.g. telemetry-run observations: "overhead", "ring_occupancy_p99",
-  /// "queue_wait_p50_us"). Names must be stable per path — BENCH.md
-  /// documents them.
+  /// (e.g. "slice_p99_ms", "digest_match"). Names must be stable per
+  /// path — BENCH.md documents them.
   std::vector<std::pair<std::string, double>> extras;
 };
 

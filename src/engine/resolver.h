@@ -115,8 +115,7 @@ struct ResolverOptions {
   /// ("session.queue_wait_ns", "session.service_ns",
   /// "session.slice_comparisons" histograms plus "session.resolve"
   /// spans). Default-constructed = disabled; the emitted stream is
-  /// bit-identical either way, and the compile-time SPER_NO_TELEMETRY
-  /// switch removes the seam entirely.
+  /// bit-identical either way.
   obs::TelemetryScope telemetry;
 
   /// Validation bounds (shared with the CLI's strict flag parsing).

@@ -11,7 +11,7 @@
 
 /// \file client.h
 /// Blocking client for the net/server.h protocol: one connection, strict
-/// request/response. Used by `sper_cli client`, bench_server_loopback,
+/// request/response. Used by `sper_cli client`, perfbench's serve-wire
 /// and the loopback tests; any other implementation that speaks
 /// net/wire.h interoperates.
 ///

@@ -95,7 +95,7 @@ struct ServerOptions {
 };
 
 /// Monotonic counters, readable at any time (atomics — available with
-/// telemetry compiled out; the net.* metrics mirror them).
+/// telemetry off; the net.* metrics mirror them).
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_rejected = 0;  // over max_connections / fault

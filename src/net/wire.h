@@ -24,7 +24,7 @@
 /// the format is identical on every architecture. Doubles travel as the
 /// little-endian bytes of their IEEE-754 bit pattern, so a weight that
 /// crossed the wire compares bit-identical to the in-process stream (the
-/// digest checks in tests/net_test.cc and bench_server_loopback rely on
+/// digest checks in tests/net_test.cc and perfbench's serve-wire rely on
 /// this, including NaN payloads).
 ///
 /// Every frame is sized before it is written: one allocation holds the
@@ -141,7 +141,7 @@ Result<std::string> DecodeMetricsResult(std::string_view payload);
 // ---------------------------------------------------------------------------
 
 /// FNV-1a fold over emitted comparisons — the same fold (i, then j, then
-/// the weight's bit pattern) as the digest-checked serving benches
+/// the weight's bit pattern) as the digest-checked benches
 /// (bench/bench_util.h DrainResult), so an over-the-wire stream can be
 /// digest-compared against an in-process drain. Two streams with equal
 /// (value, count) are bit-identical with overwhelming probability.

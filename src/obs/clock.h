@@ -13,10 +13,9 @@
 /// (tools/lint_determinism.py DET003 bans raw std::chrono clocks outside
 /// this header).
 ///
-/// Stopwatch is a *utility*, not instrumentation: it stays fully
-/// functional under SPER_NO_TELEMETRY (diagnostics like
-/// InitStats::init_seconds and RunResult timings must keep working with
-/// telemetry compiled out).
+/// Stopwatch is a *utility*, not instrumentation: it works without a
+/// TelemetryScope (diagnostics like InitStats::init_seconds and
+/// RunResult timings must keep working with telemetry off).
 ///
 /// ClockSource is the injectable side of the same clock: components whose
 /// *decisions* depend on elapsed time (the QoS admission controller's

@@ -13,10 +13,8 @@
 /// recent value, never torn data) — which is what lets a metrics endpoint
 /// snapshot a live engine without stopping it.
 ///
-/// These classes stay fully functional under SPER_NO_TELEMETRY; the
-/// compile-time switch removes the *instrumentation seams*
-/// (telemetry.h's TelemetryScope), not the primitives, so tests and
-/// direct users keep working either way.
+/// These classes are primitives, not instrumentation seams: tests and
+/// direct users hold them without a TelemetryScope (telemetry.h).
 
 namespace sper {
 namespace obs {

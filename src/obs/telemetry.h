@@ -12,26 +12,19 @@
 /// The instrumentation seam that library code holds: a TelemetryScope is
 /// a (Registry*, name-prefix) pair that flows through options structs
 /// (ResolverOptions -> each shard's copy with a "shard<S>." sub-scope ->
-/// workflow / emitter options). Code instruments unconditionally against the scope;
-/// the scope decides whether anything happens:
-///
-///   - runtime off-mode: a default-constructed scope has no registry, so
-///     counter()/gauge()/histogram() return nullptr and RecordSpan is a
-///     no-op — instrumented sites cost one pointer test;
-///   - compile-time off-mode: with SPER_NO_TELEMETRY defined the scope
-///     collapses to an empty constexpr stub, so the registry plumbing
-///     compiles out entirely. The primitives (metrics.h, registry.h) and
-///     Stopwatch stay available either way.
+/// workflow / emitter options). Code instruments unconditionally against
+/// the scope; the scope decides whether anything happens. A
+/// default-constructed scope is off: it has no registry, so
+/// counter()/gauge()/histogram() return nullptr and RecordSpan is a
+/// no-op — instrumented sites cost one pointer test.
 ///
 /// ScopedPhase is the RAII phase timer built on top: it times a named
 /// phase, records gauge "phase.<name>_seconds" plus a span into the
 /// scope, and always fills an optional double* out-param — so diagnostics
-/// like InitStats keep their numbers even with telemetry compiled out.
+/// like InitStats keep their numbers with telemetry off.
 
 namespace sper {
 namespace obs {
-
-#ifndef SPER_NO_TELEMETRY
 
 /// A handle into a Registry with a hierarchical name prefix
 /// ("shard3." etc). Copyable and cheap; disabled when default-constructed
@@ -122,52 +115,6 @@ class ScopedPhase {
   Stopwatch watch_;
   bool stopped_ = false;
 };
-
-#else  // SPER_NO_TELEMETRY
-
-/// Compile-time off-mode: an empty scope whose accessors constant-fold
-/// away. Library code instruments against this interface unchanged.
-class TelemetryScope {
- public:
-  constexpr TelemetryScope() = default;
-  explicit TelemetryScope(Registry*, std::string = {}) {}
-
-  constexpr bool enabled() const { return false; }
-  constexpr Registry* registry() const { return nullptr; }
-  TelemetryScope Sub(std::string_view) const { return {}; }
-  constexpr Counter* counter(std::string_view) const { return nullptr; }
-  constexpr Gauge* gauge(std::string_view) const { return nullptr; }
-  constexpr Histogram* histogram(std::string_view) const { return nullptr; }
-  void RecordSpan(std::string_view, Stopwatch::TimePoint,
-                  Stopwatch::TimePoint, std::string = {}) const {}
-};
-
-/// Off-mode phase timer: still times (so *out_seconds stays correct for
-/// always-on diagnostics) but records nothing.
-class ScopedPhase {
- public:
-  ScopedPhase(const TelemetryScope&, std::string_view,
-              double* out_seconds = nullptr)
-      : out_seconds_(out_seconds) {}
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
-  ~ScopedPhase() { Stop(); }
-
-  void Stop() {
-    if (stopped_) return;
-    stopped_ = true;
-    if (out_seconds_ != nullptr) *out_seconds_ = watch_.ElapsedSeconds();
-  }
-
- private:
-  double* out_seconds_;
-  Stopwatch watch_;
-  bool stopped_ = false;
-};
-
-#endif  // SPER_NO_TELEMETRY
 
 }  // namespace obs
 }  // namespace sper

@@ -3,9 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -59,31 +57,10 @@ class KWayMerge {
       : compare_(std::move(compare)) {}
 
   /// Registers one more stream. Must not be called after Next().
-  void AddStream(Stream stream) {
-    streams_.push_back(std::move(stream));
-    draws_.push_back(0);
-  }
+  void AddStream(Stream stream) { streams_.push_back(std::move(stream)); }
 
-  /// Convenience registration for simple `std::optional<T>()` streams
-  /// (the ProgressiveEmitter Next() shape) that never block.
-  void AddStream(std::function<std::optional<T>()> stream) {
-    AddStream(Stream([s = std::move(stream)](T& out) {
-      std::optional<T> head = s();
-      if (!head.has_value()) return MergeStatus::kExhausted;
-      out = std::move(*head);
-      return MergeStatus::kItem;
-    }));
-  }
-
-  /// Number of registered streams.
-  std::size_t num_streams() const { return streams_.size(); }
-
-  /// How many heads each stream has contributed so far, by stream index
-  /// (telemetry: per-shard draw balance).
-  const std::vector<std::uint64_t>& draw_counts() const { return draws_; }
-
-  /// Stream index of the last emitted head; num_streams() before the
-  /// first successful Next().
+  /// Stream index of the last emitted head; the number of registered
+  /// streams before the first successful Next().
   std::size_t last_stream() const {
     return last_stream_ == kNoStream ? streams_.size() : last_stream_;
   }
@@ -132,27 +109,10 @@ class KWayMerge {
     std::pop_heap(heap_.begin(), heap_.end(), HeapLess{compare_});
     Entry best = std::move(heap_.back());
     heap_.pop_back();
-    ++draws_[best.stream];
     last_stream_ = best.stream;
     pending_refill_ = best.stream;
     out = std::move(best.value);
     return MergeStatus::kItem;
-  }
-
-  /// Optional-returning convenience for call sites whose streams never
-  /// block (a kBlocked pull is simply retried inline).
-  std::optional<T> Next() {
-    T out;
-    for (;;) {
-      switch (Next(out)) {
-        case MergeStatus::kItem:
-          return std::optional<T>(std::move(out));
-        case MergeStatus::kExhausted:
-          return std::nullopt;
-        case MergeStatus::kBlocked:
-          break;  // the stream already waited internally; just retry
-      }
-    }
   }
 
  private:
@@ -178,7 +138,6 @@ class KWayMerge {
   Compare compare_;
   std::vector<Stream> streams_;
   std::vector<Entry> heap_;
-  std::vector<std::uint64_t> draws_;
   std::size_t last_stream_ = kNoStream;
   std::size_t prime_cursor_ = 0;
   std::size_t pending_refill_ = kNoStream;

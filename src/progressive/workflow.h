@@ -37,7 +37,7 @@ struct TokenWorkflowOptions {
 };
 
 /// Per-step wall-clock seconds of one workflow run (always filled, even
-/// with telemetry disabled or compiled out — feeds InitStats::phases).
+/// with telemetry disabled — feeds InitStats::phases).
 struct TokenWorkflowTiming {
   double token_blocking_seconds = 0.0;
   double purging_seconds = 0.0;

@@ -283,8 +283,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --------------------------------------------- budget / shutdown composition
 
-#ifndef SPER_NO_TELEMETRY
-
 TEST(EmissionPipelineEngineTest, RefillWorkersStartOnTheFirstPull) {
   const ProfileStore store = DirtyStore();
   obs::Registry registry;
@@ -300,8 +298,6 @@ TEST(EmissionPipelineEngineTest, RefillWorkersStartOnTheFirstPull) {
   ASSERT_TRUE(engine.Next().has_value());
   EXPECT_GT(groups->value(), 0u);
 }
-
-#endif  // SPER_NO_TELEMETRY
 
 TEST(EmissionPipelineEngineTest, BudgetExhaustionAbandonsThePipelineCleanly) {
   const ProfileStore store = DirtyStore();

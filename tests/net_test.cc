@@ -779,13 +779,11 @@ TEST(ServerLoopbackTest, MetricsFrameServesTheLiveRegistry) {
 
   Result<std::string> snapshot = client.FetchMetricsJson();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-#ifndef SPER_NO_TELEMETRY
   EXPECT_NE(snapshot.value().find("sper.metrics.v1"), std::string::npos);
   EXPECT_NE(snapshot.value().find("net.requests"), std::string::npos);
   EXPECT_NE(snapshot.value().find("net.frames_in"), std::string::npos);
   EXPECT_NE(snapshot.value().find("qos.interactive.admitted"),
             std::string::npos);
-#endif
 }
 
 TEST(ServerLoopbackTest, AnonymousClientsAreRateLimitedPerConnection) {

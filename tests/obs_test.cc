@@ -252,8 +252,6 @@ TEST(TelemetryScopeTest, DefaultScopeIsDisabledAndNull) {
   EXPECT_FALSE(scope.Sub("shard0").enabled());
 }
 
-#ifndef SPER_NO_TELEMETRY
-
 TEST(TelemetryScopeTest, SubPrefixesMetricNames) {
   Registry registry;
   const TelemetryScope root(&registry);
@@ -294,12 +292,9 @@ TEST(ScopedPhaseTest, StopIsIdempotent) {
   EXPECT_DOUBLE_EQ(registry.FindGauge("phase.p_seconds")->value(), first);
 }
 
-#endif  // SPER_NO_TELEMETRY
-
 TEST(ScopedPhaseTest, DisabledScopeStillFillsOutSeconds) {
   // InitStats phase breakdowns rely on the timing even when no registry
-  // is attached (and under SPER_NO_TELEMETRY, where this is the only
-  // behavior left).
+  // is attached.
   const TelemetryScope scope;
   double seconds = -1.0;
   {

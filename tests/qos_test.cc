@@ -611,7 +611,6 @@ TEST(QosControllerTest, MetricSinksMirrorTheStats) {
   EXPECT_EQ(controller.Resolve(request).outcome, ResolveOutcome::kServed);
   EXPECT_EQ(controller.Resolve(request).outcome, ResolveOutcome::kShed);
 
-#ifndef SPER_NO_TELEMETRY
   EXPECT_EQ(registry.counter("qos.interactive.admitted")->value(), 1u);
   EXPECT_EQ(registry.counter("qos.interactive.sheds")->value(), 1u);
   EXPECT_EQ(registry.counter("qos.rate_limited")->value(), 1u);
@@ -619,7 +618,6 @@ TEST(QosControllerTest, MetricSinksMirrorTheStats) {
   const std::string snapshot = registry.SnapshotJson();
   EXPECT_NE(snapshot.find("qos.interactive.sheds"), std::string::npos);
   EXPECT_NE(snapshot.find("qos.queue_depth"), std::string::npos);
-#endif
   EXPECT_EQ(controller.stats(Priority::kInteractive).admitted, 1u);
   EXPECT_EQ(controller.stats(Priority::kInteractive).sheds, 1u);
 }

@@ -7,8 +7,9 @@
 // - ProgressiveEngine and ShardedEngine are interchangeable behind the
 //   abstract Engine interface (budget, stats, stream);
 // - Resolver::Serve slices concatenate bit-identically to one un-batched
-//   drain at every (method, ER type, shards, lookahead, batch size)
-//   combination, including under concurrent ticketed FIFO admission;
+//   drain at every (method, ER type, shards, lookahead, refill workers,
+//   batch size) combination, including under concurrent ticketed FIFO
+//   admission;
 // - per-request pay-as-you-go: zero-budget requests buy nothing, the
 //   global budget exhausts mid-slice with the flag set, and an invalid
 //   request is rejected before it takes a ticket.
@@ -235,27 +236,33 @@ TEST_P(SessionDeterminismTest, SlicesConcatenateToUnbatchedDrain) {
 
     for (std::size_t lookahead : {std::size_t{0}, std::size_t{4}}) {
       if (lookahead > 0 && num_shards == 1) continue;  // rejected by Create
-      for (std::size_t batch : {std::size_t{1}, std::size_t{7},
-                                std::size_t{256}}) {
-        ResolverOptions batched = options;
-        batched.lookahead = lookahead;
-        std::unique_ptr<Resolver> resolver = MustCreate(store, batched);
-        std::vector<Comparison> concatenated;
-        for (;;) {
-          ResolveResult slice = resolver->Serve({batch, batch});
-          EXPECT_LE(slice.comparisons.size(), batch);
-          concatenated.insert(concatenated.end(),
-                              slice.comparisons.begin(),
-                              slice.comparisons.end());
-          if (slice.comparisons.empty() || slice.budget_exhausted ||
-              slice.stream_exhausted) {
-            break;
+      for (std::size_t num_threads : {std::size_t{1}, std::size_t{8}}) {
+        // Eight threads on one shard serve through eight refill workers.
+        if (num_threads > 1 && num_shards > 1) continue;
+        for (std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{256}}) {
+          ResolverOptions batched = options;
+          batched.lookahead = lookahead;
+          batched.num_threads = num_threads;
+          std::unique_ptr<Resolver> resolver = MustCreate(store, batched);
+          std::vector<Comparison> concatenated;
+          for (;;) {
+            ResolveResult slice = resolver->Serve({batch, batch});
+            EXPECT_LE(slice.comparisons.size(), batch);
+            concatenated.insert(concatenated.end(),
+                                slice.comparisons.begin(),
+                                slice.comparisons.end());
+            if (slice.comparisons.empty() || slice.budget_exhausted ||
+                slice.stream_exhausted) {
+              break;
+            }
           }
+          SCOPED_TRACE("shards=" + std::to_string(num_shards) +
+                       " lookahead=" + std::to_string(lookahead) +
+                       " threads=" + std::to_string(num_threads) +
+                       " batch=" + std::to_string(batch));
+          ExpectSameSequence(concatenated, reference);
         }
-        SCOPED_TRACE("shards=" + std::to_string(num_shards) +
-                     " lookahead=" + std::to_string(lookahead) +
-                     " batch=" + std::to_string(batch));
-        ExpectSameSequence(concatenated, reference);
       }
     }
   }

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -67,20 +66,29 @@ void ExpectSameSequence(const std::vector<Comparison>& a,
 
 TEST(KWayMergeTest, MergesSortedStreamsInOrderWithStableTies) {
   auto make_stream = [](std::vector<int> values) {
-    auto it = std::make_shared<std::size_t>(0);
-    auto data = std::make_shared<std::vector<int>>(std::move(values));
-    return [it, data]() -> std::optional<int> {
-      if (*it >= data->size()) return std::nullopt;
-      return (*data)[(*it)++];
-    };
+    return KWayMerge<int>::Stream(
+        [values = std::move(values), next = std::size_t{0}](
+            int& out) mutable {
+          if (next >= values.size()) return MergeStatus::kExhausted;
+          out = values[next++];
+          return MergeStatus::kItem;
+        });
   };
   KWayMerge<int> merge;
   merge.AddStream(make_stream({1, 4, 7}));
   merge.AddStream(make_stream({1, 2, 9}));
   merge.AddStream(make_stream({}));
   std::vector<int> out;
-  while (std::optional<int> v = merge.Next()) out.push_back(*v);
+  std::vector<std::size_t> streams;
+  int value = 0;
+  while (merge.Next(value) == MergeStatus::kItem) {
+    out.push_back(value);
+    streams.push_back(merge.last_stream());
+  }
   EXPECT_EQ(out, (std::vector<int>{1, 1, 2, 4, 7, 9}));
+  // The tied 1s leave in stream order.
+  EXPECT_EQ(streams, (std::vector<std::size_t>{0, 1, 1, 0, 0, 1}));
+  EXPECT_EQ(merge.Next(value), MergeStatus::kExhausted);
 }
 
 // ----------------------------------------------------- partition invariants

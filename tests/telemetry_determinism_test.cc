@@ -144,8 +144,6 @@ TEST(TelemetryInitStatsTest, ShardedEngineReportsPerShardPhases) {
   }
 }
 
-#ifndef SPER_NO_TELEMETRY
-
 TEST(TelemetrySessionTest, SessionHistogramsMatchRequestCount) {
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
@@ -234,8 +232,6 @@ TEST(TelemetrySessionTest, SnapshotAndTraceExportWhileServing) {
         << json;
   }
 }
-
-#endif  // SPER_NO_TELEMETRY
 
 }  // namespace
 }  // namespace sper
