@@ -101,10 +101,18 @@ class Engine : public ProgressiveEmitter {
   /// The bulk pull: appends the next comparisons of the stream to `out`,
   /// at most `max` (> 0) of them, under Pull's contract. kOk when it
   /// appended at least one; otherwise exactly what Pull would have
-  /// returned. One call copies at most the rest of one refill batch or
-  /// pipeline slot group, or else checks `token` every 16 comparisons, so
-  /// a caller that checks its token between calls overruns a deadline by
-  /// at most one such step.
+  /// returned.
+  ///
+  /// Deadlines: a call that has to run a refill, or wait for a refill
+  /// worker, checks `token` before it and again once the batch is in
+  /// hand. If the token has fired by then, the call appends nothing and
+  /// returns kCancelled; the batch stays buffered for the next call. A
+  /// batch already buffered is copied without a check: one call copies at
+  /// most the rest of one refill batch or pipeline slot group, or else
+  /// checks `token` every 16 comparisons. So a caller that checks its
+  /// token between calls is cut at the first batch boundary past its
+  /// deadline, and overruns it by at most one refill (or wait) plus one
+  /// copy, even when a single refill outlasts the deadline.
   virtual PullStatus PullMany(std::vector<Comparison>& out, std::size_t max,
                               const CancelToken& token) = 0;
 

@@ -297,7 +297,9 @@ PullStatus ProgressiveEngine::PipelinedBatch(const CancelToken& token) {
 
 PullStatus ProgressiveEngine::SerialBatch(const CancelToken& token) {
   // A refill is the unit of work a token can skip without corrupting the
-  // stream, so the token is checked once per refill.
+  // stream, so the token is checked before each refill, and again after
+  // it: a refill can outlast the deadline, and its batch then waits in
+  // serial_batch_ for the next pull.
   while (serial_batch_.Empty()) {
     if (token.valid() && token.cancelled()) return PullStatus::kCancelled;
     if (next_refill_ == batch_source_->num_refills()) {
@@ -310,6 +312,7 @@ PullStatus ProgressiveEngine::SerialBatch(const CancelToken& token) {
       return Poison(next_refill_, std::current_exception());
     }
     ++next_refill_;
+    if (token.valid() && token.cancelled()) return PullStatus::kCancelled;
   }
   return PullStatus::kOk;
 }

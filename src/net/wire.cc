@@ -1,6 +1,9 @@
 #include "net/wire.h"
 
 #include <bit>
+#include <cstddef>
+#include <cstring>
+#include <type_traits>
 
 namespace sper {
 namespace net {
@@ -44,6 +47,15 @@ inline constexpr std::size_t kResultFixedBytes = 8 + 1 + 1 + 1 + 4 + 8 + 4;
 inline constexpr std::size_t kRequestBodyBytes = 8 + 8 + 8 + 8 + 1;
 /// One comparison on the wire: u32 i, u32 j, u64 weight bits.
 inline constexpr std::size_t kComparisonBytes = 16;
+
+/// A Comparison in memory is {u32, u32, f64} with no padding, so on a
+/// little-endian host its bytes are its wire bytes and the comparison
+/// array moves as one block.
+static_assert(sizeof(Comparison) == kComparisonBytes);
+static_assert(std::is_trivially_copyable_v<Comparison>);
+static_assert(offsetof(Comparison, i) == 0);
+static_assert(offsetof(Comparison, j) == 4);
+static_assert(offsetof(Comparison, weight) == 8);
 
 /// Explicit little-endian stores and loads through a byte pointer: the
 /// one place the wire's byte order is written down.
@@ -144,6 +156,45 @@ bool WireReader::ReadView(std::size_t n, std::string_view& v) {
   return true;
 }
 
+void StoreComparisons(std::span<const Comparison> comparisons, char* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!comparisons.empty()) {
+      std::memcpy(out, comparisons.data(), comparisons.size_bytes());
+    }
+  } else {
+    StoreComparisonBytes(comparisons, out);
+  }
+}
+
+void LoadComparisons(const char* in, std::span<Comparison> comparisons) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!comparisons.empty()) {
+      std::memcpy(comparisons.data(), in, comparisons.size_bytes());
+    }
+  } else {
+    LoadComparisonBytes(in, comparisons);
+  }
+}
+
+void StoreComparisonBytes(std::span<const Comparison> comparisons,
+                          char* out) {
+  for (const Comparison& c : comparisons) {
+    StoreU32(out, c.i);
+    StoreU32(out + 4, c.j);
+    StoreU64(out + 8, std::bit_cast<std::uint64_t>(c.weight));
+    out += kComparisonBytes;
+  }
+}
+
+void LoadComparisonBytes(const char* in, std::span<Comparison> comparisons) {
+  for (Comparison& c : comparisons) {
+    c.i = LoadU32(in);
+    c.j = LoadU32(in + 4);
+    c.weight = std::bit_cast<double>(LoadU64(in + 8));
+    in += kComparisonBytes;
+  }
+}
+
 std::string EncodeResolveRequestFrame(const ResolveRequest& request) {
   std::string frame = StartFrame(FrameType::kResolveRequest, kRequestBodyBytes);
   PutU64(frame, request.budget);
@@ -172,16 +223,10 @@ std::string EncodeResolveResultFrame(const ResolveResult& result) {
   PutU64(frame, result.retry_after_ms);
   PutU32(frame, static_cast<std::uint32_t>(count));
   // The comparison array, the bulk of a frame, is written in place: one
-  // resize (within the reservation), then fixed-offset byte stores.
+  // resize (within the reservation), then one StoreComparisons.
   const std::size_t array_at = frame.size();
   frame.resize(array_at + count * kComparisonBytes);
-  char* at = frame.data() + array_at;
-  for (const Comparison& c : result.comparisons) {
-    StoreU32(at, c.i);
-    StoreU32(at + 4, c.j);
-    StoreU64(at + 8, std::bit_cast<std::uint64_t>(c.weight));
-    at += kComparisonBytes;
-  }
+  StoreComparisons(result.comparisons, frame.data() + array_at);
   return frame;
 }
 
@@ -291,18 +336,11 @@ Result<ResolveResult> DecodeResolveResult(std::string_view payload) {
   result.budget_exhausted = (flags & kFlagBudgetExhausted) != 0;
   result.status =
       Status::FromCode(static_cast<StatusCode>(status_code), std::move(message));
-  // The size check above is the array's only bounds check: read it
-  // through a pointer, one comparison per kComparisonBytes.
+  // The size check above is the array's only bounds check.
   std::string_view array;
   reader.ReadView(reader.remaining(), array);
   result.comparisons.resize(count);
-  const char* at = array.data();
-  for (Comparison& c : result.comparisons) {
-    c.i = LoadU32(at);
-    c.j = LoadU32(at + 4);
-    c.weight = std::bit_cast<double>(LoadU64(at + 8));
-    at += kComparisonBytes;
-  }
+  LoadComparisons(array.data(), result.comparisons);
   return result;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -19,19 +20,23 @@
 ///   u32 payload_len (little-endian) | payload
 ///   payload := u8 version (= kWireVersion) | u8 frame type | body
 ///
-/// Every multi-byte integer is explicit little-endian — stored and
-/// loaded as shifted single bytes, never by memcpy of a host integer — so
-/// the format is identical on every architecture. Doubles travel as the
-/// little-endian bytes of their IEEE-754 bit pattern, so a weight that
-/// crossed the wire compares bit-identical to the in-process stream (the
-/// digest checks in tests/net_test.cc and perfbench's serve-wire rely on
-/// this, including NaN payloads).
+/// Every multi-byte integer is little-endian, so the format is identical
+/// on every architecture. Doubles travel as the little-endian bytes of
+/// their IEEE-754 bit pattern, so a weight that crossed the wire compares
+/// bit-identical to the in-process stream (the digest checks in
+/// tests/net_test.cc and perfbench's serve-wire rely on this, including
+/// NaN payloads). Header fields are stored and loaded as shifted single
+/// bytes. The comparison array of a ResolveResult, the bulk of the bytes,
+/// is copied as one block on little-endian hosts: there a Comparison's
+/// 16 bytes ({u32 i, u32 j, f64 weight} at offsets 0, 4 and 8, pinned by
+/// static_asserts in wire.cc) already are its wire bytes. Other hosts
+/// take the byte path, which tests/net_test.cc checks against the block
+/// copy.
 ///
 /// Every frame is sized before it is written: one allocation holds the
 /// length prefix and the payload, which is never copied again. The
-/// comparison array of a ResolveResult, the bulk of the bytes, is written
-/// and read through a pointer at fixed 16-byte strides; the decoder
-/// bounds-checks it once, as `count * 16` against the bytes left.
+/// decoder bounds-checks the comparison array once, as `count * 16`
+/// against the bytes left.
 ///
 /// Decoding is exhaustive-validating: unknown version/type/enum bytes,
 /// truncated bodies, length fields pointing past the payload, and
@@ -98,6 +103,28 @@ class WireReader {
   std::string_view data_;
   std::size_t cursor_ = 0;
 };
+
+// ---------------------------------------------------------------------------
+// The comparison array: 16 bytes per comparison, u32 i | u32 j | u64
+// weight bits, each little-endian.
+// ---------------------------------------------------------------------------
+
+/// Writes `comparisons` as a comparison array at `out`, which must hold
+/// comparisons.size() * 16 bytes: one block copy on a little-endian host,
+/// StoreComparisonBytes elsewhere.
+void StoreComparisons(std::span<const Comparison> comparisons, char* out);
+
+/// Reads comparisons.size() comparisons from the array at `in`: one block
+/// copy on a little-endian host, LoadComparisonBytes elsewhere.
+void LoadComparisons(const char* in, std::span<Comparison> comparisons);
+
+/// The portable path of StoreComparisons: every field stored as shifted
+/// single bytes, on any host.
+void StoreComparisonBytes(std::span<const Comparison> comparisons,
+                          char* out);
+
+/// The portable path of LoadComparisons.
+void LoadComparisonBytes(const char* in, std::span<Comparison> comparisons);
 
 // ---------------------------------------------------------------------------
 // Frame encoding. Each returns one complete frame: length prefix included.

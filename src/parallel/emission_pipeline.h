@@ -132,11 +132,15 @@ class EmissionPipeline {
     return FrontUntil(CancelToken(), &expired);
   }
 
-  /// Consumer: like Front(), but gives up when `token` fires before the
-  /// group is committed: nullptr with *expired = true, stream untouched —
-  /// a later Front()/FrontUntil() resumes exactly where this one left
-  /// off. A deadline is honored via wait_until; an explicit Cancel() with
-  /// no deadline is noticed within kCancelPollInterval.
+  /// Consumer: like Front(), but gives up when `token` has fired by the
+  /// time the group is in hand: nullptr with *expired = true, stream
+  /// untouched — a later Front()/FrontUntil() resumes exactly where this
+  /// one left off. A group already committed is returned without a token
+  /// check; one this call had to wait for is re-checked once it arrives,
+  /// so a group committed after the deadline waits for the next call
+  /// instead of being served late. A deadline is honored via wait_until;
+  /// an explicit Cancel() with no deadline is noticed within
+  /// kCancelPollInterval.
   Batch* FrontUntil(const CancelToken& token, bool* expired) {
     *expired = false;
     MutexLock lock(mutex_);
@@ -154,6 +158,7 @@ class EmissionPipeline {
       if (token.has_deadline()) wake = std::min(wake, token.deadline());
       can_consume_.WaitUntil(lock, wake);
     }
+    if (waited && token.valid() && token.cancelled()) *expired = true;
     if (waited && metrics_ != nullptr &&
         metrics_->consumer_waits != nullptr) {
       metrics_->consumer_waits->Add();

@@ -21,27 +21,35 @@ namespace {
 struct NodeInit {
   double likelihood = 0.0;
   Comparison top;
-  bool has_neighbors = false;
+  std::size_t neighbors = 0;
 };
 
 /// A checked profile's accumulator entry: adding a block share (>= 0)
 /// leaves it unchanged, and it never reads as a first touch (== 0.0).
 constexpr double kChecked = -std::numeric_limits<double>::infinity();
 
+/// One block's share of a refill's gather: the neighbors it reaches and
+/// the contribution each of them receives.
+struct MemberRange {
+  std::span<const ProfileId> members;
+  double share = 0.0;
+};
+
 }  // namespace
 
 /// One worker's Algorithm 6 state: the sparse neighborhood accumulator
 /// (weights[] and its touched list), which also holds checkedEntities for
-/// the Sorted Profile List prefix up to `ranked`, and the reusable
-/// SortedStack. Sized in full here, so a refill never allocates.
+/// the Sorted Profile List prefix up to `ranked`, the refill's member
+/// ranges, and the reusable SortedStack. Sized in full here, on the
+/// constructing thread, so a refill never allocates.
 struct PpsEmitter::RefillScratch final : BatchSource::Scratch {
-  RefillScratch(std::size_t num_profiles, std::size_t kmax)
+  RefillScratch(std::size_t num_profiles, std::size_t max_blocks,
+                std::size_t max_candidates, std::size_t kmax)
       : weights(num_profiles, 0.0),
         // Not zero-filled: a refill writes only the pages it reaches.
-        touched(std::make_unique_for_overwrite<ProfileId[]>(num_profiles)) {
-    // The SortedStack holds at most 2 * kmax pending comparisons, and
-    // never more than a profile has neighbors.
-    topk.Reserve(2 * std::min(kmax, num_profiles / 2));
+        touched(std::make_unique_for_overwrite<ProfileId[]>(num_profiles)),
+        ranges(std::make_unique<MemberRange[]>(max_blocks)) {
+    topk.Reserve(kmax, max_candidates);
   }
 
   /// kChecked for a profile ranked before `ranked`; otherwise its running
@@ -50,6 +58,8 @@ struct PpsEmitter::RefillScratch final : BatchSource::Scratch {
   /// The refill's unchecked neighbours in first-touch order. |P| entries:
   /// a refill has at most |P| - 1 unchecked neighbours.
   std::unique_ptr<ProfileId[]> touched;
+  /// One entry per block of the refill's profile: max |B_i| entries.
+  std::unique_ptr<MemberRange[]> ranges;
   TopKBuffer topk;
   std::size_t ranked = 0;
 };
@@ -113,13 +123,14 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
       if (neighbors == 0) continue;
       nodes[i].likelihood = likelihood_sum / static_cast<double>(neighbors);
       nodes[i].top = top;
-      nodes[i].has_neighbors = true;
+      nodes[i].neighbors = neighbors;
     }
   });
 
   std::vector<Comparison> top_comparisons;
   for (ProfileId i = 0; i < store_.size(); ++i) {
-    if (!nodes[i].has_neighbors) continue;
+    if (nodes[i].neighbors == 0) continue;
+    max_neighbors_ = std::max(max_neighbors_, nodes[i].neighbors);
     sorted_profiles_.emplace_back(i, nodes[i].likelihood);
     top_comparisons.push_back(nodes[i].top);
   }
@@ -160,7 +171,9 @@ std::size_t PpsEmitter::RefillBound(std::size_t index) const {
 }
 
 std::unique_ptr<BatchSource::Scratch> PpsEmitter::NewScratch() const {
-  return std::make_unique<RefillScratch>(store_.size(), options_.kmax);
+  // A refill's candidates are some of its profile's neighbors.
+  return std::make_unique<RefillScratch>(store_.size(), index_.MaxBlocksOf(),
+                                        max_neighbors_, options_.kmax);
 }
 
 void PpsEmitter::AppendRefill(std::size_t index, Scratch& scratch,
@@ -188,47 +201,53 @@ void PpsEmitter::AppendRefill(std::size_t index, Scratch& scratch,
   // Gather unchecked comparable neighbors (Algorithm 6 lines 9-14): a
   // neighbor that was processed earlier had higher duplication likelihood,
   // and its Kmax best comparisons already covered this pair with more
-  // reliable evidence. A checked neighbor's kChecked entry absorbs the
-  // share and is never a first touch, so the loop has no checked branch;
+  // reliable evidence. Partition-aware like the init pass. Two steps:
+  // first each block's member range and share, so the block-metadata
+  // loads of the whole refill are in flight together and the first line
+  // of each range is prefetched; then the accumulation, block by block in
+  // ascending id order. A checked neighbor's kChecked entry absorbs the
+  // share and is never a first touch, so that loop has no checked branch;
   // each first touch is appended unconditionally and kept by advancing
-  // `touched_count`. Partition-aware like the init pass; i itself is
-  // checked, so the Dirty scan needs no separate j != i test.
+  // `touched_count`. i itself is checked, so the Dirty scan needs no
+  // separate j != i test.
+  const std::span<const BlockId> blocks_of_i = index_.BlocksOf(i);
+  MemberRange* const ranges = s.ranges.get();
+  const bool clean_clean = blocks_.er_type() == ErType::kCleanClean;
+  for (std::size_t x = 0; x < blocks_of_i.size(); ++x) {
+    const BlockId b = blocks_of_i[x];
+    const std::span<const ProfileId> members =
+        clean_clean ? blocks_.OppositeSource(b, i) : blocks_.members(b);
+    __builtin_prefetch(members.data());
+    ranges[x] = {members, weighter_.BlockContribution(b)};
+  }
   double* const weights = s.weights.data();
   ProfileId* const touched = s.touched.get();
   std::size_t touched_count = 0;
-  const auto gather = [&](std::span<const ProfileId> neighbors,
-                          double share) {
-    SPER_DCHECK(share >= 0.0);
-    for (ProfileId j : neighbors) {
+  for (std::size_t x = 0; x < blocks_of_i.size(); ++x) {
+    const MemberRange range = ranges[x];
+    SPER_DCHECK(range.share >= 0.0);
+    for (ProfileId j : range.members) {
       SPER_DCHECK(touched_count < store_.size());
       const double w = weights[j];
       touched[touched_count] = j;
       touched_count += w == 0.0;
-      weights[j] = w + share;
-    }
-  };
-  if (blocks_.er_type() == ErType::kCleanClean) {
-    for (BlockId b : index_.BlocksOf(i)) {
-      gather(blocks_.OppositeSource(b, i), weighter_.BlockContribution(b));
-    }
-  } else {
-    for (BlockId b : index_.BlocksOf(i)) {
-      gather(blocks_.members(b), weighter_.BlockContribution(b));
+      weights[j] = w + range.share;
     }
   }
 
-  // SortedStack (lines 15-18): the reusable bounded top-k buffer keeps
-  // the Kmax top-weighted comparisons without a per-refill heap
-  // allocation, selecting on integer order keys behind a rejection floor,
-  // and appends them best first (ByWeightDesc is total, so the result is
-  // bit-identical to the min-heap reference).
-  s.topk.Reset(options_.kmax);
-  for (std::size_t t = 0; t < touched_count; ++t) {
+  // SortedStack (lines 15-18): the reusable top-k selector keeps the Kmax
+  // top-weighted comparisons without a per-refill allocation. It stores
+  // every candidate, selects once, on their weight words and then on the
+  // ties' ids, and appends the kept keys best first after a merge sort
+  // (ByWeightDesc is total, so the result is bit-identical to the
+  // min-heap reference). Each candidate's accumulator entry is reset as
+  // it is read, ready for the next refill.
+  s.topk.Assign(options_.kmax, touched_count, [&](std::size_t t) {
     const ProfileId j = touched[t];
-    const double w = weighter_.Finalize(i, j, weights[j]);
-    s.topk.Push(Comparison(i, j, w));
+    const Comparison candidate(i, j, weighter_.Finalize(i, j, weights[j]));
     weights[j] = 0.0;
-  }
+    return candidate;
+  });
   s.topk.AppendDescending(out);
 }
 

@@ -5,7 +5,9 @@
 //   index order at every producer count and ring capacity, bounds the
 //   look-ahead by its capacity, and contains producer failures: the
 //   batches before the failing one are served, the failure surfaces at
-//   its batch index, and nothing is rethrown across the ring;
+//   its batch index, and nothing is rethrown across the ring; a group
+//   committed after the consumer's token fired is left for its next
+//   call, not served late;
 // - a plain engine's refill workers start on the first pull, not in the
 //   constructor (their stream is pinned bit-identical to the serial path
 //   by determinism_test's ThreadCountInvarianceTest);
@@ -211,6 +213,27 @@ TEST(EmissionPipelineTest, ExpiredTokenLeavesTheStreamIntact) {
   EXPECT_TRUE(expired);
   pipeline.Start();
   EXPECT_EQ(ConsumeTags(pipeline), ExpectedTags(30));
+}
+
+TEST(EmissionPipelineTest, GroupCommittedAfterTheTokenFiredWaitsForTheNextCall) {
+  // The consumer waits for group 0 while its producer stalls, fires the
+  // consumer's token, and only then commits: the late group is not
+  // served to the expired call, and the next call gets it.
+  CancelSource source;
+  Pipeline pipeline(EvenGroups(10, 5), 1, 2, 0,
+                    [&](std::size_t, std::size_t index, ComparisonList& out) {
+                      if (index == 0) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(50));
+                        source.Cancel();
+                      }
+                      TaggedBatch(index, out);
+                    });
+  pipeline.Start();
+  bool expired = false;
+  EXPECT_EQ(pipeline.FrontUntil(source.token(), &expired), nullptr);
+  EXPECT_TRUE(expired);
+  EXPECT_EQ(ConsumeTags(pipeline), ExpectedTags(10));
 }
 
 TEST(EmissionPipelineTest, FailureSurfacesAtItsBatchAfterTheBatchesBefore) {

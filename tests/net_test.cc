@@ -12,6 +12,9 @@
 //   rejects every malformed payload: truncation at any prefix length,
 //   foreign versions, unknown type/outcome/status/flag bytes, length
 //   fields pointing past the payload, trailing bytes;
+// - the comparison array's block copy (little-endian hosts) and its
+//   byte-by-byte path write the same bytes and read back the same
+//   comparisons, so the byte path stays tested where it does not run;
 // - ValidateResolveRequest is one validator for the CLI flag path and
 //   the wire decode path: max_batch/deadline_ms/priority bounds;
 // - the loopback server serves remote clients through QoS with the same
@@ -513,6 +516,50 @@ TEST(WireTest, ResultFrameMatchesTheSpecBytes) {
       SameComparisons(decoded.value().comparisons, result.comparisons));
   ASSERT_EQ(decoded.value().comparisons.size(), 2u);
   EXPECT_EQ(WeightBits(decoded.value().comparisons[1].weight), nan_bits);
+}
+
+TEST(WireTest, BlockAndByteArrayPathsAgree) {
+  // The comparison array's block copy (little-endian hosts) and its byte
+  // path (every host) must write the same bytes and read back the same
+  // comparisons, whatever the host takes. Weights cover NaN payloads,
+  // -0.0, +-inf and denormals; ids reach UINT32_MAX - 1.
+  const std::uint64_t weight_bits[] = {
+      0x7ff8000000000123ull,  // quiet NaN with a payload
+      0x7ff0000000000001ull,  // signalling NaN
+      0xfff80000deadbeefull,  // negative NaN with a payload
+      0x8000000000000000ull,  // -0.0
+      0x0000000000000000ull,  // +0.0
+      0x7ff0000000000000ull,  // +inf
+      0xfff0000000000000ull,  // -inf
+      0x0000000000000001ull,  // the smallest denormal
+      0x800fffffffffffffull,  // the largest negative denormal
+      0x3fe0000000000000ull,  // 0.5
+  };
+  const std::uint32_t ids[] = {0, 1, 0x01020304u, 0x7fffffffu,
+                               std::numeric_limits<std::uint32_t>::max() - 1};
+  std::vector<Comparison> slice;
+  for (std::size_t k = 0; k < std::size(weight_bits); ++k) {
+    Comparison c;
+    c.i = ids[k % std::size(ids)];
+    c.j = ids[(k + 3) % std::size(ids)];
+    c.weight = std::bit_cast<double>(weight_bits[k]);
+    slice.push_back(c);
+  }
+  std::string block(slice.size() * 16, '\0');
+  std::string bytes(slice.size() * 16, '\x55');
+  net::StoreComparisons(slice, block.data());
+  net::StoreComparisonBytes(slice, bytes.data());
+  EXPECT_EQ(ToHex(block), ToHex(bytes));
+  // The first comparison, by hand: i = 0, j = 0x7fffffff, quiet NaN.
+  EXPECT_EQ(ToHex(bytes.substr(0, 16)),
+            ToHex(FromHex("00000000 ffffff7f 230100000000f87f")));
+
+  std::vector<Comparison> from_block(slice.size());
+  std::vector<Comparison> from_bytes(slice.size());
+  net::LoadComparisons(block.data(), from_block);
+  net::LoadComparisonBytes(bytes.data(), from_bytes);
+  EXPECT_TRUE(SameComparisons(from_block, slice));
+  EXPECT_TRUE(SameComparisons(from_bytes, slice));
 }
 
 TEST(WireTest, MaxFramePayloadFitsAMaximalResponse) {

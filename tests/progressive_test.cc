@@ -129,39 +129,49 @@ TEST(ComparisonListTest, AppendFromConcatenatesRemainingItems) {
 
 // ------------------------------------------------------------- TopKBuffer
 
-/// The buffer's kept comparisons, best first.
-std::vector<Comparison> Kept(TopKBuffer& topk) {
-  ComparisonList list;
+/// Selects the k best of `stream` with `topk` and appends them to `list`.
+void SelectInto(TopKBuffer& topk, std::size_t k,
+                const std::vector<Comparison>& stream, ComparisonList& list) {
+  topk.Assign(k, stream.size(), [&](std::size_t t) { return stream[t]; });
   topk.AppendDescending(list);
+}
+
+/// The k best of `stream` as `topk` keeps them, best first.
+std::vector<Comparison> Kept(TopKBuffer& topk, std::size_t k,
+                             const std::vector<Comparison>& stream) {
+  ComparisonList list;
+  SelectInto(topk, k, stream, list);
   std::vector<Comparison> out;
   while (!list.Empty()) out.push_back(list.PopFirst());
   return out;
 }
 
 TEST(TopKBufferTest, KeepsTheKBestInDescendingOrder) {
-  TopKBuffer topk;
-  topk.Reset(3);
-  // Push enough to force several nth_element cuts (cut at 2k = 6).
-  for (int v = 0; v < 20; ++v) {
-    topk.Push(Comparison(0, static_cast<ProfileId>(v + 1), 0.05 * v));
+  // Past the bound (8192 stored keys at k = 3), so the stored keys are cut
+  // back to k several times, and the rejection floor drops most of the
+  // later candidates. The weights are a permutation of 0.05 * 0..n-1.
+  const std::size_t n = 3 * TopKBuffer::Bound(3) + 5;
+  std::vector<Comparison> stream;
+  for (std::size_t t = 0; t < n; ++t) {
+    stream.emplace_back(0, static_cast<ProfileId>(t + 1),
+                        0.05 * static_cast<double>((t * 7919) % n));
   }
+  TopKBuffer topk;
   ComparisonList list;
-  list.Add(Comparison(7, 8, 42.0));  // an earlier refill stays in front
-  topk.AppendDescending(list);
+  list.Add(Comparison(7, 8, 1e9));  // an earlier refill stays in front
+  SelectInto(topk, 3, stream, list);
   ASSERT_EQ(list.remaining(), 4u);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 42.0);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * 19);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * 18);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * 17);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 1e9);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * static_cast<double>(n - 1));
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * static_cast<double>(n - 2));
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * static_cast<double>(n - 3));
 }
 
 TEST(TopKBufferTest, TiesResolveByIdsLikeByWeightDesc) {
   TopKBuffer topk;
-  topk.Reset(2);
-  topk.Push(Comparison(5, 6, 1.0));
-  topk.Push(Comparison(1, 2, 1.0));
-  topk.Push(Comparison(3, 4, 1.0));
-  const std::vector<Comparison> kept = Kept(topk);
+  const std::vector<Comparison> kept = Kept(
+      topk, 2, {Comparison(5, 6, 1.0), Comparison(1, 2, 1.0),
+                Comparison(3, 4, 1.0)});
   ASSERT_EQ(kept.size(), 2u);
   // ByWeightDesc ranks equal weights by ascending ids: (1,2) then (3,4).
   EXPECT_EQ(kept[0].i, 1u);
@@ -170,64 +180,89 @@ TEST(TopKBufferTest, TiesResolveByIdsLikeByWeightDesc) {
 
 TEST(TopKBufferTest, UnboundedAndZeroAndReuse) {
   TopKBuffer topk;
-  topk.Reset(SIZE_MAX);  // Same Eventual Quality: nothing truncated
+  std::vector<Comparison> stream;
   for (int v = 0; v < 100; ++v) {
-    topk.Push(Comparison(0, static_cast<ProfileId>(v + 1), 1.0 * v));
+    stream.emplace_back(0, static_cast<ProfileId>(v + 1), 1.0 * v);
   }
-  EXPECT_EQ(Kept(topk).size(), 100u);
+  // Same Eventual Quality: nothing truncated.
+  EXPECT_EQ(Kept(topk, SIZE_MAX, stream).size(), 100u);
 
-  topk.Reset(0);  // keep nothing
-  topk.Push(Comparison(0, 1, 1.0));
-  EXPECT_TRUE(Kept(topk).empty());
+  // k = 0 keeps nothing, but still produces every candidate once.
+  std::size_t produced = 0;
+  topk.Assign(0, stream.size(), [&](std::size_t t) {
+    ++produced;
+    return stream[t];
+  });
+  ComparisonList list;
+  topk.AppendDescending(list);
+  EXPECT_TRUE(list.Empty());
+  EXPECT_EQ(produced, stream.size());
 
-  topk.Reset(5);  // reuse after both extremes
-  topk.Push(Comparison(0, 1, 1.0));
-  EXPECT_EQ(Kept(topk).size(), 1u);
+  // Reuse after both extremes.
+  EXPECT_EQ(Kept(topk, 5, {Comparison(0, 1, 1.0)}).size(), 1u);
 }
 
-TEST(TopKBufferTest, MatchesAFullSortWhenCandidatesTieWithTheFloor) {
-  // Three weights only, so most candidates tie on weight with the floor
-  // and only their ids decide; one buffer serves every stream and k.
-  const double weights[] = {0.0, 0.5, 1.0};
-  std::mt19937_64 rng(7);
+TEST(TopKBufferTest, MatchesAFullSortOfSeededStreams) {
+  // Differential check against std::sort by ByWeightDesc, truncated to k:
+  // stream lengths around k, one far below the bound and one past it
+  // (which cuts and raises the rejection floor), weights drawn from 1-3
+  // values (tied, as ARCS shares are) or from many, always with +0.0
+  // present. One buffer serves every stream and k.
+  std::mt19937_64 rng(20261019);
+  const std::size_t past = 2 * TopKBuffer::Bound(100) + 3;
+  const double few[] = {0.0, 0.125, 1.0 / 3};
   TopKBuffer topk;
-  for (std::size_t n : {1u, 2u, 3u, 8u, 50u, 333u}) {
-    std::vector<Comparison> stream;
-    for (std::size_t t = 0; t < n; ++t) {
-      // Distinct pairs: j is unique, i repeats.
-      stream.emplace_back(static_cast<ProfileId>(t % 5),
-                          static_cast<ProfileId>(10 + t),
-                          weights[rng() % 3]);
+  for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                        std::size_t{7}, std::size_t{100},
+                        std::size_t{SIZE_MAX}}) {
+    std::set<std::size_t> lengths = {0, 1, 5000, past};
+    for (std::size_t m : {k - 1, k, k + 1, 2 * k}) {
+      if (m <= past) lengths.insert(m);
     }
-    std::shuffle(stream.begin(), stream.end(), rng);
-    std::vector<Comparison> sorted = stream;
-    std::sort(sorted.begin(), sorted.end(), ByWeightDesc());
-    for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                          n - 1, n, std::size_t{SIZE_MAX}}) {
-      SCOPED_TRACE("n " + std::to_string(n) + ", k " + std::to_string(k));
-      topk.Reset(k);
-      for (const Comparison& c : stream) topk.Push(c);
-      const std::vector<Comparison> kept = Kept(topk);
-      ASSERT_EQ(kept.size(), std::min(k, n));
-      for (std::size_t r = 0; r < kept.size(); ++r) {
-        ASSERT_TRUE(kept[r].SamePair(sorted[r])) << "rank " << r;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(kept[r].weight),
-                  std::bit_cast<std::uint64_t>(sorted[r].weight));
+    for (std::size_t m : lengths) {
+      for (bool tied : {true, false}) {
+        SCOPED_TRACE("k " + std::to_string(k) + ", m " + std::to_string(m) +
+                     (tied ? ", tied" : ", many weights"));
+        const std::size_t values = 1 + rng() % 3;
+        std::vector<Comparison> stream;
+        for (std::size_t t = 0; t < m; ++t) {
+          // Distinct pairs: j is unique, i is drawn below every j.
+          const double weight =
+              tied ? few[rng() % values]
+                   : static_cast<double>(rng() >> 11) * 0x1p-53;
+          stream.emplace_back(static_cast<ProfileId>(rng() % 1000),
+                              static_cast<ProfileId>(1000 + t), weight);
+        }
+        if (m > 0) stream[rng() % m].weight = 0.0;
+        std::shuffle(stream.begin(), stream.end(), rng);
+        std::vector<Comparison> sorted = stream;
+        std::sort(sorted.begin(), sorted.end(), ByWeightDesc());
+        sorted.resize(std::min(k, m));
+
+        const std::vector<Comparison> kept = Kept(topk, k, stream);
+        ASSERT_EQ(kept.size(), sorted.size());
+        for (std::size_t r = 0; r < kept.size(); ++r) {
+          ASSERT_TRUE(kept[r].SamePair(sorted[r])) << "rank " << r;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(kept[r].weight),
+                    std::bit_cast<std::uint64_t>(sorted[r].weight))
+              << "rank " << r;
+        }
       }
     }
   }
 }
 
 TEST(TopKBufferTest, KeepsACandidateThatTiesTheFloorWithSmallerIds) {
+  // One best pair, then enough ties at 0.5 to reach the bound: the cut
+  // keeps (0, 10, 1.0) and (0, 11, 0.5), which becomes the floor.
+  std::vector<Comparison> stream = {Comparison(0, 10, 1.0)};
+  for (std::size_t t = 1; t < TopKBuffer::Bound(2); ++t) {
+    stream.emplace_back(0, static_cast<ProfileId>(10 + t), 0.5);
+  }
+  stream.emplace_back(0, 90000, 0.5);  // the floor's weight, larger ids
+  stream.emplace_back(0, 5, 0.5);      // the floor's weight, smaller ids
   TopKBuffer topk;
-  topk.Reset(2);
-  topk.Push(Comparison(0, 10, 1.0));
-  topk.Push(Comparison(0, 11, 0.5));
-  topk.Push(Comparison(0, 12, 0.5));
-  topk.Push(Comparison(0, 13, 0.5));  // 2k stored: cut, floor (0, 11, 0.5)
-  topk.Push(Comparison(0, 12, 0.5));  // the floor's weight, larger ids
-  topk.Push(Comparison(0, 5, 0.5));   // the floor's weight, smaller ids
-  const std::vector<Comparison> kept = Kept(topk);
+  const std::vector<Comparison> kept = Kept(topk, 2, stream);
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_TRUE(kept[0].SamePair(Comparison(0, 10, 1.0)));
   EXPECT_TRUE(kept[1].SamePair(Comparison(0, 5, 0.5)));
