@@ -1,7 +1,5 @@
 #include "blocking/profile_index.h"
 
-#include <algorithm>
-
 namespace sper {
 
 ProfileIndex::ProfileIndex(const BlockCollection& blocks,
@@ -11,7 +9,6 @@ ProfileIndex::ProfileIndex(const BlockCollection& blocks,
   // block boundaries are irrelevant for the histogram.
   for (ProfileId p : blocks.all_members()) ++offsets_[p + 1];
   for (std::size_t i = 1; i <= num_profiles; ++i) {
-    max_blocks_ = std::max<std::size_t>(max_blocks_, offsets_[i]);
     offsets_[i] += offsets_[i - 1];
   }
   flat_.resize(offsets_[num_profiles]);

@@ -35,10 +35,6 @@ class ProfileIndex {
     return offsets_[p + 1] - offsets_[p];
   }
 
-  /// The largest |B_p| over every profile (0 for an empty index): sizes a
-  /// per-profile buffer once.
-  std::size_t MaxBlocksOf() const { return max_blocks_; }
-
   /// Σ_{p in [begin, end)} |B_p| in O(1): the number of index entries of a
   /// contiguous profile range. Lets parallel chunk workers pre-size their
   /// per-chunk buffers without a counting pass.
@@ -78,7 +74,6 @@ class ProfileIndex {
  private:
   std::vector<std::uint64_t> offsets_;  // size num_profiles + 1
   std::vector<BlockId> flat_;
-  std::size_t max_blocks_ = 0;
 };
 
 }  // namespace sper

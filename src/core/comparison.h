@@ -68,12 +68,9 @@ struct ByWeightAsc {
 /// bits, read as an unsigned integer, order exactly as the doubles do
 /// (-0.0 would rank below +0.0 although the two compare equal, and NaN
 /// has no order at all).
-///
-/// Trivially default-constructible, so an array of keys can be allocated
-/// without being written; `ComparisonKey{}` is {0, 0}.
 struct ComparisonKey {
-  std::uint64_t hi;  ///< the weight's IEEE bits
-  std::uint64_t lo;  ///< ~((i << 32) | j): smaller ids rank higher
+  std::uint64_t hi = 0;  ///< the weight's IEEE bits
+  std::uint64_t lo = 0;  ///< ~((i << 32) | j): smaller ids rank higher
 
   static ComparisonKey Of(const Comparison& c) {
     SPER_DCHECK(std::isfinite(c.weight) && !std::signbit(c.weight));

@@ -44,12 +44,13 @@ struct MemberRange {
 /// constructing thread, so a refill never allocates.
 struct PpsEmitter::RefillScratch final : BatchSource::Scratch {
   RefillScratch(std::size_t num_profiles, std::size_t max_blocks,
-                std::size_t max_candidates, std::size_t kmax)
+                std::size_t max_neighbors)
       : weights(num_profiles, 0.0),
         // Not zero-filled: a refill writes only the pages it reaches.
         touched(std::make_unique_for_overwrite<ProfileId[]>(num_profiles)),
         ranges(std::make_unique<MemberRange[]>(max_blocks)) {
-    topk.Reserve(kmax, max_candidates);
+    // A refill's candidates are some of its profile's neighbors.
+    topk.Reserve(max_neighbors);
   }
 
   /// kChecked for a profile ranked before `ranked`; otherwise its running
@@ -131,6 +132,7 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
   for (ProfileId i = 0; i < store_.size(); ++i) {
     if (nodes[i].neighbors == 0) continue;
     max_neighbors_ = std::max(max_neighbors_, nodes[i].neighbors);
+    max_blocks_ = std::max(max_blocks_, index_.NumBlocksOf(i));
     sorted_profiles_.emplace_back(i, nodes[i].likelihood);
     top_comparisons.push_back(nodes[i].top);
   }
@@ -171,9 +173,8 @@ std::size_t PpsEmitter::RefillBound(std::size_t index) const {
 }
 
 std::unique_ptr<BatchSource::Scratch> PpsEmitter::NewScratch() const {
-  // A refill's candidates are some of its profile's neighbors.
-  return std::make_unique<RefillScratch>(store_.size(), index_.MaxBlocksOf(),
-                                        max_neighbors_, options_.kmax);
+  return std::make_unique<RefillScratch>(store_.size(), max_blocks_,
+                                        max_neighbors_);
 }
 
 void PpsEmitter::AppendRefill(std::size_t index, Scratch& scratch,
@@ -238,10 +239,10 @@ void PpsEmitter::AppendRefill(std::size_t index, Scratch& scratch,
   // SortedStack (lines 15-18): the reusable top-k selector keeps the Kmax
   // top-weighted comparisons without a per-refill allocation. It stores
   // every candidate, selects once, on their weight words and then on the
-  // ties' ids, and appends the kept keys best first after a merge sort
-  // (ByWeightDesc is total, so the result is bit-identical to the
-  // min-heap reference). Each candidate's accumulator entry is reset as
-  // it is read, ready for the next refill.
+  // ties' ids, and appends the kept keys best first (ByWeightDesc is
+  // total, so the result is bit-identical to the min-heap reference).
+  // Each candidate's accumulator entry is reset as it is read, ready for
+  // the next refill.
   s.topk.Assign(options_.kmax, touched_count, [&](std::size_t t) {
     const ProfileId j = touched[t];
     const Comparison candidate(i, j, weighter_.Finalize(i, j, weights[j]));

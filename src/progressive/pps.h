@@ -98,7 +98,10 @@ class PpsEmitter : public ProgressiveEmitter, public BatchSource {
   PpsOptions options_;
 
   std::vector<std::pair<ProfileId, double>> sorted_profiles_;
-  std::size_t max_neighbors_ = 0;  // the most neighbors any profile has
+  // Refill scratch sizes: the most neighbors and the most blocks of any
+  // profile in sorted_profiles_.
+  std::size_t max_neighbors_ = 0;
+  std::size_t max_blocks_ = 0;
   ComparisonList initial_;  // batch 0: every node's top comparison
   RefillCursor refills_;  // Next()'s walk
   ComparisonList comparisons_;  // Next()'s current batch

@@ -5,65 +5,47 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <memory_resource>
+#include <vector>
 
 #include "core/comparison.h"
 #include "core/macros.h"
+#include "core/page_resource.h"
 #include "progressive/comparison_list.h"
 
 /// \file top_k.h
-/// Reusable bounded top-k selector: PPS's SortedStack (paper Alg. 6 lines
-/// 15-18) without a per-refill heap. Candidates are stored as
-/// ComparisonKey, whose unsigned order is ByWeightDesc's, so every
-/// selection compares integers.
+/// Reusable top-k selector: PPS's SortedStack (paper Alg. 6 lines 15-18)
+/// without a per-refill heap. Candidates are stored as ComparisonKey,
+/// whose unsigned order is ByWeightDesc's, so every selection compares
+/// integers.
 ///
-/// Up to Bound(k) candidates, every key is stored, and the k best are
-/// selected once, at the end: one nth_element over the 8-byte weight words
-/// finds the k-th largest weight T; every key above T is kept, and of the
-/// keys at T the `need` best-ranked (largest low word, i.e. smallest pair)
-/// are picked by a second nth_element over their low words. That is
-/// exact: ByWeightDesc is a total order over distinct pairs, at most k - 1
-/// keys lie above T and at least k lie at or above it. A refill's
-/// candidates carry few distinct weights (ARCS shares tie), so the tie
-/// set left for the second step is small. The kept keys are then ordered
-/// by a merge sort with a branch-free merge step; every correct sort of
-/// distinct keys gives the same order, so the kept set and the emission
-/// order are bit-identical to the bounded min-heap this replaces.
-///
-/// Past Bound(k) candidates, memory stays bounded: the stored keys are cut
-/// back to the k best by nth_element whenever they reach the bound, and
-/// from the first cut on the k-th best key is a rejection floor — a
-/// candidate whose key is not above it can never be in the final k and is
-/// dropped without being stored. Reserve() sizes every buffer up front, so
-/// a selector reused across refills never allocates.
+/// Every candidate is stored, and the k best are selected once, at the
+/// end: one nth_element over the 8-byte weight words finds the k-th
+/// largest weight T; every key above T is kept, and of the keys at T the
+/// `need` best-ranked (largest low word, i.e. smallest pair) are picked by
+/// a second nth_element over their low words. That is exact: ByWeightDesc
+/// is a total order over distinct pairs, at most k - 1 keys lie above T
+/// and at least k lie at or above it. A refill's candidates carry few
+/// distinct weights (ARCS shares tie), so the tie set left for the second
+/// step is small. Every correct sort of distinct keys gives the same
+/// order, so the kept set and the emission order are bit-identical to the
+/// bounded min-heap this replaces. Reserve() sizes the buffers for the
+/// largest candidate set up front, so a selector reused across refills
+/// never allocates.
 
 namespace sper {
 
 /// Keeps the k best comparisons under ByWeightDesc of one candidate set.
 class TopKBuffer {
  public:
-  /// Keys stored before the selector cuts them back to k: max(2k, 8192),
-  /// saturating so that huge k (SIZE_MAX) never cuts.
-  static std::size_t Bound(std::size_t k) {
-    constexpr std::size_t kMinBound = 8192;
-    return k >= SIZE_MAX / 2 ? SIZE_MAX : std::max(2 * k, kMinBound);
-  }
-
-  /// Sizes every buffer for selections of the k best of at most `n`
-  /// candidates, so that none of them allocates. The buffers are left
-  /// uninitialized: pages that no selection reaches never become resident.
-  void Reserve(std::size_t k, std::size_t n) {
-    const std::size_t stored = std::min(n, Bound(k));
-    if (stored_capacity_ < stored) {
-      keys_ = std::make_unique_for_overwrite<ComparisonKey[]>(stored);
-      words_ = std::make_unique_for_overwrite<std::uint64_t[]>(stored);
-      stored_capacity_ = stored;
-    }
-    const std::size_t kept = std::min(n, k);
-    if (merge_capacity_ < kept) {
-      merge_ = std::make_unique_for_overwrite<ComparisonKey[]>(kept);
-      merge_capacity_ = kept;
-    }
+  /// Sizes the buffers for selections from at most `n` candidates, so that
+  /// none of them allocates. Sized for the largest candidate set, they are
+  /// mostly unused by a typical one, so they are page mappings of their
+  /// own (page_resource.h) rather than malloc heap.
+  void Reserve(std::size_t n) {
+    if (keys_.size() >= n) return;
+    keys_.resize(n);
+    words_.resize(n);
   }
 
   /// Replaces the selection with the k best of the `n` candidates
@@ -78,36 +60,24 @@ class TopKBuffer {
       for (std::size_t t = 0; t < n; ++t) candidate(t);
       return;
     }
-    Reserve(k, n);
-    ComparisonKey* const keys = keys_.get();
-    std::uint64_t* const words = words_.get();
-    const std::size_t bound = Bound(k);
-    if (n < bound) {
-      for (std::size_t t = 0; t < n; ++t) {
-        const ComparisonKey key = Key(candidate(t));
-        keys[t] = key;
-        words[t] = key.hi;
-      }
-      size_ = n;
-      return;
-    }
-    // The floor {0, 0} is below the key of every pair with a valid id.
-    ComparisonKey floor{};
+    Reserve(n);
+    ComparisonKey* const keys = keys_.data();
+    std::uint64_t* const words = words_.data();
     for (std::size_t t = 0; t < n; ++t) {
       const ComparisonKey key = Key(candidate(t));
-      if (!(key > floor)) continue;
-      keys[size_++] = key;
-      if (size_ == bound) floor = Cut();
+      keys[t] = key;
+      words[t] = key.hi;
     }
-    for (std::size_t t = 0; t < size_; ++t) words[t] = keys[t].hi;
+    size_ = n;
   }
 
   /// Appends the kept comparisons to `out`, best first. Ends the
   /// selection: call Assign() before the next AppendDescending().
   void AppendDescending(ComparisonList& out) {
     if (size_ > k_) SelectBest();
-    SortDescending();
-    for (std::size_t t = 0; t < size_; ++t) out.Add(keys_[t].Decode());
+    ComparisonKey* const keys = keys_.data();
+    std::sort(keys, keys + size_, std::greater<>());
+    for (std::size_t t = 0; t < size_; ++t) out.Add(keys[t].Decode());
   }
 
  private:
@@ -116,19 +86,10 @@ class TopKBuffer {
     return ComparisonKey::Of(c);
   }
 
-  /// The fallback past the bound: keeps the k best stored keys and
-  /// returns the k-th, the new rejection floor.
-  ComparisonKey Cut() {
-    ComparisonKey* const keys = keys_.get();
-    std::nth_element(keys, keys + (k_ - 1), keys + size_, std::greater<>());
-    size_ = k_;
-    return keys[k_ - 1];
-  }
-
   /// Keeps exactly the k best of more than k stored keys, in no order.
   void SelectBest() {
-    ComparisonKey* const keys = keys_.get();
-    std::uint64_t* const words = words_.get();
+    ComparisonKey* const keys = keys_.data();
+    std::uint64_t* const words = words_.data();
     std::nth_element(words, words + (k_ - 1), words + size_,
                      std::greater<>());
     const std::uint64_t threshold = words[k_ - 1];
@@ -156,45 +117,10 @@ class TopKBuffer {
     size_ = k_;
   }
 
-  /// Orders the stored keys best first: a bottom-up merge sort that
-  /// ping-pongs between keys_ and merge_.
-  void SortDescending() {
-    ComparisonKey* from = keys_.get();
-    ComparisonKey* to = merge_.get();
-    for (std::size_t width = 1; width < size_; width *= 2) {
-      for (std::size_t begin = 0; begin < size_; begin += 2 * width) {
-        const std::size_t mid = std::min(begin + width, size_);
-        const std::size_t end = std::min(mid + width, size_);
-        Merge(from + begin, from + mid, from + mid, from + end, to + begin);
-      }
-      std::swap(from, to);
-    }
-    if (from != keys_.get()) std::copy(from, from + size_, keys_.get());
-  }
-
-  /// Merges two descending runs of distinct keys into `out`. Which run
-  /// gives the next key is a data-dependent coin flip, so it is chosen by
-  /// a pointer select instead of a branch.
-  static void Merge(const ComparisonKey* a, const ComparisonKey* a_end,
-                    const ComparisonKey* b, const ComparisonKey* b_end,
-                    ComparisonKey* out) {
-    while (a != a_end && b != b_end) {
-      const bool take_b = *b > *a;
-      *out++ = *(take_b ? b : a);
-      a += !take_b;
-      b += take_b;
-    }
-    out = std::copy(a, a_end, out);
-    std::copy(b, b_end, out);
-  }
-
   /// The stored keys, keys_[0, size_).
-  std::unique_ptr<ComparisonKey[]> keys_;
+  std::pmr::vector<ComparisonKey> keys_{Pages()};
   /// Selection scratch: the keys' weight words, then the ties' low words.
-  std::unique_ptr<std::uint64_t[]> words_;
-  std::size_t stored_capacity_ = 0;  // of keys_ and of words_
-  std::unique_ptr<ComparisonKey[]> merge_;  // the merge sort's other buffer
-  std::size_t merge_capacity_ = 0;
+  std::pmr::vector<std::uint64_t> words_{Pages()};
   std::size_t size_ = 0;
   std::size_t k_ = 0;
 };

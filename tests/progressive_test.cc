@@ -147,24 +147,21 @@ std::vector<Comparison> Kept(TopKBuffer& topk, std::size_t k,
 }
 
 TEST(TopKBufferTest, KeepsTheKBestInDescendingOrder) {
-  // Past the bound (8192 stored keys at k = 3), so the stored keys are cut
-  // back to k several times, and the rejection floor drops most of the
-  // later candidates. The weights are a permutation of 0.05 * 0..n-1.
-  const std::size_t n = 3 * TopKBuffer::Bound(3) + 5;
+  // Twenty candidates in ascending weight order, so the best three come
+  // last and the selection has to drop the seventeen stored before them.
   std::vector<Comparison> stream;
-  for (std::size_t t = 0; t < n; ++t) {
-    stream.emplace_back(0, static_cast<ProfileId>(t + 1),
-                        0.05 * static_cast<double>((t * 7919) % n));
+  for (int v = 0; v < 20; ++v) {
+    stream.emplace_back(0, static_cast<ProfileId>(v + 1), 0.05 * v);
   }
   TopKBuffer topk;
   ComparisonList list;
-  list.Add(Comparison(7, 8, 1e9));  // an earlier refill stays in front
+  list.Add(Comparison(7, 8, 42.0));  // an earlier refill stays in front
   SelectInto(topk, 3, stream, list);
   ASSERT_EQ(list.remaining(), 4u);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 1e9);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * static_cast<double>(n - 1));
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * static_cast<double>(n - 2));
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * static_cast<double>(n - 3));
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 42.0);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * 19);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * 18);
+  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.05 * 17);
 }
 
 TEST(TopKBufferTest, TiesResolveByIdsLikeByWeightDesc) {
@@ -204,20 +201,19 @@ TEST(TopKBufferTest, UnboundedAndZeroAndReuse) {
 
 TEST(TopKBufferTest, MatchesAFullSortOfSeededStreams) {
   // Differential check against std::sort by ByWeightDesc, truncated to k:
-  // stream lengths around k, one far below the bound and one past it
-  // (which cuts and raises the rejection floor), weights drawn from 1-3
+  // stream lengths around k and two long ones, weights drawn from 1-3
   // values (tied, as ARCS shares are) or from many, always with +0.0
-  // present. One buffer serves every stream and k.
+  // present. One buffer serves every stream and k, so it also grows.
   std::mt19937_64 rng(20261019);
-  const std::size_t past = 2 * TopKBuffer::Bound(100) + 3;
+  const std::size_t longest = 20000;
   const double few[] = {0.0, 0.125, 1.0 / 3};
   TopKBuffer topk;
   for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                         std::size_t{7}, std::size_t{100},
                         std::size_t{SIZE_MAX}}) {
-    std::set<std::size_t> lengths = {0, 1, 5000, past};
+    std::set<std::size_t> lengths = {0, 1, 5000, longest};
     for (std::size_t m : {k - 1, k, k + 1, 2 * k}) {
-      if (m <= past) lengths.insert(m);
+      if (m <= longest) lengths.insert(m);
     }
     for (std::size_t m : lengths) {
       for (bool tied : {true, false}) {
@@ -252,17 +248,14 @@ TEST(TopKBufferTest, MatchesAFullSortOfSeededStreams) {
   }
 }
 
-TEST(TopKBufferTest, KeepsACandidateThatTiesTheFloorWithSmallerIds) {
-  // One best pair, then enough ties at 0.5 to reach the bound: the cut
-  // keeps (0, 10, 1.0) and (0, 11, 0.5), which becomes the floor.
-  std::vector<Comparison> stream = {Comparison(0, 10, 1.0)};
-  for (std::size_t t = 1; t < TopKBuffer::Bound(2); ++t) {
-    stream.emplace_back(0, static_cast<ProfileId>(10 + t), 0.5);
-  }
-  stream.emplace_back(0, 90000, 0.5);  // the floor's weight, larger ids
-  stream.emplace_back(0, 5, 0.5);      // the floor's weight, smaller ids
+TEST(TopKBufferTest, KeepsTheSmallestPairAmongTiesAtTheKthWeight) {
+  // One pair above the k-th weight 0.5 and five ties at it: the tie kept
+  // is the smallest pair, although it comes last.
   TopKBuffer topk;
-  const std::vector<Comparison> kept = Kept(topk, 2, stream);
+  const std::vector<Comparison> kept = Kept(
+      topk, 2, {Comparison(0, 10, 1.0), Comparison(0, 11, 0.5),
+                Comparison(0, 12, 0.5), Comparison(0, 13, 0.5),
+                Comparison(0, 90000, 0.5), Comparison(0, 5, 0.5)});
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_TRUE(kept[0].SamePair(Comparison(0, 10, 1.0)));
   EXPECT_TRUE(kept[1].SamePair(Comparison(0, 5, 0.5)));
