@@ -40,29 +40,24 @@
 #include "datagen/datagen.h"
 #include "engine/resolver.h"
 #include "eval/table.h"
+#include "net/wire.h"
 #include "obs/clock.h"
 #include "obs/fault_injection.h"
 
 namespace {
 
 using namespace sper;
-using sper::bench::DrainResult;
+using sper::bench::Percentile;
 
 double Millis(const obs::Stopwatch& watch) {
   return watch.ElapsedSeconds() * 1000.0;
 }
 
-/// Nearest-rank percentile over per-slice latencies (q in [0, 1]).
-double Percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t rank = static_cast<std::size_t>(
-      q * static_cast<double>(samples.size() - 1) + 0.5);
-  return samples[std::min(rank, samples.size() - 1)];
-}
-
+/// One drain in Resolver::Serve slices, reduced to its stream digest.
 struct SessionRun {
-  DrainResult drain;
+  net::StreamDigest digest;
+  std::uint64_t requests = 0;
+  double wall_ms = 0.0;
   std::vector<double> slice_ms;
   std::uint64_t deadline_cuts = 0;
 };
@@ -86,13 +81,13 @@ SessionRun RunSession(const ProfileStore& store,
     const obs::Stopwatch slice_start;
     ResolveResult slice = resolver->Serve(request);
     run.slice_ms.push_back(Millis(slice_start));
-    ++run.drain.requests;
+    ++run.requests;
     if (!slice.status.ok()) {
       std::fprintf(stderr, "resolve failed: %s\n",
                    slice.status.ToString().c_str());
       std::exit(1);
     }
-    for (const Comparison& c : slice.comparisons) run.drain.Fold(c);
+    for (const Comparison& c : slice.comparisons) run.digest.Fold(c);
     run.deadline_cuts += slice.deadline_exceeded() ? 1 : 0;
     if (slice.stream_exhausted || slice.budget_exhausted) break;
     // A deadline can cut a slice before it draws anything while a stalled
@@ -106,7 +101,7 @@ SessionRun RunSession(const ProfileStore& store,
       break;
     }
   }
-  run.drain.wall_ms = Millis(start);
+  run.wall_ms = Millis(start);
   return run;
 }
 
@@ -217,39 +212,38 @@ int main(int argc, char** argv) {
     SessionRun best;
     for (int r = 0; r < repeat; ++r) {
       SessionRun run = RunSession(store, options, batch, path.deadline_ms);
-      if (r == 0 || run.drain.wall_ms < best.drain.wall_ms) {
+      if (r == 0 || run.wall_ms < best.wall_ms) {
         best = std::move(run);
       }
     }
     if (path.stall) obs::FaultRegistry::Global().Reset();
     if (std::strcmp(path.name, "baseline") == 0) baseline = best;
 
-    const bool match = best.drain.SameStream(baseline.drain);
+    const bool match = best.digest == baseline.digest;
     ok = ok && match;
     const double p50 = Percentile(best.slice_ms, 0.50);
     const double p99 = Percentile(best.slice_ms, 0.99);
-    const double speedup = best.drain.wall_ms > 0
-                               ? baseline.drain.wall_ms / best.drain.wall_ms
-                               : 0.0;
-    table.AddRow({path.name, std::to_string(best.drain.requests),
+    const double speedup =
+        best.wall_ms > 0 ? baseline.wall_ms / best.wall_ms : 0.0;
+    table.AddRow({path.name, std::to_string(best.requests),
                   std::to_string(best.deadline_cuts),
-                  std::to_string(best.drain.emitted),
-                  FormatDouble(best.drain.wall_ms, 1), FormatDouble(p50, 2),
+                  std::to_string(best.digest.count),
+                  FormatDouble(best.wall_ms, 1), FormatDouble(p50, 2),
                   FormatDouble(p99, 2), match ? "match" : "MISMATCH"});
     sper::bench::JsonRecord record{
         dataset.value().name,  scale,
         options.num_threads,   path.name,
-        best.drain.wall_ms,    speedup,
+        best.wall_ms,          speedup,
         options.num_shards,    options.lookahead,
         static_cast<std::size_t>(batch)};
     record.extras.emplace_back("slice_p50_ms", p50);
     record.extras.emplace_back("slice_p99_ms", p99);
     record.extras.emplace_back("requests",
-                               static_cast<double>(best.drain.requests));
+                               static_cast<double>(best.requests));
     record.extras.emplace_back("deadline_cuts",
                                static_cast<double>(best.deadline_cuts));
     record.extras.emplace_back("emitted",
-                               static_cast<double>(best.drain.emitted));
+                               static_cast<double>(best.digest.count));
     records.push_back(std::move(record));
   }
   table.Print();

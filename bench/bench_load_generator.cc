@@ -56,22 +56,14 @@
 #include "datagen/datagen.h"
 #include "engine/resolver.h"
 #include "eval/table.h"
+#include "net/wire.h"
 #include "obs/clock.h"
 #include "serving/qos.h"
 
 namespace {
 
 using namespace sper;
-using sper::bench::DrainResult;
-
-/// Nearest-rank percentile (q in [0, 1]).
-double Percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t rank = static_cast<std::size_t>(
-      q * static_cast<double>(samples.size() - 1) + 0.5);
-  return samples[std::min(rank, samples.size() - 1)];
-}
+using sper::bench::Percentile;
 
 std::uint64_t NowNs() { return obs::MonotonicClock::Default()->NowNanos(); }
 
@@ -331,16 +323,15 @@ int main(int argc, char** argv) {
               [](const ResolveResult* a, const ResolveResult* b) {
                 return a->ticket < b->ticket;
               });
-    DrainResult actual, expected;
+    net::StreamDigest actual, expected;
     for (const ResolveResult* slice : admitted) {
       for (const Comparison& c : slice->comparisons) actual.Fold(c);
     }
-    for (std::uint64_t i = 0; i < actual.emitted && i < reference.size();
+    for (std::uint64_t i = 0; i < actual.count && i < reference.size();
          ++i) {
       expected.Fold(reference[i]);
     }
-    const bool match = actual.emitted <= reference.size() &&
-                       actual.SameStream(expected);
+    const bool match = actual.count <= reference.size() && actual == expected;
     digests_ok = digests_ok && match;
 
     sper::bench::JsonRecord record;
@@ -352,7 +343,7 @@ int main(int argc, char** argv) {
     record.extras.emplace_back("capacity_rps", capacity_rps);
     record.extras.emplace_back("offered_rps", offered_rps);
     record.extras.emplace_back("emitted",
-                               static_cast<double>(actual.emitted));
+                               static_cast<double>(actual.count));
     record.extras.emplace_back("digest_match", match ? 1.0 : 0.0);
 
     for (std::size_t p = 0; p < kNumPriorities; ++p) {

@@ -5,6 +5,7 @@
 // parsing (--scale / --ecmax), per-dataset method configuration (the
 // paper's Sec. 7 parameter choices), recall-curve table printing.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -47,36 +48,15 @@ inline BenchArgs ParseArgs(int argc, char** argv) {
   return args;
 }
 
-/// One drained comparison stream reduced to a comparable digest: FNV-1a
-/// over every emitted (i, j, weight). Shared by the digest-checked
-/// serving benches (bench_fault_tolerance, bench_load_generator) —
-/// "match" in their tables means two drains folded to the same digest,
-/// i.e. bit-identical streams.
-struct DrainResult {
-  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
-  std::uint64_t emitted = 0;
-  /// Requests issued by a session-batched drain; 0 for raw drains.
-  std::uint64_t requests = 0;
-  double wall_ms = 0.0;
-
-  void Fold(const Comparison& c) {
-    const auto mix = [this](std::uint64_t v) {
-      digest ^= v;
-      digest *= 1099511628211ull;  // FNV-1a prime
-    };
-    mix(c.i);
-    mix(c.j);
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(c.weight));
-    std::memcpy(&bits, &c.weight, sizeof(bits));
-    mix(bits);
-    ++emitted;
-  }
-
-  bool SameStream(const DrainResult& other) const {
-    return digest == other.digest && emitted == other.emitted;
-  }
-};
+/// Nearest-rank percentile (q in [0, 1]) of the serving benches'
+/// latency samples; 0 when there are none.
+inline double Percentile(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t rank = static_cast<std::size_t>(
+      q * static_cast<double>(samples.size() - 1) + 0.5);
+  return samples[std::min(rank, samples.size() - 1)];
+}
 
 /// Resolver::Create for bench binaries: prints the error Status and
 /// exits non-zero instead of returning it.

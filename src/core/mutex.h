@@ -13,8 +13,8 @@
 /// thread-safety attributes (core/thread_annotations.h). Every locking
 /// site in the library uses these instead of the std types so that
 /// -Wthread-safety can prove lock discipline over the whole concurrency
-/// substrate (thread pool, emission pipeline ring, resolver
-/// admission, metric registry, fault registry).
+/// substrate (emission pipeline ring, resolver admission, metric
+/// registry, fault registry).
 ///
 /// CondVar deliberately has no predicate-taking Wait: the analysis sees a
 /// predicate lambda as an unrelated lock-free function and flags every

@@ -1,5 +1,6 @@
 #include "datagen/datagen.h"
 
+#include <cmath>
 #include <string>
 
 namespace sper {
@@ -18,6 +19,12 @@ const std::vector<std::string>& HeterogeneousDatasetNames() {
 
 Result<DatasetBundle> GenerateDataset(std::string_view name,
                                       const DatagenOptions& options) {
+  // A scale <= 0 or NaN would reach the generators' size_t casts of
+  // llround(count * scale), and -1 asks for about 2^64 profiles.
+  if (!std::isfinite(options.scale) || options.scale <= 0.0) {
+    return Status::InvalidArgument("scale must be finite and > 0, got " +
+                                   std::to_string(options.scale));
+  }
   if (name == "census") return GenerateCensus(options);
   if (name == "restaurant") return GenerateRestaurant(options);
   if (name == "cora") return GenerateCora(options);

@@ -23,7 +23,8 @@ struct DatagenOptions {
   /// RNG seed; every dataset is a pure function of (name, seed, scale).
   std::uint64_t seed = 7;
   /// Multiplies profile counts; 1.0 reproduces the Table 2 scale (or the
-  /// documented reduced scale for dbpedia/freebase).
+  /// documented reduced scale for dbpedia/freebase). Must be finite and
+  /// > 0: GenerateDataset returns InvalidArgument otherwise.
   double scale = 1.0;
 };
 

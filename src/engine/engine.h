@@ -16,14 +16,13 @@
 #include "progressive/emitter.h"
 
 /// \file engine.h
-/// The abstract engine interface of the serving layer. Every engine —
-/// plain (`ProgressiveEngine`), sharded (`ShardedEngine`), and whatever
-/// comes next — is a `ProgressiveEmitter` plus the serving contract the
-/// `Resolver` builds on: a pay-as-you-go budget, an emission counter,
-/// unified initialization diagnostics, and the robustness contract —
-/// cancellable pulls (Pull, and PullMany in bulk), sticky failure
-/// containment (status), and graceful teardown (Drain). `BudgetedEngine`
-/// implements that contract once, so concrete engines only provide the
+/// The engine of the serving layer: a `ProgressiveEmitter` plus the
+/// serving contract the `Resolver` builds on — a pay-as-you-go budget, an
+/// emission counter, unified initialization diagnostics, and the
+/// robustness contract: one cancellable pull (PullMany), sticky failure
+/// containment (status), and graceful teardown (Drain). `Engine`
+/// implements that contract once; its two subclasses, plain
+/// (`ProgressiveEngine`) and sharded (`ShardedEngine`), only provide the
 /// unbudgeted stream.
 
 namespace sper {
@@ -59,49 +58,47 @@ struct InitStats {
   std::vector<InitPhase> phases;
 };
 
-/// Outcome of one Engine::Pull.
+/// Outcome of one Engine::PullMany.
 enum class PullStatus {
-  kOk,         // `out` holds the next comparison of the stream
+  kOk,         // `out` holds the next comparisons of the stream
   kExhausted,  // stream over (source drained, budget spent, or engine
                // drained) — terminal for this request AND the stream
   kCancelled,  // the token fired first; the stream is fully intact and the
-               // next Pull (any token) continues bit-identically
+               // next pull (any token) continues bit-identically
   kError,      // the engine is poisoned — see status(); terminal, sticky
 };
 
-/// The engine interface: a ranked comparison stream (Next/name, inherited
-/// from ProgressiveEmitter) plus budget accounting, init diagnostics, and
-/// the robustness contract (cancellable pulls, sticky status, drain).
+/// A ranked comparison stream (Next/name, inherited from
+/// ProgressiveEmitter) plus budget accounting, init diagnostics, and the
+/// robustness contract (one cancellable pull, sticky status, drain).
+/// PullMany charges the budget, counts emissions, and short-circuits the
+/// poisoned and drained states; subclasses only implement
+/// PullUnbudgeted(), and PullManyUnbudgeted() where they hold whole
+/// batches. Their constructors fill `stats_` and set `budget_`
+/// (0 = unlimited).
 ///
-/// Engines are NOT thread-safe: one consumer drains Next()/Pull()/
-/// PullMany() at a time (`Resolver::Serve` serializes concurrent requests
-/// on top of this). Drain() must likewise be externally serialized
-/// against pulls — the Resolver does so via its admission queue.
+/// Engines are NOT thread-safe: one consumer drains Next()/PullMany() at
+/// a time (`Resolver::Serve` serializes concurrent requests on top of
+/// this). Drain() must likewise be externally serialized against pulls —
+/// the Resolver does so via its admission queue.
 class Engine : public ProgressiveEmitter {
  public:
-  /// Comparisons emitted so far.
-  virtual std::uint64_t emitted() const = 0;
+  /// Emission phase: the next best comparison, honoring the budget — a
+  /// one-comparison PullMany with a token that never fires.
+  std::optional<Comparison> Next() final {
+    next_.clear();
+    if (PullMany(next_, 1, CancelToken()) != PullStatus::kOk) {
+      return std::nullopt;
+    }
+    return next_.front();
+  }
 
-  /// True once the configured pay-as-you-go budget has been spent (never
-  /// for budget 0, which means unlimited).
-  virtual bool BudgetExhausted() const = 0;
-
-  /// Initialization diagnostics.
-  virtual const InitStats& init_stats() const = 0;
-
-  /// Number of hash shards serving the stream (1 for a plain engine).
-  virtual std::size_t num_shards() const = 0;
-
-  /// The cancellable pull: like Next(), but gives up (kCancelled) when
-  /// `token` fires at a batch boundary, and reports producer failures as
-  /// kError instead of throwing. A null token never fires, making this a
-  /// strict superset of Next().
-  virtual PullStatus Pull(Comparison& out, const CancelToken& token) = 0;
-
-  /// The bulk pull: appends the next comparisons of the stream to `out`,
-  /// at most `max` (> 0) of them, under Pull's contract. kOk when it
-  /// appended at least one; otherwise exactly what Pull would have
-  /// returned.
+  /// The one pull: appends the next comparisons of the stream to `out`,
+  /// at most `max` (> 0) of them. kOk when it appended at least one.
+  /// Otherwise it gives up (kCancelled) when `token` fires at a batch
+  /// boundary, reports producer failures as kError instead of throwing,
+  /// and reads kExhausted once the stream, the budget or the engine is
+  /// drained. A null token never fires.
   ///
   /// Deadlines: a call that has to run a refill, or wait for a refill
   /// worker, checks `token` before it and again once the batch is in
@@ -113,46 +110,8 @@ class Engine : public ProgressiveEmitter {
   /// token between calls is cut at the first batch boundary past its
   /// deadline, and overruns it by at most one refill (or wait) plus one
   /// copy, even when a single refill outlasts the deadline.
-  virtual PullStatus PullMany(std::vector<Comparison>& out, std::size_t max,
-                              const CancelToken& token) = 0;
-
-  /// Why the engine is poisoned; ok() while healthy. Sticky: once a
-  /// producer failure is contained here, every later Pull returns kError
-  /// with this same status.
-  virtual const Status& status() const = 0;
-
-  /// Stops the stream for good: abandons buffered batches, shuts down
-  /// and joins any refill workers, and makes every later Pull return
-  /// kExhausted. Idempotent; must not race Pull (see class comment).
-  virtual void Drain() = 0;
-};
-
-/// Implements the budget and stats accounting of the Engine contract once:
-/// Pull() and PullMany() charge the budget, count emissions, and
-/// short-circuit the poisoned and drained states; concrete engines only
-/// implement PullUnbudgeted(), and PullManyUnbudgeted() where they hold
-/// whole batches. Derived constructors fill `stats_` and set `budget_`
-/// (0 = unlimited).
-class BudgetedEngine : public Engine {
- public:
-  /// Emission phase: the next best comparison, honoring the budget.
-  std::optional<Comparison> Next() final {
-    Comparison out;
-    return Pull(out, CancelToken()) == PullStatus::kOk
-               ? std::optional<Comparison>(out)
-               : std::nullopt;
-  }
-
-  PullStatus Pull(Comparison& out, const CancelToken& token) final {
-    if (!status_.ok()) return PullStatus::kError;
-    if (drained_ || BudgetExhausted()) return PullStatus::kExhausted;
-    const PullStatus pulled = PullUnbudgeted(out, token);
-    if (pulled == PullStatus::kOk) ++emitted_;
-    return pulled;
-  }
-
   PullStatus PullMany(std::vector<Comparison>& out, std::size_t max,
-                      const CancelToken& token) final {
+                      const CancelToken& token) {
     SPER_DCHECK(max > 0);
     if (!status_.ok()) return PullStatus::kError;
     if (drained_ || BudgetExhausted()) return PullStatus::kExhausted;
@@ -164,28 +123,38 @@ class BudgetedEngine : public Engine {
     return pulled;
   }
 
-  std::uint64_t emitted() const final { return emitted_; }
+  /// Comparisons emitted so far.
+  std::uint64_t emitted() const { return emitted_; }
 
-  bool BudgetExhausted() const final {
-    return budget_ != 0 && emitted_ >= budget_;
-  }
+  /// True once the configured pay-as-you-go budget has been spent (never
+  /// for budget 0, which means unlimited).
+  bool BudgetExhausted() const { return budget_ != 0 && emitted_ >= budget_; }
 
-  const InitStats& init_stats() const final { return stats_; }
+  /// Initialization diagnostics.
+  const InitStats& init_stats() const { return stats_; }
 
-  const Status& status() const final { return status_; }
+  /// Why the engine is poisoned; ok() while healthy. Sticky: once a
+  /// producer failure is contained here, every later pull returns kError
+  /// with this same status.
+  const Status& status() const { return status_; }
+
+  /// Stops the stream for good: abandons buffered batches, shuts down
+  /// and joins any refill workers, and makes every later pull return
+  /// kExhausted. Idempotent; must not race a pull (see class comment).
+  virtual void Drain() = 0;
 
  protected:
-  /// The next comparison of the underlying stream, ignoring the budget.
-  /// Must honor the Pull contract: check `token` at batch granularity,
-  /// contain failures by setting `status_` and returning kError.
+  /// The next comparison of the underlying stream, ignoring the budget,
+  /// for streams that emit one comparison at a time (the sort-based
+  /// methods, the k-way merge). Must check `token` at batch granularity,
+  /// and contain failures by setting `status_` and returning kError.
   virtual PullStatus PullUnbudgeted(Comparison& out,
                                     const CancelToken& token) = 0;
 
   /// Up to `max` next comparisons of the underlying stream appended to
   /// `out`, ignoring the budget; returns as PullMany. This default takes
-  /// one PullUnbudgeted at a time, for streams without whole batches to
-  /// copy (the k-way merge, the sort-based methods). Those may serve many
-  /// pulls between their own token checks, so it checks `token` every 16.
+  /// one PullUnbudgeted at a time. Its streams may serve many comparisons
+  /// between their own token checks, so it checks `token` every 16.
   virtual PullStatus PullManyUnbudgeted(std::vector<Comparison>& out,
                                         std::size_t max,
                                         const CancelToken& token) {
@@ -201,18 +170,22 @@ class BudgetedEngine : public Engine {
     return PullStatus::kOk;
   }
 
-  /// Filled by the derived constructor (the initialization phase).
+  /// Filled by the subclass constructor (the initialization phase).
   InitStats stats_;
   /// Maximum emissions before the stream reads as exhausted; 0 =
   /// unlimited.
   std::uint64_t budget_ = 0;
-  /// Sticky poison; set (once) by PullUnbudgeted on producer failure.
+  /// Sticky poison; set (once) by the unbudgeted pulls on producer
+  /// failure.
   Status status_ = Status::Ok();
   /// Set by Drain() implementations; flips the stream to kExhausted.
   bool drained_ = false;
 
  private:
   std::uint64_t emitted_ = 0;
+  /// Next()'s one-comparison pull buffer, kept so a drain through Next()
+  /// does not allocate per comparison.
+  std::vector<Comparison> next_;
 };
 
 }  // namespace sper

@@ -317,19 +317,9 @@ PullStatus ProgressiveEngine::SerialBatch(const CancelToken& token) {
   return PullStatus::kOk;
 }
 
-PullStatus ProgressiveEngine::NextBatch(const CancelToken& token,
-                                        ComparisonList*& batch) {
-  if (pipeline_ == nullptr) {
-    batch = &serial_batch_;
-    return SerialBatch(token);
-  }
-  const PullStatus reached = PipelinedBatch(token);
-  batch = front_;
-  return reached;
-}
-
-PullStatus ProgressiveEngine::SortedPull(Comparison& out,
-                                         const CancelToken& token) {
+PullStatus ProgressiveEngine::PullUnbudgeted(Comparison& out,
+                                             const CancelToken& token) {
+  SPER_DCHECK(batch_source_ == nullptr);
   if (token.valid() && token.cancelled()) return PullStatus::kCancelled;
   try {
     std::optional<Comparison> next = inner_->Next();
@@ -341,24 +331,17 @@ PullStatus ProgressiveEngine::SortedPull(Comparison& out,
   }
 }
 
-PullStatus ProgressiveEngine::PullUnbudgeted(Comparison& out,
-                                             const CancelToken& token) {
-  if (batch_source_ == nullptr) return SortedPull(out, token);
-  ComparisonList* batch = nullptr;
-  const PullStatus reached = NextBatch(token, batch);
-  if (reached == PullStatus::kOk) out = batch->PopFirst();
-  return reached;
-}
-
 PullStatus ProgressiveEngine::PullManyUnbudgeted(std::vector<Comparison>& out,
                                                  std::size_t max,
                                                  const CancelToken& token) {
   if (batch_source_ == nullptr) {
-    return BudgetedEngine::PullManyUnbudgeted(out, max, token);
+    return Engine::PullManyUnbudgeted(out, max, token);
   }
-  ComparisonList* batch = nullptr;
-  const PullStatus reached = NextBatch(token, batch);
-  if (reached == PullStatus::kOk) batch->PopInto(out, max);
+  const PullStatus reached =
+      pipeline_ == nullptr ? SerialBatch(token) : PipelinedBatch(token);
+  if (reached == PullStatus::kOk) {
+    (pipeline_ == nullptr ? serial_batch_ : *front_).PopInto(out, max);
+  }
   return reached;
 }
 

@@ -31,7 +31,7 @@
 /// with num_threads > 1, started by the first pull, or one worker per
 /// shard of a ShardedEngine with lookahead > 0. Either way PullMany()
 /// copies the rest of the batch or slot group at hand in one insert. The
-/// sort-based methods always emit serially, one Next() at a time.
+/// sort-based methods always emit serially, one inner Next() at a time.
 
 namespace sper {
 
@@ -43,7 +43,7 @@ namespace sper {
 /// `Resolver::Create` (engine/resolver.h), which validates options and
 /// picks plain vs sharded serving; ProgressiveEngine remains the plain
 /// implementation behind that factory.
-class ProgressiveEngine : public BudgetedEngine {
+class ProgressiveEngine final : public Engine {
  public:
   /// Initialization phase: builds blocking structures (in parallel when
   /// options.num_threads > 1) and the method emitter. Reads the method
@@ -62,28 +62,22 @@ class ProgressiveEngine : public BudgetedEngine {
   /// The inner method's acronym, e.g. "PPS".
   std::string_view name() const override { return inner_->name(); }
 
-  /// A plain engine serves one logical shard.
-  std::size_t num_shards() const override { return 1; }
-
   /// Stops the stream: shuts down the emission pipeline (joining its
   /// refill workers) and flips the engine to exhausted. Idempotent.
   void Drain() override;
 
  private:
-  /// The inner method's next comparison (pipelined or inline refills);
-  /// budget and poison accounting live in BudgetedEngine::Pull().
+  /// The sort-based methods' next comparison: every inner Next() is one
+  /// bounded unit of work. Budget and poison accounting live in
+  /// Engine::PullMany().
   PullStatus PullUnbudgeted(Comparison& out,
                             const CancelToken& token) override;
 
   /// The rest of the current refill batch or slot group, up to `max`, in
-  /// one copy; the sort-based methods take the default one-at-a-time loop.
+  /// one copy; the sort-based methods take Engine's one-at-a-time loop.
   PullStatus PullManyUnbudgeted(std::vector<Comparison>& out,
                                 std::size_t max,
                                 const CancelToken& token) override;
-
-  /// Points `batch` at a non-empty batch of the batch methods' stream:
-  /// the pipeline's front slot or the serial path's refill batch.
-  PullStatus NextBatch(const CancelToken& token, ComparisonList*& batch);
 
   /// Reaches the next non-empty group of the pipeline's completed slots,
   /// starting the refill workers on the first call.
@@ -93,9 +87,6 @@ class ProgressiveEngine : public BudgetedEngine {
   /// token check, fault seam and failure containment sit at the true
   /// refill boundary.
   PullStatus SerialBatch(const CancelToken& token);
-
-  /// The sort-based methods: every Next() is one bounded unit of work.
-  PullStatus SortedPull(Comparison& out, const CancelToken& token);
 
   /// Refill batch `index` appended to `out` on `worker`'s scratch, behind
   /// the refill fault seam — the one refill step of both paths.

@@ -152,6 +152,20 @@ Result<std::unique_ptr<Resolver>> Resolver::Create(const ProfileStore& store,
       new Resolver(std::move(options), std::move(engine)));
 }
 
+/// Passes the turn to the next ticket at scope exit. Declared after the
+/// turn's MutexLock, so it runs while mutex_ is still held; and it keeps
+/// the admission queue live even if the turn throws (e.g. bad_alloc
+/// growing a huge slice) instead of deadlocking every later ticket.
+struct Resolver::TurnGuard {
+  Resolver* resolver;
+  // The analysis cannot see the caller's lock from a destructor, hence
+  // the opt-out; now_serving_ stays mutex_-guarded.
+  ~TurnGuard() SPER_NO_THREAD_SAFETY_ANALYSIS {
+    ++resolver->now_serving_;
+    resolver->cv_.NotifyAll();
+  }
+};
+
 ResolveResult Resolver::Serve(const ResolveRequest& request) {
   const obs::Stopwatch arrival;
   ResolveResult result;
@@ -167,9 +181,9 @@ ResolveResult Resolver::Serve(const ResolveRequest& request) {
   }
 
   // Draining resolvers reject before taking a ticket (no queue slot, no
-  // stream consumption). Requests that lose the race — ticket taken just
-  // as Drain() begins — are caught by the post-ticket re-check below.
-  if (draining_.load(std::memory_order_seq_cst)) {
+  // stream consumption). A request that loses the race — ticket taken
+  // just after the drain's — is rejected on its turn below.
+  if (draining()) {
     result.outcome = ResolveOutcome::kRejected;
     result.status = Status::FailedPrecondition("resolver is draining");
     if (rejected_ != nullptr) rejected_->Add();
@@ -188,35 +202,18 @@ ResolveResult Resolver::Serve(const ResolveRequest& request) {
   // before the serve mutex, and the draw waits until every earlier ticket
   // has been served — a fair ticket lock, so a request that arrives later
   // (larger ticket) can never barge past an earlier one even if the OS
-  // hands it the mutex first. seq_cst pairs with Drain(): see the header.
-  result.ticket = next_ticket_.fetch_add(1, std::memory_order_seq_cst);
-  const bool rejected = draining_.load(std::memory_order_seq_cst);
+  // hands it the mutex first.
+  result.ticket = next_ticket_.fetch_add(1);
   MutexLock lock(mutex_);
   while (now_serving_ != result.ticket) cv_.Wait(lock);
   const obs::Stopwatch::TimePoint admitted = obs::Stopwatch::Now();
   if (queue_wait_ns_ != nullptr) {
     queue_wait_ns_->Record(obs::Stopwatch::Nanos(arrival.start(), admitted));
   }
+  TurnGuard guard{this};
 
-  // Keep the admission queue live even if the draw throws (e.g.
-  // bad_alloc growing a huge slice): scope exit — declared after `lock`,
-  // so it runs while the mutex is still held — advances now_serving_ and
-  // wakes the next ticket instead of deadlocking every later request.
-  struct AdmissionGuard {
-    Resolver* resolver;
-    // The destructor runs while `lock` is still held (declared after it),
-    // but the analysis cannot see a caller's lock from a local struct's
-    // destructor — hence the opt-out. now_serving_ stays mutex_-guarded.
-    ~AdmissionGuard() SPER_NO_THREAD_SAFETY_ANALYSIS {
-      ++resolver->now_serving_;
-      resolver->cv_.NotifyAll();
-    }
-  } guard{this};
-
-  if (rejected) {
-    // Drain began between the fast-path check and the ticket: serve an
-    // empty rejected slice — the guard still advances now_serving_, which
-    // is what lets Drain's horizon wait terminate.
+  if (engine_drained_) {
+    // A drain's turn came before this one: serve an empty rejected slice.
     result.outcome = ResolveOutcome::kRejected;
     result.status = Status::FailedPrecondition("resolver is draining");
     if (rejected_ != nullptr) rejected_->Add();
@@ -304,19 +301,16 @@ ResolveResult Resolver::Serve(const ResolveRequest& request) {
 }
 
 void Resolver::Drain() {
-  // One drainer at a time; a second concurrent Drain() blocks here and
-  // returns only after the stream is actually down.
-  MutexLock drain_lock(drain_mutex_);
   const obs::Stopwatch watch;
-  draining_.store(true, std::memory_order_seq_cst);
-  // Every ticket at or past this horizon observes draining_ == true and
-  // rejects itself (see the seq_cst argument in the header); every ticket
-  // before it is let finish — or cut itself at its own deadline.
-  const std::uint64_t horizon = next_ticket_.load(std::memory_order_seq_cst);
-  {
-    MutexLock lock(mutex_);
-    while (now_serving_ < horizon) cv_.Wait(lock);
-  }
+  draining_.store(true);
+  // The drain queues like a request: every ticket before its own is
+  // served first (or cuts itself at its own deadline), and every ticket
+  // after it finds the engine drained. A second concurrent Drain() gets a
+  // later ticket, so it returns only after the first one finished.
+  const std::uint64_t ticket = next_ticket_.fetch_add(1);
+  MutexLock lock(mutex_);
+  while (now_serving_ != ticket) cv_.Wait(lock);
+  TurnGuard guard{this};
   if (!engine_drained_) {
     engine_->Drain();  // shuts down + joins refill workers
     engine_drained_ = true;

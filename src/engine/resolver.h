@@ -35,11 +35,11 @@
 ///     (method, threads, shards, lookahead, global budget, method knobs)
 ///     — validated with a clear error `Status` instead of silently
 ///     falling back, and read directly by both engines;
-///   - `Resolver::Create(store, options)` picks the implementation (plain
+///   - `Resolver::Create(store, options)` picks the engine (plain
 ///     `ProgressiveEngine`, whose PPS/PBS refills run on `num_threads`
 ///     workers, or `ShardedEngine` for `num_shards > 1`, whose shards run
-///     one refill worker each for `lookahead > 0`) and returns it behind
-///     the abstract `Engine` interface;
+///     one refill worker each for `lookahead > 0`) and holds it as an
+///     `Engine`;
 ///   - `Resolver::Serve(ResolveRequest)` is the one request path: it
 ///     draws a budgeted slice off the shared stream under ticketed FIFO
 ///     admission — concurrent requests are admitted strictly in ticket
@@ -253,8 +253,9 @@ std::string_view ToString(ResolveOutcome outcome);
 /// One served slice of the resolver's ranked stream.
 struct ResolveResult {
   /// FIFO admission ticket: slices concatenated in ticket order are
-  /// bit-identical to one un-batched drain. Tickets are dense, starting
-  /// at 0 per resolver.
+  /// bit-identical to one un-batched drain. Tickets count up from 0 per
+  /// resolver, densely until the first Drain(): a drain queues on a
+  /// ticket of its own, which no request is ever given.
   std::uint64_t ticket = 0;
 
   /// The next best comparisons, in global emission order; at most
@@ -323,10 +324,11 @@ struct ResolveResult {
 /// not be interleaved with concurrent Serve() calls.
 class Resolver : public ProgressiveEmitter {
  public:
-  /// Validates `options`, builds the matching engine (plain for one
-  /// shard, with num_threads refill workers; sharded otherwise, with
-  /// pipelined shard refills when lookahead > 0) and wraps it. Returns
-  /// InvalidArgument without touching the store when validation fails.
+  /// Validates `options`, builds the matching Engine (a ProgressiveEngine
+  /// for one shard, with num_threads refill workers; a ShardedEngine
+  /// otherwise, with pipelined shard refills when lookahead > 0) and
+  /// wraps it. Returns InvalidArgument without touching the store when
+  /// validation fails.
   ///
   /// Lifetime: the store must outlive the resolver. (With num_shards > 1
   /// the shards copy their profiles and only construction reads the
@@ -352,8 +354,9 @@ class Resolver : public ProgressiveEmitter {
   /// Unified initialization diagnostics of the underlying engine.
   const InitStats& init_stats() const { return engine_->init_stats(); }
 
-  /// Shards serving the stream (1 for a plain engine).
-  std::size_t num_shards() const { return engine_->num_shards(); }
+  /// Shards serving the stream (1 for a plain engine): the engine always
+  /// builds exactly options().num_shards of them.
+  std::size_t num_shards() const { return options_.num_shards; }
 
   /// The validated configuration the resolver was created with.
   const ResolverOptions& options() const { return options_; }
@@ -369,19 +372,19 @@ class Resolver : public ProgressiveEmitter {
   /// FailedPrecondition (empty slice, no stream consumed).
   ResolveResult Serve(const ResolveRequest& request);
 
-  /// Graceful drain: stops admitting new requests, waits until every
-  /// already-ticketed request finished (or cut itself at its deadline),
-  /// then drains the engine — shutting down and joining refill workers.
-  /// Blocking; idempotent; safe to race with concurrent Serve() calls
-  /// (each request is either fully served or cleanly rejected, never
-  /// half-drawn). The resolver stays queryable afterwards: Serve()
-  /// rejects, Next() returns nullopt.
+  /// Graceful drain: stops admitting new requests, then takes the next
+  /// ticket and waits for its turn like a request. Every request ticketed
+  /// before it is served first (or cuts itself at its deadline); on its
+  /// turn it drains the engine — shutting down and joining refill
+  /// workers — and every request whose turn comes later is rejected with
+  /// FailedPrecondition. Blocking; idempotent; safe to race with
+  /// concurrent Serve() calls (each request is either fully served or
+  /// cleanly rejected, never half-drawn). The resolver stays queryable
+  /// afterwards: Serve() rejects, Next() returns nullopt.
   void Drain();
 
   /// True once Drain() has begun (new requests are being rejected).
-  bool draining() const {
-    return draining_.load(std::memory_order_seq_cst);
-  }
+  bool draining() const { return draining_.load(); }
 
  private:
   Resolver(ResolverOptions options, std::unique_ptr<Engine> engine);
@@ -404,29 +407,25 @@ class Resolver : public ProgressiveEmitter {
   obs::Counter* rejected_ = nullptr;
   obs::Counter* errors_ = nullptr;
 
-  /// Ticketed FIFO admission over the shared stream. The ticket is taken
-  /// atomically on arrival — *before* the serve mutex — so admission
-  /// order is arrival order even when the mutex itself would let a later
-  /// caller barge past a longer-waiting one; `cv_` then admits waiters
-  /// strictly in ticket order.
-  ///
-  /// Drain handshake (why seq_cst): Serve re-checks `draining_` *after*
-  /// its ticket fetch_add, and Drain loads the ticket horizon *after* its
-  /// `draining_` store. In the seq_cst total order, either the request's
-  /// ticket precedes the horizon load (Drain waits for it) or the store
-  /// precedes the re-check (the request sees draining and rejects itself,
-  /// still advancing now_serving_) — so no admitted request can slip past
-  /// a drain, and no drain can strand a ticketed waiter.
+  /// Passes the turn on when a request's or a drain's turn ends.
+  struct TurnGuard;
+
+  /// Ticketed FIFO admission over the shared stream, for requests and
+  /// drains alike. The ticket is taken atomically on arrival — *before*
+  /// the serve mutex — so admission order is arrival order even when the
+  /// mutex itself would let a later caller barge past a longer-waiting
+  /// one; `cv_` then admits waiters strictly in ticket order.
   std::atomic<std::uint64_t> next_ticket_{0};
   Mutex mutex_;
   CondVar cv_;
   std::uint64_t now_serving_ SPER_GUARDED_BY(mutex_) = 0;
 
+  /// Set by Drain() before it takes its ticket. Only a fast path: a
+  /// request that reads it false and then queues behind the drain is
+  /// rejected on its turn, because engine_drained_ is set by then.
   std::atomic<bool> draining_{false};
-  /// Serializes concurrent Drain() calls; the engine is drained exactly
-  /// once, and a second Drain() returns only after the first finished.
-  Mutex drain_mutex_;
-  bool engine_drained_ SPER_GUARDED_BY(drain_mutex_) = false;
+  /// Set on the first drain's turn; the engine is drained exactly once.
+  bool engine_drained_ SPER_GUARDED_BY(mutex_) = false;
   /// Set once a request observed the engine's sticky error; later
   /// requests are rejected with FailedPrecondition instead of
   /// re-reporting the Internal status.

@@ -7,7 +7,7 @@
 
 #include "obs/fault_injection.h"
 #include "obs/telemetry.h"
-#include "parallel/thread_pool.h"
+#include "parallel/parallel_for.h"
 
 namespace sper {
 
@@ -77,18 +77,13 @@ ShardedEngine::ShardedEngine(const ProfileStore& store,
         std::make_unique<ProgressiveEngine>(shards_[s].store, shard_options,
                                             label);
   };
-  if (concurrency <= 1) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
+  const std::vector<IndexRange> chunks =
+      StaticChunks(shards_.size(), concurrency);
+  ParallelForRanges(chunks, [&](std::size_t /*chunk*/, IndexRange range) {
+    for (std::size_t s = range.begin; s < range.end; ++s) {
       if (ShardHasCandidates(shards_[s].store)) build_shard(s);
     }
-  } else {
-    ThreadPool pool(concurrency);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!ShardHasCandidates(shards_[s].store)) continue;
-      pool.Submit([s, &build_shard] { build_shard(s); });
-    }
-    pool.Wait();
-  }
+  });
 
   // Register the per-shard streams in shard order: the merge breaks exact
   // ties by stream index, so shard order is part of the deterministic
@@ -105,18 +100,22 @@ ShardedEngine::ShardedEngine(const ProfileStore& store,
     }
     ProgressiveEngine* engine = engines_[s].get();
     const std::vector<ProfileId>* to_global = &shards_[s].to_global;
-    // A shard pull that gives up must come back as kBlocked — kExhausted
-    // would drop the shard from the merge permanently. Errors also map to
-    // kBlocked (state intact) after adopting the shard's sticky status;
-    // PullUnbudgeted disambiguates the two via status_.
+    // Each stream pulls one comparison: a PullMany refills its shard
+    // only once the shard's batch is empty. A shard pull that gives up
+    // must come back as kBlocked — kExhausted would drop the shard from
+    // the merge permanently. Errors also map to kBlocked (state intact)
+    // after adopting the shard's sticky status; PullUnbudgeted
+    // disambiguates the two via status_.
     merge_.AddStream(KWayMerge<Comparison, ByWeightDesc>::Stream(
         [this, engine, to_global](Comparison& out) {
-          Comparison local;
-          switch (engine->Pull(local, request_token_)) {
-            case PullStatus::kOk:
+          shard_pull_.clear();
+          switch (engine->PullMany(shard_pull_, 1, request_token_)) {
+            case PullStatus::kOk: {
+              const Comparison& local = shard_pull_.front();
               out = Comparison((*to_global)[local.i], (*to_global)[local.j],
                                local.weight);
               return MergeStatus::kItem;
+            }
             case PullStatus::kExhausted:
               return MergeStatus::kExhausted;
             case PullStatus::kCancelled:

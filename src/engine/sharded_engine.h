@@ -23,9 +23,9 @@
 /// ProfileStore into S shard-local stores, run one ProgressiveEngine per
 /// shard, and merge the per-shard ranked streams into one global emission
 /// order. Initialization — the expensive blocking / meta-blocking phase —
-/// runs per shard, with the shard constructions themselves fanned out on
-/// the ThreadPool; emission stays a sequential pull-based stream in
-/// *original* profile ids.
+/// runs per shard, with the shard constructions themselves forked over
+/// threads by ParallelForRanges; emission stays a sequential pull-based
+/// stream in *original* profile ids.
 ///
 /// With `lookahead > 0` shard refills run *in parallel*: every
 /// shard engine runs one emission pipeline worker (one thread per
@@ -51,10 +51,11 @@ namespace sper {
 /// `Resolver::Create` with `ResolverOptions::num_shards > 1`
 /// (engine/resolver.h); ShardedEngine remains the sharded implementation
 /// behind that factory.
-class ShardedEngine : public BudgetedEngine {
+class ShardedEngine final : public Engine {
  public:
   /// Partitions the store into `options.num_shards` hash shards, then
-  /// constructs the per-shard engines concurrently on a ThreadPool. The
+  /// constructs the per-shard engines concurrently, on one thread per
+  /// static chunk of the shards (ParallelForRanges). The
   /// store must outlive the engine only for construction; shards own
   /// copies of their profiles.
   ///
@@ -73,16 +74,13 @@ class ShardedEngine : public BudgetedEngine {
   /// The underlying method's acronym, e.g. "PPS".
   std::string_view name() const override;
 
-  /// Number of shards (== options.num_shards, at least 1).
-  std::size_t num_shards() const override { return shards_.size(); }
-
   /// Stops the stream: drains every shard engine, joining its refill
   /// worker. Idempotent.
   void Drain() override;
 
  private:
   /// The globally next best comparison (original ids) off the k-way
-  /// merge; the global budget is charged in BudgetedEngine::Pull(). A
+  /// merge; the global budget is charged in Engine::PullMany(). A
   /// shard pull that gives up (token fired) surfaces as kCancelled with
   /// the merge heap, priming cursor, and pending refill intact; a shard
   /// that poisoned itself surfaces as kError with its status adopted.
@@ -100,6 +98,9 @@ class ShardedEngine : public BudgetedEngine {
   /// (set at the top of each PullUnbudgeted; engines are single-consumer
   /// so no synchronization is needed).
   CancelToken request_token_;
+  /// The merge streams' one-comparison pull buffer, shared by every
+  /// shard stream (the merge pulls one shard at a time).
+  std::vector<Comparison> shard_pull_;
 };
 
 }  // namespace sper

@@ -167,11 +167,12 @@ Result<std::string> DecodeMetricsResult(std::string_view payload);
 // Stream digest.
 // ---------------------------------------------------------------------------
 
-/// FNV-1a fold over emitted comparisons — the same fold (i, then j, then
-/// the weight's bit pattern) as the digest-checked benches
-/// (bench/bench_util.h DrainResult), so an over-the-wire stream can be
-/// digest-compared against an in-process drain. Two streams with equal
-/// (value, count) are bit-identical with overwhelming probability.
+/// FNV-1a fold over emitted comparisons (i, then j, then the weight's bit
+/// pattern). The CLI client, perfbench and the digest-checked benches
+/// (bench_load_generator, bench_fault_tolerance) all fold with it, so an
+/// over-the-wire stream can be digest-compared against an in-process
+/// drain. Two streams with equal (value, count) are bit-identical with
+/// overwhelming probability.
 struct StreamDigest {
   std::uint64_t value = 1469598103934665603ull;  // FNV-1a offset basis
   std::uint64_t count = 0;

@@ -3,11 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
-
-#include "parallel/thread_pool.h"
 
 /// \file parallel_for.h
 /// Deterministic data-parallel loops. ParallelFor splits an index range
@@ -16,7 +16,8 @@
 /// Call sites that accumulate per chunk and merge in chunk order therefore
 /// produce bit-identical results at every thread count — the invariant the
 /// whole library's determinism contract rests on (see
-/// tests/determinism_test.cc, ThreadCountInvariance).
+/// tests/determinism_test.cc, ThreadCountInvariance). Each loop is one
+/// fork-join: a thread per chunk past the first, joined before it returns.
 
 namespace sper {
 
@@ -78,26 +79,45 @@ inline std::vector<IndexRange> BalancedChunks(
   return chunks;
 }
 
-/// Runs `fn(chunk_index, ranges[chunk_index])` for every range, one thread
-/// per range (inline when there is at most one). The calling thread runs
-/// range 0 itself. Exceptions from any range propagate to the caller
-/// (first captured one). `fn` must not touch state shared with other
-/// ranges unless it is its own range-indexed slot. A pool worker's first
-/// allocation binds it to a malloc arena of its own, whose freed memory
-/// the calling thread cannot reuse; so the engine's set-up passes size
-/// every buffer `fn` grows on the calling thread, before the call.
+/// Runs `fn(chunk_index, ranges[chunk_index])` for every range: one
+/// std::thread per range past the first, while the calling thread runs
+/// range 0 itself (and any range whose thread fails to start; all of them
+/// when there is at most one); returns once every range finished and its
+/// thread is joined. If ranges throw, every range still runs to its
+/// end, and then the lowest-indexed range's exception propagates to the
+/// caller. `fn` must not touch state shared with other ranges unless it
+/// is its own range-indexed slot. A thread's first allocation binds it
+/// to a malloc arena of its own, whose freed memory the calling thread
+/// cannot reuse; so the engine's set-up passes size every buffer `fn`
+/// grows on the calling thread, before the call.
 template <typename ChunkFn>
 void ParallelForRanges(std::span<const IndexRange> ranges, ChunkFn&& fn) {
   if (ranges.size() <= 1) {
     for (std::size_t c = 0; c < ranges.size(); ++c) fn(c, ranges[c]);
     return;
   }
-  ThreadPool pool(ranges.size() - 1);
+  std::vector<std::exception_ptr> errors(ranges.size());
+  const auto run = [&](std::size_t c) {
+    try {
+      fn(c, ranges[c]);
+    } catch (...) {
+      errors[c] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(ranges.size() - 1);
   for (std::size_t c = 1; c < ranges.size(); ++c) {
-    pool.Submit([&fn, ranges, c] { fn(c, ranges[c]); });
+    try {
+      threads.emplace_back(run, c);
+    } catch (...) {
+      run(c);  // no thread to be had: the caller runs the range itself
+    }
   }
-  fn(std::size_t{0}, ranges[0]);
-  pool.Wait();
+  run(0);
+  for (std::thread& thread : threads) thread.join();
+  for (std::exception_ptr& error : errors) {
+    if (error != nullptr) std::rethrow_exception(error);
+  }
 }
 
 /// Runs `fn(chunk_index, range)` over the static chunks of [0, n) on

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "core/tokenizer.h"
 #include "datagen/corruption.h"
@@ -244,6 +246,25 @@ TEST(DatagenTest, UnknownNameIsNotFound) {
   Result<DatasetBundle> result = GenerateDataset("nope");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+}
+
+TEST(DatagenTest, ScaleMustBeFiniteAndPositive) {
+  const std::vector<std::string>& structured = StructuredDatasetNames();
+  const std::vector<std::string>& heterogeneous = HeterogeneousDatasetNames();
+  std::vector<std::string> names(structured.begin(), structured.end());
+  names.insert(names.end(), heterogeneous.begin(), heterogeneous.end());
+  ASSERT_EQ(names.size(), 7u);
+  for (const std::string& name : names) {
+    for (double scale : {-1.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+      DatagenOptions options;
+      options.scale = scale;
+      Result<DatasetBundle> result = GenerateDataset(name, options);
+      ASSERT_FALSE(result.ok()) << name << " at scale " << scale;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find("scale"), std::string::npos);
+    }
+  }
 }
 
 TEST(DatagenTest, GenerationIsDeterministicPerSeed) {

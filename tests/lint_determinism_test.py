@@ -140,6 +140,16 @@ class BannedRandomTest(unittest.TestCase):
                  "double f(const Span& s) { return s.time(); }\n"}
         self.assertEqual(rules(run(files)), [])
 
+    def test_flags_std_and_global_spellings(self):
+        for call in ("std::rand()", "std::time(nullptr)", "std::clock()",
+                     "::rand()"):
+            files = {"src/x/a.cc": "long f() { return %s; }\n" % call}
+            self.assertIn("DET002", rules(run(files)), call)
+
+    def test_silent_on_other_namespaces(self):
+        files = {"src/x/a.cc": "int f() { return my::rand(); }\n"}
+        self.assertEqual(rules(run(files)), [])
+
 
 class RawClockTest(unittest.TestCase):
     def test_flags_steady_clock_outside_clock_home(self):
@@ -192,6 +202,12 @@ class BannedStrtodTest(unittest.TestCase):
         files = {"src/x/a.cc": "int f(const char* s) { return atoi(s); }\n"}
         self.assertIn("DET005", rules(run(files)))
 
+    def test_flags_std_and_global_spellings(self):
+        for call in ("std::atoi(s)", "std::atof(s)", "::atol(s)"):
+            files = {"src/x/a.cc":
+                     "double f(const char* s) { return %s; }\n" % call}
+            self.assertIn("DET005", rules(run(files)), call)
+
     def test_silent_on_from_chars(self):
         files = {"src/x/a.cc":
                  "auto r = std::from_chars(b, e, value);\n"}
@@ -213,6 +229,14 @@ class BannedIdentifierTest(unittest.TestCase):
                      "ToResolverOptions", "ResolverSession", "OpenSession"):
             files = {"src/x/a.cc": "auto x = %s();\n" % name}
             self.assertIn("DET006", rules(run(files)), name)
+
+    def test_flags_removed_engine_base_and_pool(self):
+        for name, replacement in (("BudgetedEngine", "Engine"),
+                                  ("ThreadPool", "ParallelForRanges")):
+            files = {"src/x/a.cc": "%s* x = nullptr;\n" % name}
+            out = run(files)
+            self.assertEqual(rules(out), ["DET006"], name)
+            self.assertIn("use " + replacement, out[0].message)
 
     def test_silent_on_new_names(self):
         files = {"src/x/a.cc":

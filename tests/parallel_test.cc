@@ -1,7 +1,7 @@
 // The parallel runtime (src/parallel/) carries the library's determinism
 // contract onto multiple threads: static chunking, per-chunk accumulation,
-// ordered merges. These tests pin pool lifecycle, exception propagation and
-// the chunking invariants every parallel call site relies on.
+// ordered merges. These tests pin fork-join exception propagation and the
+// chunking invariants every parallel call site relies on.
 
 #include <gtest/gtest.h>
 
@@ -12,58 +12,13 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "parallel/parallel_for.h"
-#include "parallel/thread_pool.h"
 
 namespace sper {
 namespace {
-
-TEST(ThreadPoolTest, ConstructsAndJoinsWithoutWork) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsIsClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-}
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int t = 0; t < 100; ++t) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int t = 0; t < 10; ++t) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), (batch + 1) * 10);
-  }
-}
-
-TEST(ThreadPoolTest, WaitRethrowsTaskException) {
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  pool.Submit([&completed] { completed.fetch_add(1); });
-  pool.Submit([] { throw std::runtime_error("boom"); });
-  pool.Submit([&completed] { completed.fetch_add(1); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // The pool survives a throwing task: later batches still run.
-  pool.Submit([&completed] { completed.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(completed.load(), 3);
-}
 
 TEST(StaticChunksTest, CoversRangeWithBalancedContiguousChunks) {
   for (std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {
@@ -249,6 +204,35 @@ TEST(ParallelForTest, PropagatesChunkException) {
                     if (i == 42) throw std::runtime_error("bad index");
                   }),
       std::runtime_error);
+}
+
+TEST(ParallelForRangesTest, RethrowsTheLowestRangesExceptionAfterEveryRange) {
+  // Range 3 throws first; range 1 throws only once it has seen range 3
+  // throw. The caller still gets range 1's exception, and only after every
+  // range ran to its end.
+  const std::vector<IndexRange> ranges = StaticChunks(5, 5);
+  ASSERT_EQ(ranges.size(), 5u);
+  std::atomic<bool> range3_threw{false};
+  std::atomic<int> finished{0};
+  try {
+    ParallelForRanges(ranges, [&](std::size_t chunk, IndexRange /*range*/) {
+      if (chunk == 3) {
+        finished.fetch_add(1);
+        range3_threw.store(true);
+        throw std::runtime_error("range 3");
+      }
+      if (chunk == 1) {
+        while (!range3_threw.load()) std::this_thread::yield();
+        finished.fetch_add(1);
+        throw std::runtime_error("range 1");
+      }
+      finished.fetch_add(1);
+    });
+    FAIL() << "no exception propagated";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "range 1");
+  }
+  EXPECT_EQ(finished.load(), 5);
 }
 
 TEST(ParallelForChunksTest, ChunkIndicesMatchStaticChunks) {

@@ -21,8 +21,6 @@
 //   consuming stream capacity while barely-feasible ones are served, and
 //   Drain() racing a full shed queue rejects every parked request
 //   cleanly instead of deadlocking;
-// - ThreadPool surfaces the first task exception from Wait() and counts
-//   the rest in dropped_exceptions() instead of discarding them;
 // - with SPER_FAULT_INJECT compiled in (skipped otherwise): an injected
 //   refill failure poisons the engine with shard and batch context, later
 //   requests get FailedPrecondition, and the same plan fails the same
@@ -38,7 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -51,7 +48,6 @@
 #include "obs/registry.h"
 #include "obs/telemetry.h"
 #include "parallel/cancel.h"
-#include "parallel/thread_pool.h"
 #include "serving/qos.h"
 
 namespace sper {
@@ -389,10 +385,10 @@ TEST(ResolverDrainTest, ConcurrentDoubleDrainBothReturn) {
   EXPECT_TRUE(resolver->draining());
 }
 
-// PR 8 lock-discipline regression test, written to be TSan-visible: every
-// mutex-guarded structure annotated in this PR (resolver admission state,
-// registry metric maps and span log, pipeline done-flag, thread-pool
-// queue) is exercised from multiple threads at once — concurrent Serve()
+// Lock-discipline regression test, written to be TSan-visible: every
+// annotated mutex-guarded structure on the serving path (resolver
+// admission state, registry metric maps and span log, pipeline done-flag)
+// is exercised from multiple threads at once — concurrent Serve()
 // clients, a concurrent Drain(), and a reader snapshotting the live
 // Registry mid-serve. Under -fsanitize=thread any guarded field touched
 // outside its mutex (what the annotations reject at compile time on
@@ -653,19 +649,6 @@ TEST(QosRobustnessTest, DrainRacingAFullShedQueueRejectsCleanly) {
   ResolveRequest late;
   late.budget = 8;
   EXPECT_EQ(controller.Resolve(late).outcome, ResolveOutcome::kRejected);
-}
-
-// ------------------------------------------- thread-pool exception health
-
-TEST(ThreadPoolTest, DroppedTaskExceptionsAreCountedNotSwallowed) {
-  ThreadPool pool(1);
-  for (int k = 0; k < 3; ++k) {
-    pool.Submit([] { throw std::runtime_error("task failure"); });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // One exception rode the rethrow slot; the other two are accounted for
-  // instead of vanishing.
-  EXPECT_EQ(pool.dropped_exceptions(), 2u);
 }
 
 // ------------------------------------------------- fault-injected seams

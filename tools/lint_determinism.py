@@ -13,8 +13,9 @@ src/:
                               re-sort afterwards are allowlisted in
                               tools/determinism_allowlist.txt.
   DET002 banned-random        rand()/srand()/std::random_device/time()/
-                              clock(): nondeterministic or hidden-state
-                              randomness. Seeded std::mt19937 is fine.
+                              clock(), also as std::time() or ::time():
+                              nondeterministic or hidden-state randomness.
+                              Seeded std::mt19937 is fine.
   DET003 raw-clock            Naming std::chrono clocks outside
                               obs/clock.h; all timing flows through
                               obs::Stopwatch so tests can reason about
@@ -23,17 +24,22 @@ src/:
                               progressive/, engine/): producer failures
                               must be contained (sticky Status / pipeline
                               error slots), not thrown across threads.
-  DET005 banned-strtod        atof/atoi/atol/atoll: locale-sensitive and
-                              error-silent number parsing.
+  DET005 banned-strtod        atof/atoi/atol/atoll, also as std::atoi() or
+                              ::atoi(): locale-sensitive and error-silent
+                              number parsing.
   DET006 banned-identifier    Identifiers removed from the library must
                               not reappear: the old engine options and
                               init-stats shims (EngineOptions,
                               ShardedEngineOptions, MakeEmitter,
-                              EngineInitStats, ShardedInitStats) and the
+                              EngineInitStats, ShardedInitStats), the
                               duplicate configuration and request layers
                               (EngineConfig, ToEngineConfig, MethodConfig,
                               ToResolverOptions, ResolverSession,
-                              OpenSession).
+                              OpenSession), the engine base class folded
+                              into Engine (BudgetedEngine) and the work-
+                              queue pool that ParallelForRanges replaced
+                              (ThreadPool). Each message names the
+                              replacement.
 
 Comments and string/char literals are stripped (line numbers preserved)
 before matching, so prose mentioning a banned name never trips the lint.
@@ -74,10 +80,31 @@ UNORDERED_ACCESSORS = ("pairs",)
 
 BANNED_RANDOM = ("rand", "srand", "random_device", "time", "clock")
 BANNED_STRTOD = ("atof", "atoi", "atol", "atoll")
-BANNED_IDENTIFIERS = ("EngineOptions", "ShardedEngineOptions", "MakeEmitter",
-                      "EngineInitStats", "ShardedInitStats", "EngineConfig",
-                      "ToEngineConfig", "MethodConfig", "ToResolverOptions",
-                      "ResolverSession", "OpenSession")
+# Removed identifier -> what replaced it.
+BANNED_IDENTIFIERS = {
+    "EngineOptions": "ResolverOptions",
+    "ShardedEngineOptions": "ResolverOptions",
+    "MakeEmitter": "MakeResolver(dataset, options)",
+    "EngineInitStats": "InitStats",
+    "ShardedInitStats": "InitStats",
+    "EngineConfig": "ResolverOptions",
+    "ToEngineConfig": "ResolverOptions",
+    "MethodConfig": "ResolverOptions",
+    "ToResolverOptions": "ResolverOptions",
+    "ResolverSession": "Resolver::Serve",
+    "OpenSession": "Resolver::Serve",
+    "BudgetedEngine": "Engine",
+    "ThreadPool": "ParallelForRanges",
+}
+
+
+def call_pattern(name: str) -> str:
+    """A call of `name` unqualified, as std::name or as ::name.
+
+    Member calls (obj.name(), p->name()) and other qualifiers
+    (my::name(), std::chrono::...::name()) do not match.
+    """
+    return r"(?<![\w.>:])(?:std::|::)?%s\s*\(" % name
 
 
 @dataclass
@@ -273,10 +300,9 @@ def check_banned_random(path: str, text: str):
     """DET002: nondeterministic randomness / wall-clock seeds."""
     violations = []
     for name in BANNED_RANDOM:
-        # Function-call position only; skip member calls (obj.time()) and
-        # qualified names we don't ban (std::chrono::...::clock is caught
-        # by DET003 instead).
-        for m in re.finditer(r"(?<![\w.>:])%s\s*\(" % name, text):
+        # Function-call position only (see call_pattern);
+        # std::chrono::...::clock is caught by DET003 instead.
+        for m in re.finditer(call_pattern(name), text):
             violations.append(Violation(
                 path, line_of(text, m.start()), "DET002",
                 f"'{name}()' is nondeterministic; use a seeded std::mt19937 "
@@ -324,7 +350,7 @@ def check_banned_strtod(path: str, text: str):
     """DET005: locale-sensitive, error-silent C number parsing."""
     violations = []
     for name in BANNED_STRTOD:
-        for m in re.finditer(r"(?<![\w.>:])%s\s*\(" % name, text):
+        for m in re.finditer(call_pattern(name), text):
             violations.append(Violation(
                 path, line_of(text, m.start()), "DET005",
                 f"'{name}()' is locale-sensitive and silently returns 0 on "
@@ -335,12 +361,11 @@ def check_banned_strtod(path: str, text: str):
 def check_banned_identifiers(path: str, text: str):
     """DET006: identifiers deleted from the library must not come back."""
     violations = []
-    for name in BANNED_IDENTIFIERS:
+    for name, replacement in BANNED_IDENTIFIERS.items():
         for m in re.finditer(r"\b%s\b" % name, text):
             violations.append(Violation(
                 path, line_of(text, m.start()), "DET006",
-                f"'{name}' was removed (use ResolverOptions / InitStats / "
-                "MakeResolver(dataset, options) / Resolver::Serve)"))
+                f"'{name}' was removed; use {replacement}"))
     return violations
 
 
