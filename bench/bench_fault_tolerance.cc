@@ -47,6 +47,7 @@
 namespace {
 
 using namespace sper;
+using sper::bench::ParseFlag;
 using sper::bench::Percentile;
 
 double Millis(const obs::Stopwatch& watch) {
@@ -122,27 +123,27 @@ int main(int argc, char** argv) {
   options.budget = 20000;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      scale = std::atof(argv[i] + 8);
+      ParseFlag(argv[i], 8, scale);
     } else if (std::strncmp(argv[i], "--dataset=", 10) == 0) {
       dataset_name = argv[i] + 10;
     } else if (std::strncmp(argv[i], "--method=", 9) == 0) {
       method_name = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      options.num_threads = std::strtoul(argv[i] + 10, nullptr, 10);
+      ParseFlag(argv[i], 10, options.num_threads);
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      options.num_shards = std::strtoul(argv[i] + 9, nullptr, 10);
+      ParseFlag(argv[i], 9, options.num_shards);
     } else if (std::strncmp(argv[i], "--lookahead=", 12) == 0) {
-      options.lookahead = std::strtoul(argv[i] + 12, nullptr, 10);
+      ParseFlag(argv[i], 12, options.lookahead);
     } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-      options.budget = std::strtoull(argv[i] + 9, nullptr, 10);
+      ParseFlag(argv[i], 9, options.budget);
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      batch = std::strtoull(argv[i] + 8, nullptr, 10);
+      ParseFlag(argv[i], 8, batch);
     } else if (std::strncmp(argv[i], "--stall-ms=", 11) == 0) {
-      stall_ms = std::strtoull(argv[i] + 11, nullptr, 10);
+      ParseFlag(argv[i], 11, stall_ms);
     } else if (std::strncmp(argv[i], "--deadline-ms=", 14) == 0) {
-      deadline_ms = std::strtoull(argv[i] + 14, nullptr, 10);
+      ParseFlag(argv[i], 14, deadline_ms);
     } else if (std::strncmp(argv[i], "--repeat=", 9) == 0) {
-      repeat = std::atoi(argv[i] + 9);
+      ParseFlag(argv[i], 9, repeat);
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {

@@ -44,7 +44,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -63,6 +62,7 @@
 namespace {
 
 using namespace sper;
+using sper::bench::ParseFlag;
 using sper::bench::Percentile;
 
 std::uint64_t NowNs() { return obs::MonotonicClock::Default()->NowNanos(); }
@@ -187,21 +187,21 @@ int main(int argc, char** argv) {
   LoadArgs args;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      args.scale = std::atof(argv[i] + 8);
+      ParseFlag(argv[i], 8, args.scale);
     } else if (std::strncmp(argv[i], "--dataset=", 10) == 0) {
       args.dataset = argv[i] + 10;
     } else if (std::strncmp(argv[i], "--method=", 9) == 0) {
       args.method = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-      args.requests = std::strtoull(argv[i] + 11, nullptr, 10);
+      ParseFlag(argv[i], 11, args.requests);
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      args.batch = std::strtoull(argv[i] + 8, nullptr, 10);
+      ParseFlag(argv[i], 8, args.batch);
     } else if (std::strncmp(argv[i], "--overload=", 11) == 0) {
-      args.overload = std::atof(argv[i] + 11);
+      ParseFlag(argv[i], 11, args.overload);
     } else if (std::strncmp(argv[i], "--deadline-ms=", 14) == 0) {
-      args.deadline_ms = std::strtoull(argv[i] + 14, nullptr, 10);
+      ParseFlag(argv[i], 14, args.deadline_ms);
     } else if (std::strncmp(argv[i], "--depth=", 8) == 0) {
-      args.depth = std::strtoul(argv[i] + 8, nullptr, 10);
+      ParseFlag(argv[i], 8, args.depth);
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       args.json_path = argv[i] + 7;
     } else {

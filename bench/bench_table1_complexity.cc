@@ -7,10 +7,10 @@
 //
 //   $ ./bench_table1_complexity [--scale=S]
 
-#include <chrono>
 #include <memory>
 
 #include "bench_util.h"
+#include "obs/clock.h"
 
 namespace {
 
@@ -22,23 +22,20 @@ struct Timing {
 
 Timing Measure(const sper::DatasetBundle& dataset,
                const sper::ResolverOptions& config) {
-  using Clock = std::chrono::steady_clock;
   Timing t;
   t.profiles = dataset.store.size();
-  const auto t0 = Clock::now();
+  const sper::obs::Stopwatch init;
   std::unique_ptr<sper::ProgressiveEmitter> emitter =
       sper::MakeResolver(dataset, config);
-  const auto t1 = Clock::now();
-  t.init_seconds = std::chrono::duration<double>(t1 - t0).count();
+  t.init_seconds = init.ElapsedSeconds();
 
   std::size_t emissions = 0;
-  const auto t2 = Clock::now();
+  const sper::obs::Stopwatch emission;
   while (emissions < 20000 && emitter->Next().has_value()) ++emissions;
-  const auto t3 = Clock::now();
-  t.emission_us = emissions > 0
-                      ? 1e6 * std::chrono::duration<double>(t3 - t2).count() /
-                            static_cast<double>(emissions)
-                      : 0.0;
+  const double emission_seconds = emission.ElapsedSeconds();
+  t.emission_us = emissions > 0 ? 1e6 * emission_seconds /
+                                      static_cast<double>(emissions)
+                                : 0.0;
   return t;
 }
 

@@ -6,6 +6,7 @@
 // paper's Sec. 7 parameter choices), recall-curve table printing.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -33,13 +35,31 @@ struct BenchArgs {
   double ecmax = 0.0;
 };
 
+/// Parses the value of the numeric flag `arg`, "--name=VALUE", into
+/// `value`; `prefix` is the length of its "--name=" part. Every numeric
+/// bench flag goes through here. std::from_chars is locale-free, and it
+/// must consume all of VALUE: on junk, trailing text, a sign on an
+/// unsigned flag or a number out of range, the program exits 2, naming
+/// the flag and the text it was given.
+template <typename T>
+void ParseFlag(const char* arg, std::size_t prefix, T& value) {
+  const std::string_view text(arg + prefix);
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    std::fprintf(stderr, "%.*s: not a valid number: '%s'\n",
+                 static_cast<int>(prefix - 1), arg, text.data());
+    std::exit(2);
+  }
+}
+
 inline BenchArgs ParseArgs(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      args.scale = std::atof(argv[i] + 8);
+      ParseFlag(argv[i], 8, args.scale);
     } else if (std::strncmp(argv[i], "--ecmax=", 8) == 0) {
-      args.ecmax = std::atof(argv[i] + 8);
+      ParseFlag(argv[i], 8, args.ecmax);
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf("usage: %s [--scale=S] [--ecmax=E]\n", argv[0]);
       std::exit(0);

@@ -1,6 +1,6 @@
 #include "datagen/datagen.h"
 
-#include <cmath>
+#include <cstdio>
 #include <string>
 
 namespace sper {
@@ -20,10 +20,15 @@ const std::vector<std::string>& HeterogeneousDatasetNames() {
 Result<DatasetBundle> GenerateDataset(std::string_view name,
                                       const DatagenOptions& options) {
   // A scale <= 0 or NaN would reach the generators' size_t casts of
-  // llround(count * scale), and -1 asks for about 2^64 profiles.
-  if (!std::isfinite(options.scale) || options.scale <= 0.0) {
-    return Status::InvalidArgument("scale must be finite and > 0, got " +
-                                   std::to_string(options.scale));
+  // llround(count * scale), and -1 asks for about 2^64 profiles. Past
+  // kMaxDatagenScale a count may not fit ProfileId, and from about 1e14
+  // on llround leaves the range of long long.
+  if (!(options.scale > 0.0 && options.scale <= kMaxDatagenScale)) {
+    char message[80];
+    std::snprintf(message, sizeof(message),
+                  "scale must be > 0 and at most %g, got %g",
+                  kMaxDatagenScale, options.scale);
+    return Status::InvalidArgument(message);
   }
   if (name == "census") return GenerateCensus(options);
   if (name == "restaurant") return GenerateRestaurant(options);

@@ -18,13 +18,19 @@
 
 namespace sper {
 
+/// The largest DatagenOptions::scale. The largest generator, dbpedia,
+/// makes 170,000 profiles at scale 1, so at this scale every generator's
+/// profile count stays below 2^31, well inside ProfileId.
+inline constexpr double kMaxDatagenScale = 1e4;
+
 /// Generation options.
 struct DatagenOptions {
   /// RNG seed; every dataset is a pure function of (name, seed, scale).
   std::uint64_t seed = 7;
   /// Multiplies profile counts; 1.0 reproduces the Table 2 scale (or the
-  /// documented reduced scale for dbpedia/freebase). Must be finite and
-  /// > 0: GenerateDataset returns InvalidArgument otherwise.
+  /// documented reduced scale for dbpedia/freebase). Must be finite, > 0
+  /// and at most kMaxDatagenScale: GenerateDataset returns InvalidArgument
+  /// otherwise.
   double scale = 1.0;
 };
 

@@ -29,7 +29,8 @@ struct ClusterPlan {
   std::size_t TotalProfiles() const;
   /// Total matching pairs (Σ count * C(size, 2)).
   std::uint64_t TotalPairs() const;
-  /// Multiplies every count by `scale` (rounding, minimum 0).
+  /// Multiplies every count by `scale` (rounding, minimum 0). `scale` is
+  /// in (0, kMaxDatagenScale], as GenerateDataset checks.
   ClusterPlan Scaled(double scale) const;
 };
 
@@ -67,7 +68,8 @@ std::string ZeroPad(std::uint64_t value, std::size_t width);
 /// Block Scheduling processes first.
 std::size_t ZipfRank(Rng& rng, std::size_t n, double offset = 8.0);
 
-/// Applies `scale` to a base count (round, minimum `minimum`).
+/// Applies `scale` to a base count (round, minimum `minimum`). `scale` is
+/// in (0, kMaxDatagenScale], as GenerateDataset checks.
 std::size_t ScaleCount(std::size_t base, double scale,
                        std::size_t minimum = 1);
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstring>
+#include <iterator>
 #include <type_traits>
 
 namespace sper {
@@ -84,6 +85,40 @@ std::uint64_t LoadU64(const char* at) {
   }
   return v;
 }
+
+/// Reads a comparison array one 16-byte comparison per step, as a block
+/// copy: the little-endian decode path. A forward iterator, so
+/// vector::assign over a range of them counts the comparisons, allocates
+/// once and writes each element once, with no zero-fill before.
+class ComparisonArrayReader {
+ public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = Comparison;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const Comparison*;
+  using reference = Comparison;
+
+  explicit ComparisonArrayReader(const char* at) : at_(at) {}
+
+  Comparison operator*() const {
+    Comparison c;
+    std::memcpy(&c, at_, kComparisonBytes);
+    return c;
+  }
+  ComparisonArrayReader& operator++() {
+    at_ += kComparisonBytes;
+    return *this;
+  }
+  ComparisonArrayReader operator++(int) {
+    ComparisonArrayReader before = *this;
+    ++*this;
+    return before;
+  }
+  bool operator==(const ComparisonArrayReader&) const = default;
+
+ private:
+  const char* at_;
+};
 
 /// Starts a frame whose body will hold `body_bytes`: reserves the whole
 /// frame once and writes the length prefix, version and type, so the
@@ -339,8 +374,14 @@ Result<ResolveResult> DecodeResolveResult(std::string_view payload) {
   // The size check above is the array's only bounds check.
   std::string_view array;
   reader.ReadView(reader.remaining(), array);
-  result.comparisons.resize(count);
-  LoadComparisons(array.data(), result.comparisons);
+  if constexpr (std::endian::native == std::endian::little) {
+    result.comparisons.assign(
+        ComparisonArrayReader(array.data()),
+        ComparisonArrayReader(array.data() + array.size()));
+  } else {
+    result.comparisons.resize(count);
+    LoadComparisonBytes(array.data(), result.comparisons);
+  }
   return result;
 }
 

@@ -1,15 +1,17 @@
 #include "progressive/pps.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <memory_resource>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "core/macros.h"
-#include "metablocking/neighborhood.h"
+#include "core/page_resource.h"
 #include "parallel/parallel_for.h"
 #include "progressive/top_k.h"
 
@@ -27,13 +29,6 @@ struct NodeInit {
 /// A checked profile's accumulator entry: adding a block share (>= 0)
 /// leaves it unchanged, and it never reads as a first touch (== 0.0).
 constexpr double kChecked = -std::numeric_limits<double>::infinity();
-
-/// One block's share of a refill's gather: the neighbors it reaches and
-/// the contribution each of them receives.
-struct MemberRange {
-  std::span<const ProfileId> members;
-  double share = 0.0;
-};
 
 }  // namespace
 
@@ -76,11 +71,12 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
   obs::ScopedPhase phase(options_.telemetry, "profile_scheduling");
   // Algorithm 5: one pass over every node's neighborhood computes the
   // duplication likelihood (mean incident-edge weight) and the node's
-  // top-weighted comparison. Nodes are independent, so the pass runs over
-  // contiguous profile ranges of equal gather work: a node's work is the
-  // member range it scans in each of its blocks, which on Clean-Clean data
-  // differs by source. Results land in a per-node slot and are reduced
-  // below in id order, making the outcome identical at every thread count.
+  // top-weighted comparison. It gathers with Gather(), as a refill does.
+  // Nodes are independent, so the pass runs over contiguous profile
+  // ranges of equal gather work: a node's work is the member range it
+  // scans in each of its blocks, which on Clean-Clean data differs by
+  // source. Results land in a per-node slot and are reduced below in id
+  // order, making the outcome identical at every thread count.
   const bool clean_clean = blocks_.er_type() == ErType::kCleanClean;
   std::vector<std::uint64_t> work(store_.size());
   ParallelFor(store_.size(), options_.num_threads, [&](std::size_t idx) {
@@ -95,35 +91,69 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
   const std::vector<IndexRange> ranges =
       BalancedChunks(work, options_.num_threads);
   work = std::vector<std::uint64_t>();
-  // One dense accumulator per range (8 B * |P| each; size num_threads
-  // accordingly on huge stores), allocated here so the workers allocate
-  // nothing.
-  std::vector<NeighborhoodAccumulator> accumulators;
-  accumulators.reserve(ranges.size());
-  for (std::size_t r = 0; r < ranges.size(); ++r) {
-    accumulators.emplace_back(store_.size());
+  // Each range's gather buffers: the accumulator, and the touched list and
+  // weight words of one node's neighbors, 20 B * |P| in all (size
+  // num_threads accordingly on huge stores), plus its block ranges. They
+  // are sized here so the workers allocate nothing, and are page mappings
+  // of their own (core/page_resource.h), returned whole when the pass
+  // ends.
+  std::size_t max_blocks = 0;
+  for (ProfileId i = 0; i < store_.size(); ++i) {
+    max_blocks = std::max(max_blocks, index_.NumBlocksOf(i));
+  }
+  struct RangeScratch {
+    std::pmr::vector<double> weights{Pages()};
+    std::pmr::vector<ProfileId> touched{Pages()};
+    std::pmr::vector<std::uint64_t> words{Pages()};
+    std::pmr::vector<MemberRange> ranges{Pages()};
+  };
+  std::vector<RangeScratch> scratch(ranges.size());
+  for (RangeScratch& s : scratch) {
+    s.weights.resize(store_.size(), 0.0);
+    s.touched.resize(store_.size());
+    s.words.resize(store_.size());
+    s.ranges.resize(max_blocks);
   }
   std::vector<NodeInit> nodes(store_.size());
   ParallelForRanges(ranges, [&](std::size_t r, IndexRange range) {
+    RangeScratch& s = scratch[r];
+    double* const weights = s.weights.data();
+    ProfileId* const touched = s.touched.data();
+    std::uint64_t* const words = s.words.data();
     for (std::size_t idx = range.begin; idx < range.end; ++idx) {
       const ProfileId i = static_cast<ProfileId>(idx);
-      double likelihood_sum = 0.0;
-      std::size_t neighbors = 0;
-      Comparison top;
-      accumulators[r].Gather(
-          i, blocks_, index_,
-          [&](BlockId b) { return weighter_.BlockContribution(b); },
-          [&](ProfileId j, double accumulated) {
-            const double w = weighter_.Finalize(i, j, accumulated);
-            likelihood_sum += w;
-            const Comparison candidate(i, j, w);
-            if (neighbors++ == 0 || ByWeightDesc()(candidate, top)) {
-              top = candidate;
-            }
-          });
+      // i marks itself checked for its own gather: that leaves it out of
+      // a Dirty ER block's members without a j != i test.
+      weights[i] = kChecked;
+      const std::size_t neighbors =
+          Gather(i, s.ranges.data(), weights, touched);
+      weights[i] = 0.0;
       if (neighbors == 0) continue;
+      // The likelihood sums the weights in first-touch order, the order
+      // of the seed's gather, so every likelihood is bit-identical to it.
+      double likelihood_sum = 0.0;
+      for (std::size_t t = 0; t < neighbors; ++t) {
+        const ProfileId j = touched[t];
+        const double w = weighter_.Finalize(i, j, weights[j]);
+        weights[j] = 0.0;
+        likelihood_sum += w;
+        words[t] = std::bit_cast<std::uint64_t>(w);
+      }
+      // The top comparison under ByWeightDesc: the largest weight (whose
+      // IEEE words order as the weights do, see ComparisonKey), then the
+      // smallest pair, which for a fixed i is the smallest j. Two
+      // branch-free passes over the words replace a compare per neighbor.
+      std::uint64_t top_word = 0;
+      for (std::size_t t = 0; t < neighbors; ++t) {
+        top_word = std::max(top_word, words[t]);
+      }
+      ProfileId top_j = kInvalidProfile;
+      for (std::size_t t = 0; t < neighbors; ++t) {
+        top_j = std::min(top_j,
+                         words[t] == top_word ? touched[t] : kInvalidProfile);
+      }
       nodes[i].likelihood = likelihood_sum / static_cast<double>(neighbors);
-      nodes[i].top = top;
+      nodes[i].top = Comparison(i, top_j, std::bit_cast<double>(top_word));
       nodes[i].neighbors = neighbors;
     }
   });
@@ -167,6 +197,40 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
   initial_.SortDescending();
 }
 
+std::size_t PpsEmitter::Gather(ProfileId i, MemberRange* ranges,
+                               double* weights, ProfileId* touched) const {
+  // Partition-aware: Clean-Clean ER scans only the opposite source of each
+  // block. Two steps: first each block's member range and share, so the
+  // block-metadata loads of the whole gather are in flight together and
+  // the first line of each range is prefetched; then the accumulation,
+  // block by block in ascending id order. A checked neighbor's kChecked
+  // entry absorbs the share and is never a first touch, so that loop has
+  // no checked branch; each first touch is appended unconditionally and
+  // kept by advancing `touched_count`.
+  const std::span<const BlockId> blocks_of_i = index_.BlocksOf(i);
+  const bool clean_clean = blocks_.er_type() == ErType::kCleanClean;
+  for (std::size_t x = 0; x < blocks_of_i.size(); ++x) {
+    const BlockId b = blocks_of_i[x];
+    const std::span<const ProfileId> members =
+        clean_clean ? blocks_.OppositeSource(b, i) : blocks_.members(b);
+    __builtin_prefetch(members.data());
+    ranges[x] = {members, weighter_.BlockContribution(b)};
+  }
+  std::size_t touched_count = 0;
+  for (std::size_t x = 0; x < blocks_of_i.size(); ++x) {
+    const MemberRange range = ranges[x];
+    SPER_DCHECK(range.share >= 0.0);
+    for (ProfileId j : range.members) {
+      SPER_DCHECK(touched_count < store_.size());
+      const double w = weights[j];
+      touched[touched_count] = j;
+      touched_count += w == 0.0;
+      weights[j] = w + range.share;
+    }
+  }
+  return touched_count;
+}
+
 std::size_t PpsEmitter::RefillBound(std::size_t index) const {
   return index == 0 ? initial_.size()
                     : std::min(options_.kmax, store_.size());
@@ -202,47 +266,21 @@ void PpsEmitter::AppendRefill(std::size_t index, Scratch& scratch,
   // Gather unchecked comparable neighbors (Algorithm 6 lines 9-14): a
   // neighbor that was processed earlier had higher duplication likelihood,
   // and its Kmax best comparisons already covered this pair with more
-  // reliable evidence. Partition-aware like the init pass. Two steps:
-  // first each block's member range and share, so the block-metadata
-  // loads of the whole refill are in flight together and the first line
-  // of each range is prefetched; then the accumulation, block by block in
-  // ascending id order. A checked neighbor's kChecked entry absorbs the
-  // share and is never a first touch, so that loop has no checked branch;
-  // each first touch is appended unconditionally and kept by advancing
-  // `touched_count`. i itself is checked, so the Dirty scan needs no
-  // separate j != i test.
-  const std::span<const BlockId> blocks_of_i = index_.BlocksOf(i);
-  MemberRange* const ranges = s.ranges.get();
-  const bool clean_clean = blocks_.er_type() == ErType::kCleanClean;
-  for (std::size_t x = 0; x < blocks_of_i.size(); ++x) {
-    const BlockId b = blocks_of_i[x];
-    const std::span<const ProfileId> members =
-        clean_clean ? blocks_.OppositeSource(b, i) : blocks_.members(b);
-    __builtin_prefetch(members.data());
-    ranges[x] = {members, weighter_.BlockContribution(b)};
-  }
+  // reliable evidence. i itself is checked.
   double* const weights = s.weights.data();
   ProfileId* const touched = s.touched.get();
-  std::size_t touched_count = 0;
-  for (std::size_t x = 0; x < blocks_of_i.size(); ++x) {
-    const MemberRange range = ranges[x];
-    SPER_DCHECK(range.share >= 0.0);
-    for (ProfileId j : range.members) {
-      SPER_DCHECK(touched_count < store_.size());
-      const double w = weights[j];
-      touched[touched_count] = j;
-      touched_count += w == 0.0;
-      weights[j] = w + range.share;
-    }
-  }
+  const std::size_t touched_count =
+      Gather(i, s.ranges.get(), weights, touched);
 
   // SortedStack (lines 15-18): the reusable top-k selector keeps the Kmax
   // top-weighted comparisons without a per-refill allocation. It stores
   // every candidate, selects once, on their weight words and then on the
   // ties' ids, and appends the kept keys best first (ByWeightDesc is
-  // total, so the result is bit-identical to the min-heap reference).
-  // Each candidate's accumulator entry is reset as it is read, ready for
-  // the next refill.
+  // total, so the result is bit-identical to the min-heap reference). To
+  // order them it merges the descending runs they arrive in: the gather
+  // lists each block's first touches by ascending id, and most of them
+  // carry that block's share. Each candidate's accumulator entry is reset
+  // as it is read, ready for the next refill.
   s.topk.Assign(options_.kmax, touched_count, [&](std::size_t t) {
     const ProfileId j = touched[t];
     const Comparison candidate(i, j, weighter_.Finalize(i, j, weights[j]));

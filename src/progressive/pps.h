@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -40,10 +41,9 @@ struct PpsOptions {
   std::size_t kmax = 100;
   /// Threads for the initialization phase (per-profile duplication
   /// likelihoods + top comparisons, over profile ranges of equal gather
-  /// work, each with its own 8 B·|P| accumulator). Emission may run on
-  /// other threads
-  /// through the BatchSource interface. The emitted sequence is identical
-  /// at every thread count.
+  /// work, each with its own 20 B·|P| of gather buffers). Emission may run
+  /// on other threads through the BatchSource interface. The emitted
+  /// sequence is identical at every thread count.
   std::size_t num_threads = 1;
   /// Telemetry sink for the initialization phase timers
   /// ("edge_weighting", "profile_scheduling").
@@ -90,6 +90,22 @@ class PpsEmitter : public ProgressiveEmitter, public BatchSource {
 
  private:
   struct RefillScratch;
+
+  /// One block's share of a gather: the neighbors it reaches and the
+  /// contribution each of them receives.
+  struct MemberRange {
+    std::span<const ProfileId> members;
+    double share = 0.0;
+  };
+
+  /// The neighborhood gather of Algorithms 5 and 6: adds the share of
+  /// every block of `i` to `weights[j]` of each comparable j in it, and
+  /// lists each j whose entry was 0 before in `touched`, in first-touch
+  /// order. An entry marked kChecked (-infinity) absorbs every share and
+  /// is never listed, so marking i leaves it out. `ranges` has room for
+  /// i's blocks. Returns the number listed.
+  std::size_t Gather(ProfileId i, MemberRange* ranges, double* weights,
+                     ProfileId* touched) const;
 
   const ProfileStore& store_;
   BlockCollection blocks_;

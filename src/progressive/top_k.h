@@ -21,17 +21,25 @@
 ///
 /// Every candidate is stored, and the k best are selected once, at the
 /// end: one nth_element over the 8-byte weight words finds the k-th
-/// largest weight T; every key above T is kept, and of the keys at T the
-/// `need` best-ranked (largest low word, i.e. smallest pair) are picked by
-/// a second nth_element over their low words. That is exact: ByWeightDesc
-/// is a total order over distinct pairs, at most k - 1 keys lie above T
-/// and at least k lie at or above it. A refill's candidates carry few
-/// distinct weights (ARCS shares tie), so the tie set left for the second
-/// step is small. Every correct sort of distinct keys gives the same
-/// order, so the kept set and the emission order are bit-identical to the
-/// bounded min-heap this replaces. Reserve() sizes the buffers for the
-/// largest candidate set up front, so a selector reused across refills
-/// never allocates.
+/// largest weight T; every key above T is kept, in the order it came in,
+/// and of the keys at T the `need` best-ranked (largest low word, i.e.
+/// smallest pair) are picked by a second nth_element over their low words
+/// and sorted. That is exact: ByWeightDesc is a total order over distinct
+/// pairs, at most k - 1 keys lie above T and at least k lie at or above
+/// it. A refill's candidates carry few distinct weights (ARCS shares
+/// tie), so the tie set left for the second step is small.
+///
+/// The kept keys are then ordered by a natural merge sort: one pass finds
+/// the maximal descending runs and bottom-up passes merge pairs of them.
+/// A PPS gather hands its candidates over block by block, ascending by id
+/// within a block, and a neighbor that shares one block with the profile
+/// carries that block's share: so they arrive as a few long runs, and
+/// the merge does far less work than a sort from scratch. On input with
+/// no runs it is a plain merge sort. Every correct sort of distinct keys
+/// gives the same order, so the kept set and the emission order are
+/// bit-identical to the bounded min-heap this replaces. Reserve() sizes
+/// the buffers for the largest candidate set up front, so a selector
+/// reused across refills never allocates.
 
 namespace sper {
 
@@ -45,7 +53,9 @@ class TopKBuffer {
   void Reserve(std::size_t n) {
     if (keys_.size() >= n) return;
     keys_.resize(n);
+    merged_.resize(n);
     words_.resize(n);
+    runs_.resize(n + 1);
   }
 
   /// Replaces the selection with the k best of the `n` candidates
@@ -75,9 +85,8 @@ class TopKBuffer {
   /// selection: call Assign() before the next AppendDescending().
   void AppendDescending(ComparisonList& out) {
     if (size_ > k_) SelectBest();
-    ComparisonKey* const keys = keys_.data();
-    std::sort(keys, keys + size_, std::greater<>());
-    for (std::size_t t = 0; t < size_; ++t) out.Add(keys[t].Decode());
+    const ComparisonKey* const sorted = MergeRuns();
+    for (std::size_t t = 0; t < size_; ++t) out.Add(sorted[t].Decode());
   }
 
  private:
@@ -111,16 +120,71 @@ class TopKBuffer {
       std::nth_element(words, words + (need - 1), words + ties,
                        std::greater<>());
     }
+    // The kept ties lost the order they came in: sorted, they form one
+    // run for MergeRuns().
+    std::sort(words, words + need, std::greater<>());
     for (std::size_t t = 0; t < need; ++t) {
       keys[above + t] = ComparisonKey{threshold, words[t]};
     }
     size_ = k_;
   }
 
+  /// Sorts keys_[0, size_) into descending order and returns the buffer
+  /// that holds the result: keys_ or merged_.
+  const ComparisonKey* MergeRuns() {
+    if (size_ <= 1) return keys_.data();
+    ComparisonKey* from = keys_.data();
+    ComparisonKey* to = merged_.data();
+    std::size_t* const runs = runs_.data();
+    // Run r is [runs[r], runs[r + 1]), and runs[count] == size_. One
+    // branch-free pass opens a run at every ascent.
+    std::size_t count = 1;
+    runs[0] = 0;
+    for (std::size_t t = 1; t < size_; ++t) {
+      runs[count] = t;
+      count += from[t - 1] < from[t];
+    }
+    runs[count] = size_;
+    // Each pass merges runs 2q and 2q + 1 into run q of the other buffer.
+    while (count > 1) {
+      std::size_t merged = 0;
+      for (std::size_t r = 0; r < count; r += 2) {
+        const std::size_t begin = runs[r];
+        Merge(from + begin, from + runs[std::min(r + 1, count)],
+              from + runs[std::min(r + 2, count)], to + begin);
+        runs[merged++] = begin;
+      }
+      runs[merged] = size_;
+      count = merged;
+      std::swap(from, to);
+    }
+    return from;
+  }
+
+  /// Merges the descending runs [a, b) and [b, end) into `out`. The step
+  /// has no branch on the keys: which run gives the next key is a coin
+  /// flip to a predictor.
+  static void Merge(const ComparisonKey* a, const ComparisonKey* b,
+                    const ComparisonKey* end, ComparisonKey* out) {
+    const ComparisonKey* const a_end = b;
+    while (a != a_end && b != end) {
+      const bool take_b = *a < *b;
+      *out++ = *(take_b ? b : a);
+      a += !take_b;
+      b += take_b;
+    }
+    out = std::copy(a, a_end, out);
+    std::copy(b, end, out);
+  }
+
   /// The stored keys, keys_[0, size_).
   std::pmr::vector<ComparisonKey> keys_{Pages()};
+  /// The other buffer of MergeRuns()' passes.
+  std::pmr::vector<ComparisonKey> merged_{Pages()};
   /// Selection scratch: the keys' weight words, then the ties' low words.
   std::pmr::vector<std::uint64_t> words_{Pages()};
+  /// MergeRuns()' run starts.
+  std::pmr::vector<std::size_t> runs_{Pages()};
   std::size_t size_ = 0;
   std::size_t k_ = 0;
 };

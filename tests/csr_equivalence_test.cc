@@ -23,6 +23,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <ostream>
 #include <queue>
 #include <random>
@@ -526,15 +527,40 @@ std::vector<Comparison> ReferencePpsEmission(
   const ProfileIndex index(blocks, store.size());
   const std::vector<LegacyBlock> legacy = ToLegacy(blocks);
   const EdgeWeighter weighter(blocks, index, store, scheme);
-
-  std::vector<Comparison> emitted;
-  ComparisonList batch0;
-  pps.AppendRefill(0, *pps.NewScratch(), batch0);
-  while (!batch0.Empty()) emitted.push_back(batch0.PopFirst());
-
-  std::vector<bool> checked(store.size(), false);
   std::vector<double> weights(store.size(), 0.0);
   std::vector<ProfileId> touched;
+
+  // Batch 0, Algorithm 5's topComparisonsSet: every node's ByWeightDesc
+  // maximum over the legacy gather of all its neighbors, compared one
+  // neighbor at a time. A pair that is the top of both its ends is kept
+  // once, as the smaller id found it, and the set is sorted.
+  std::vector<Comparison> emitted;
+  std::unordered_set<std::uint64_t> seen;
+  for (ProfileId i = 0; i < store.size(); ++i) {
+    for (BlockId b : index.BlocksOf(i)) {
+      const double share = weighter.BlockContribution(b);
+      for (ProfileId j : legacy[b].profiles) {
+        if (j == i || !store.IsComparable(i, j)) continue;
+        if (weights[j] == 0.0) touched.push_back(j);
+        weights[j] += share;
+      }
+    }
+    std::optional<Comparison> top;
+    for (ProfileId j : touched) {
+      const Comparison candidate(i, j, weighter.Finalize(i, j, weights[j]));
+      if (!top.has_value() || ByWeightDesc()(candidate, *top)) {
+        top = candidate;
+      }
+      weights[j] = 0.0;
+    }
+    touched.clear();
+    if (top.has_value() && seen.insert(PairKey(top->i, top->j)).second) {
+      emitted.push_back(*top);
+    }
+  }
+  std::sort(emitted.begin(), emitted.end(), ByWeightDesc());
+
+  std::vector<bool> checked(store.size(), false);
   for (const auto& [i, likelihood] : pps.sorted_profiles()) {
     checked[i] = true;
     for (BlockId b : index.BlocksOf(i)) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <set>
 #include <string>
@@ -248,22 +249,56 @@ TEST(DatagenTest, UnknownNameIsNotFound) {
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
-TEST(DatagenTest, ScaleMustBeFiniteAndPositive) {
+/// The seven generators' names, structured first.
+std::vector<std::string> AllDatasetNames() {
   const std::vector<std::string>& structured = StructuredDatasetNames();
   const std::vector<std::string>& heterogeneous = HeterogeneousDatasetNames();
   std::vector<std::string> names(structured.begin(), structured.end());
   names.insert(names.end(), heterogeneous.begin(), heterogeneous.end());
+  return names;
+}
+
+/// Expects GenerateDataset(name) to reject `scale` with InvalidArgument
+/// naming the scale. A scale it wrongly accepts would start generating.
+void ExpectScaleRejected(const std::string& name, double scale) {
+  DatagenOptions options;
+  options.scale = scale;
+  Result<DatasetBundle> result = GenerateDataset(name, options);
+  ASSERT_FALSE(result.ok()) << name << " at scale " << scale;
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("scale"), std::string::npos);
+}
+
+TEST(DatagenTest, ScaleMustBeFiniteAndPositive) {
+  const std::vector<std::string> names = AllDatasetNames();
   ASSERT_EQ(names.size(), 7u);
   for (const std::string& name : names) {
     for (double scale : {-1.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
                          std::numeric_limits<double>::infinity()}) {
-      DatagenOptions options;
-      options.scale = scale;
-      Result<DatasetBundle> result = GenerateDataset(name, options);
-      ASSERT_FALSE(result.ok()) << name << " at scale " << scale;
-      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-      EXPECT_NE(result.status().message().find("scale"), std::string::npos);
+      ExpectScaleRejected(name, scale);
     }
+  }
+}
+
+TEST(DatagenTest, ScaleIsBoundedSoEveryProfileIdFits) {
+  // Past kMaxDatagenScale a profile count may not fit ProfileId; at 1e15
+  // and 1e30, llround(count * scale) overflowed and asked for about 2^63
+  // profiles.
+  for (const std::string& name : AllDatasetNames()) {
+    for (double scale : {std::nextafter(kMaxDatagenScale, 2 * kMaxDatagenScale),
+                         1e15, 1e30, std::numeric_limits<double>::max()}) {
+      ExpectScaleRejected(name, scale);
+    }
+    // The bound's premise: the profile count at kMaxDatagenScale,
+    // extrapolated from a small scale, stays below 2^31.
+    DatagenOptions options;
+    options.scale = 0.05;
+    Result<DatasetBundle> small = GenerateDataset(name, options);
+    ASSERT_TRUE(small.ok()) << name;
+    EXPECT_LT(static_cast<double>(small.value().store.size()) / options.scale *
+                  kMaxDatagenScale,
+              0x1p31)
+        << name;
   }
 }
 

@@ -9,6 +9,7 @@ allowlist (suppression and staleness). Run directly or via ctest:
 
 import os
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -266,7 +267,6 @@ class AllowlistTest(unittest.TestCase):
         self.assertEqual(rules(out), ["STALE"])
 
     def test_malformed_entry_rejected(self):
-        import tempfile
         with tempfile.NamedTemporaryFile(
                 "w", suffix=".txt", delete=False) as f:
             f.write("src/x/a.cc|DET001\n")  # missing justification
@@ -276,6 +276,20 @@ class AllowlistTest(unittest.TestCase):
                 lint.Allowlist.load(path)
         finally:
             os.unlink(path)
+
+
+class ScanDirsTest(unittest.TestCase):
+    def test_bench_sources_are_scanned(self):
+        with tempfile.TemporaryDirectory() as root:
+            os.makedirs(os.path.join(root, "bench"))
+            with open(os.path.join(root, "bench", "flags.cc"), "w",
+                      encoding="utf-8") as f:
+                f.write("double Scale(char** argv) "
+                        "{ return std::atof(argv[1]); }\n")
+            self.assertIn("bench/flags.cc", lint.gather_files(root))
+            allowlist = os.path.join(root, "no_allowlist.txt")
+            self.assertEqual(
+                lint.main(["--root", root, "--allowlist", allowlist]), 1)
 
 
 class RepoIntegrationTest(unittest.TestCase):

@@ -199,11 +199,29 @@ TEST(TopKBufferTest, UnboundedAndZeroAndReuse) {
   EXPECT_EQ(Kept(topk, 5, {Comparison(0, 1, 1.0)}).size(), 1u);
 }
 
+/// Differential check against std::sort by ByWeightDesc, truncated to k:
+/// `topk` must keep the same pairs, with the same weight bits, in order.
+void ExpectKeptMatchesSort(TopKBuffer& topk, std::size_t k,
+                           const std::vector<Comparison>& stream) {
+  std::vector<Comparison> sorted = stream;
+  std::sort(sorted.begin(), sorted.end(), ByWeightDesc());
+  sorted.resize(std::min(k, stream.size()));
+
+  const std::vector<Comparison> kept = Kept(topk, k, stream);
+  ASSERT_EQ(kept.size(), sorted.size());
+  for (std::size_t r = 0; r < kept.size(); ++r) {
+    ASSERT_TRUE(kept[r].SamePair(sorted[r])) << "rank " << r;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(kept[r].weight),
+              std::bit_cast<std::uint64_t>(sorted[r].weight))
+        << "rank " << r;
+  }
+}
+
 TEST(TopKBufferTest, MatchesAFullSortOfSeededStreams) {
-  // Differential check against std::sort by ByWeightDesc, truncated to k:
-  // stream lengths around k and two long ones, weights drawn from 1-3
+  // Stream lengths around k and two long ones, weights drawn from 1-3
   // values (tied, as ARCS shares are) or from many, always with +0.0
-  // present. One buffer serves every stream and k, so it also grows.
+  // present, shuffled. One buffer serves every stream and k, so it also
+  // grows.
   std::mt19937_64 rng(20261019);
   const std::size_t longest = 20000;
   const double few[] = {0.0, 0.125, 1.0 / 3};
@@ -231,19 +249,58 @@ TEST(TopKBufferTest, MatchesAFullSortOfSeededStreams) {
         }
         if (m > 0) stream[rng() % m].weight = 0.0;
         std::shuffle(stream.begin(), stream.end(), rng);
-        std::vector<Comparison> sorted = stream;
-        std::sort(sorted.begin(), sorted.end(), ByWeightDesc());
-        sorted.resize(std::min(k, m));
-
-        const std::vector<Comparison> kept = Kept(topk, k, stream);
-        ASSERT_EQ(kept.size(), sorted.size());
-        for (std::size_t r = 0; r < kept.size(); ++r) {
-          ASSERT_TRUE(kept[r].SamePair(sorted[r])) << "rank " << r;
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(kept[r].weight),
-                    std::bit_cast<std::uint64_t>(sorted[r].weight))
-              << "rank " << r;
-        }
+        ExpectKeptMatchesSort(topk, k, stream);
       }
+    }
+  }
+}
+
+/// The candidates of profile `i` in the order a PPS gather hands them
+/// over: block by block, ascending j within a block, each neighbor once,
+/// at its first touch. Most carry their block's share, and one in eight
+/// also shares another block and weighs more. Shares repeat across
+/// blocks, as the ARCS shares of equal-sized blocks do.
+std::vector<Comparison> GatherShapedStream(std::mt19937_64& rng,
+                                           ProfileId i, std::size_t blocks) {
+  const double shares[] = {1.0 / 2, 1.0 / 3, 1.0 / 6, 1.0 / 10};
+  std::vector<Comparison> stream;
+  std::set<ProfileId> touched;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const double share = shares[rng() % std::size(shares)];
+    const std::size_t size = 1 + rng() % 40;
+    std::set<ProfileId> members;
+    while (members.size() < size) {
+      const ProfileId j = static_cast<ProfileId>(rng() % (2 * i));
+      if (j != i) members.insert(j);
+    }
+    for (ProfileId j : members) {
+      if (!touched.insert(j).second) continue;
+      const double extra =
+          rng() % 8 == 0 ? shares[rng() % std::size(shares)] : 0.0;
+      stream.emplace_back(i, j, share + extra);
+    }
+  }
+  return stream;
+}
+
+TEST(TopKBufferTest, MatchesAFullSortOfGatherShapedStreams) {
+  // Unshuffled streams: a gather's (descending runs that the merge sort
+  // keeps, ties at the k-th weight spread across blocks), the same keys
+  // as one descending run, and as one ascent where every key is a run of
+  // its own. i sits mid-range, so pairs lie on both sides of it.
+  std::mt19937_64 rng(20261020);
+  TopKBuffer topk;
+  for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                        std::size_t{100}, std::size_t{SIZE_MAX}}) {
+    for (std::size_t blocks : {1, 2, 5, 30}) {
+      SCOPED_TRACE("k " + std::to_string(k) + ", blocks " +
+                   std::to_string(blocks));
+      std::vector<Comparison> stream = GatherShapedStream(rng, 1000, blocks);
+      ExpectKeptMatchesSort(topk, k, stream);
+      std::sort(stream.begin(), stream.end(), ByWeightDesc());
+      ExpectKeptMatchesSort(topk, k, stream);
+      std::reverse(stream.begin(), stream.end());
+      ExpectKeptMatchesSort(topk, k, stream);
     }
   }
 }

@@ -5,7 +5,7 @@ The library's core contract is that emitted comparison streams are
 bit-identical at every thread count, shard count and lookahead setting
 (README "Determinism"). Most violations of that contract come from a
 handful of well-known C++ patterns, so this lint bans them outright in
-src/:
+src/, tools/ and bench/:
 
   DET001 unordered-iteration  Iterating a std::unordered_map/set (range-
                               for or explicit .begin()) lets hash order
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 SRC_EXTENSIONS = (".h", ".cc")
 
 # Directories scanned, relative to the repo root.
-SCAN_DIRS = ("src", "tools")
+SCAN_DIRS = ("src", "tools", "bench")
 
 # DET004 applies only where code runs on producer/worker threads.
 PRODUCER_DIRS = ("src/parallel", "src/progressive", "src/engine")
