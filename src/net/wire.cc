@@ -6,6 +6,8 @@
 #include <iterator>
 #include <type_traits>
 
+#include "core/macros.h"
+
 namespace sper {
 namespace net {
 
@@ -87,9 +89,15 @@ std::uint64_t LoadU64(const char* at) {
 }
 
 /// Reads a comparison array one 16-byte comparison per step, as a block
-/// copy: the little-endian decode path. A forward iterator, so
-/// vector::assign over a range of them counts the comparisons, allocates
-/// once and writes each element once, with no zero-fill before.
+/// copy: LoadComparisons' little-endian path. vector::assign needs only
+/// an input iterator; the forward tag lets libstdc++ and libc++ count the
+/// range first, allocate once and write each element once, with no
+/// zero-fill before. The reference is a Comparison value, because the
+/// frame bytes hold no Comparison object to refer to, so this meets the
+/// forward-iterator requirements in traversal (multi-pass, equal
+/// iterators read equal values) but not the reference-type rule, as with
+/// vector<bool>'s proxy iterators. A library that ignored the tag would
+/// append element by element: the same vector, built more slowly.
 class ComparisonArrayReader {
  public:
   using iterator_category = std::forward_iterator_tag;
@@ -201,13 +209,14 @@ void StoreComparisons(std::span<const Comparison> comparisons, char* out) {
   }
 }
 
-void LoadComparisons(const char* in, std::span<Comparison> comparisons) {
+void LoadComparisons(std::string_view array, std::vector<Comparison>& out) {
+  SPER_DCHECK(array.size() % kComparisonBytes == 0);
   if constexpr (std::endian::native == std::endian::little) {
-    if (!comparisons.empty()) {
-      std::memcpy(comparisons.data(), in, comparisons.size_bytes());
-    }
+    out.assign(ComparisonArrayReader(array.data()),
+               ComparisonArrayReader(array.data() + array.size()));
   } else {
-    LoadComparisonBytes(in, comparisons);
+    out.resize(array.size() / kComparisonBytes);
+    LoadComparisonBytes(array.data(), out);
   }
 }
 
@@ -374,14 +383,7 @@ Result<ResolveResult> DecodeResolveResult(std::string_view payload) {
   // The size check above is the array's only bounds check.
   std::string_view array;
   reader.ReadView(reader.remaining(), array);
-  if constexpr (std::endian::native == std::endian::little) {
-    result.comparisons.assign(
-        ComparisonArrayReader(array.data()),
-        ComparisonArrayReader(array.data() + array.size()));
-  } else {
-    result.comparisons.resize(count);
-    LoadComparisonBytes(array.data(), result.comparisons);
-  }
+  LoadComparisons(array, result.comparisons);
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/comparison.h"
 #include "core/status.h"
@@ -114,9 +115,11 @@ class WireReader {
 /// StoreComparisonBytes elsewhere.
 void StoreComparisons(std::span<const Comparison> comparisons, char* out);
 
-/// Reads comparisons.size() comparisons from the array at `in`: one block
-/// copy on a little-endian host, LoadComparisonBytes elsewhere.
-void LoadComparisons(const char* in, std::span<Comparison> comparisons);
+/// Replaces `out` with the comparisons of `array`, whose size must be a
+/// multiple of 16: built in one pass over the array, with no zero-fill
+/// first, on a little-endian host; resized and filled by
+/// LoadComparisonBytes elsewhere.
+void LoadComparisons(std::string_view array, std::vector<Comparison>& out);
 
 /// The portable path of StoreComparisons: every field stored as shifted
 /// single bytes, on any host.

@@ -91,35 +91,30 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
   const std::vector<IndexRange> ranges =
       BalancedChunks(work, options_.num_threads);
   work = std::vector<std::uint64_t>();
-  // Each range's gather buffers: the accumulator, and the touched list and
-  // weight words of one node's neighbors, 20 B * |P| in all (size
-  // num_threads accordingly on huge stores), plus its block ranges. They
-  // are sized here so the workers allocate nothing, and are page mappings
-  // of their own (core/page_resource.h), returned whole when the pass
-  // ends.
-  std::size_t max_blocks = 0;
+  // Each range's gather buffers: the accumulator and the touched list of
+  // one node's neighbors, 12 B * |P| in all (size num_threads accordingly
+  // on huge stores), plus its block ranges. They are sized here so the
+  // workers allocate nothing, and are page mappings of their own
+  // (core/page_resource.h), returned whole when the pass ends.
   for (ProfileId i = 0; i < store_.size(); ++i) {
-    max_blocks = std::max(max_blocks, index_.NumBlocksOf(i));
+    max_blocks_ = std::max(max_blocks_, index_.NumBlocksOf(i));
   }
   struct RangeScratch {
     std::pmr::vector<double> weights{Pages()};
     std::pmr::vector<ProfileId> touched{Pages()};
-    std::pmr::vector<std::uint64_t> words{Pages()};
     std::pmr::vector<MemberRange> ranges{Pages()};
   };
   std::vector<RangeScratch> scratch(ranges.size());
   for (RangeScratch& s : scratch) {
     s.weights.resize(store_.size(), 0.0);
     s.touched.resize(store_.size());
-    s.words.resize(store_.size());
-    s.ranges.resize(max_blocks);
+    s.ranges.resize(max_blocks_);
   }
   std::vector<NodeInit> nodes(store_.size());
   ParallelForRanges(ranges, [&](std::size_t r, IndexRange range) {
     RangeScratch& s = scratch[r];
     double* const weights = s.weights.data();
     ProfileId* const touched = s.touched.data();
-    std::uint64_t* const words = s.words.data();
     for (std::size_t idx = range.begin; idx < range.end; ++idx) {
       const ProfileId i = static_cast<ProfileId>(idx);
       // i marks itself checked for its own gather: that leaves it out of
@@ -131,26 +126,24 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
       if (neighbors == 0) continue;
       // The likelihood sums the weights in first-touch order, the order
       // of the seed's gather, so every likelihood is bit-identical to it.
+      // The same loop keeps the top comparison under ByWeightDesc: the
+      // largest weight (whose IEEE words order as the weights do, see
+      // ComparisonKey), then the smallest pair, which for a fixed i is the
+      // smallest j. It is a select, not a branch, and runs beside the
+      // sum's dependency chain.
       double likelihood_sum = 0.0;
+      std::uint64_t top_word = 0;
+      ProfileId top_j = kInvalidProfile;
       for (std::size_t t = 0; t < neighbors; ++t) {
         const ProfileId j = touched[t];
         const double w = weighter_.Finalize(i, j, weights[j]);
         weights[j] = 0.0;
         likelihood_sum += w;
-        words[t] = std::bit_cast<std::uint64_t>(w);
-      }
-      // The top comparison under ByWeightDesc: the largest weight (whose
-      // IEEE words order as the weights do, see ComparisonKey), then the
-      // smallest pair, which for a fixed i is the smallest j. Two
-      // branch-free passes over the words replace a compare per neighbor.
-      std::uint64_t top_word = 0;
-      for (std::size_t t = 0; t < neighbors; ++t) {
-        top_word = std::max(top_word, words[t]);
-      }
-      ProfileId top_j = kInvalidProfile;
-      for (std::size_t t = 0; t < neighbors; ++t) {
-        top_j = std::min(top_j,
-                         words[t] == top_word ? touched[t] : kInvalidProfile);
+        const std::uint64_t word = std::bit_cast<std::uint64_t>(w);
+        const bool better =
+            (word > top_word) | ((word == top_word) & (j < top_j));
+        top_word = better ? word : top_word;
+        top_j = better ? j : top_j;
       }
       nodes[i].likelihood = likelihood_sum / static_cast<double>(neighbors);
       nodes[i].top = Comparison(i, top_j, std::bit_cast<double>(top_word));
@@ -162,7 +155,6 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
   for (ProfileId i = 0; i < store_.size(); ++i) {
     if (nodes[i].neighbors == 0) continue;
     max_neighbors_ = std::max(max_neighbors_, nodes[i].neighbors);
-    max_blocks_ = std::max(max_blocks_, index_.NumBlocksOf(i));
     sorted_profiles_.emplace_back(i, nodes[i].likelihood);
     top_comparisons.push_back(nodes[i].top);
   }

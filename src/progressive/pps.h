@@ -41,7 +41,7 @@ struct PpsOptions {
   std::size_t kmax = 100;
   /// Threads for the initialization phase (per-profile duplication
   /// likelihoods + top comparisons, over profile ranges of equal gather
-  /// work, each with its own 20 B·|P| of gather buffers). Emission may run
+  /// work, each with its own 12 B·|P| of gather buffers). Emission may run
   /// on other threads through the BatchSource interface. The emitted
   /// sequence is identical at every thread count.
   std::size_t num_threads = 1;
@@ -114,8 +114,8 @@ class PpsEmitter : public ProgressiveEmitter, public BatchSource {
   PpsOptions options_;
 
   std::vector<std::pair<ProfileId, double>> sorted_profiles_;
-  // Refill scratch sizes: the most neighbors and the most blocks of any
-  // profile in sorted_profiles_.
+  // Gather scratch sizes: the most neighbors of any profile in
+  // sorted_profiles_, and the most blocks of any profile.
   std::size_t max_neighbors_ = 0;
   std::size_t max_blocks_ = 0;
   ComparisonList initial_;  // batch 0: every node's top comparison

@@ -34,12 +34,13 @@
 /// A PPS gather hands its candidates over block by block, ascending by id
 /// within a block, and a neighbor that shares one block with the profile
 /// carries that block's share: so they arrive as a few long runs, and
-/// the merge does far less work than a sort from scratch. On input with
-/// no runs it is a plain merge sort. Every correct sort of distinct keys
-/// gives the same order, so the kept set and the emission order are
-/// bit-identical to the bounded min-heap this replaces. Reserve() sizes
-/// the buffers for the largest candidate set up front, so a selector
-/// reused across refills never allocates.
+/// the merge does far less work than a sort from scratch. Under a scheme
+/// whose weights rarely tie (EJS) the runs are short, and the merge costs
+/// a little more than std::sort did (README.md, "Serving architecture").
+/// Every correct sort of distinct keys gives the same order, so the kept
+/// set and the emission order are bit-identical to the bounded min-heap
+/// this replaces. Reserve() sizes the buffers for the largest candidate
+/// set up front, so a selector reused across refills never allocates.
 
 namespace sper {
 

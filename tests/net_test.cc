@@ -554,9 +554,11 @@ TEST(WireTest, BlockAndByteArrayPathsAgree) {
   EXPECT_EQ(ToHex(bytes.substr(0, 16)),
             ToHex(FromHex("00000000 ffffff7f 230100000000f87f")));
 
-  std::vector<Comparison> from_block(slice.size());
+  // LoadComparisons is DecodeResolveResult's load: it replaces whatever
+  // the vector held.
+  std::vector<Comparison> from_block(3, Comparison(7, 8, 9.0));
   std::vector<Comparison> from_bytes(slice.size());
-  net::LoadComparisons(block.data(), from_block);
+  net::LoadComparisons(block, from_block);
   net::LoadComparisonBytes(bytes.data(), from_bytes);
   EXPECT_TRUE(SameComparisons(from_block, slice));
   EXPECT_TRUE(SameComparisons(from_bytes, slice));
