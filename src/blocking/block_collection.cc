@@ -19,31 +19,36 @@ std::uint64_t BlockCollection::ComputeCardinality(
 
 BlockId BlockCollection::Add(std::string_view key,
                              std::span<const ProfileId> members) {
-  SPER_DCHECK(std::is_sorted(members.begin(), members.end()));
+  const BlockId id = static_cast<BlockId>(size());
+  members_.insert(members_.end(), members.begin(), members.end());
+  member_offsets_.push_back(members_.size());
+  key_arena_.append(key);
+  key_offsets_.push_back(key_arena_.size());
+  split_offsets_.emplace_back();
+  cardinalities_.emplace_back();
+  aggregate_cardinality_ += SetSplit(id);
+  return id;
+}
+
+std::uint64_t BlockCollection::SetSplit(BlockId id) {
   // One lower_bound per block at build time buys branch-free scans on
   // every later traversal.
+  const std::span<const ProfileId> block = members(id);
+  SPER_DCHECK(std::is_sorted(block.begin(), block.end()));
   const std::size_t local_split =
       er_type_ == ErType::kDirty
-          ? members.size()
+          ? block.size()
           : static_cast<std::size_t>(
-                std::lower_bound(members.begin(), members.end(),
-                                 split_index_) -
-                members.begin());
-  const std::uint64_t n = members.size();
+                std::lower_bound(block.begin(), block.end(), split_index_) -
+                block.begin());
+  const std::uint64_t n = block.size();
   const std::uint64_t n1 = local_split;
   const std::uint64_t n2 = n - n1;
   const std::uint64_t card =
       er_type_ == ErType::kDirty ? n * (n - 1) / 2 : n1 * n2;
-
-  const std::uint64_t begin = members_.size();
-  members_.insert(members_.end(), members.begin(), members.end());
-  member_offsets_.push_back(members_.size());
-  split_offsets_.push_back(begin + local_split);
-  key_arena_.append(key);
-  key_offsets_.push_back(key_arena_.size());
-  cardinalities_.push_back(card);
-  aggregate_cardinality_ += card;
-  return static_cast<BlockId>(cardinalities_.size() - 1);
+  split_offsets_[id] = member_offsets_[id] + local_split;
+  cardinalities_[id] = card;
+  return card;
 }
 
 void BlockCollection::Reserve(std::size_t num_blocks,

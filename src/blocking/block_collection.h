@@ -1,15 +1,20 @@
 #ifndef SPER_BLOCKING_BLOCK_COLLECTION_H_
 #define SPER_BLOCKING_BLOCK_COLLECTION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/macros.h"
 #include "core/types.h"
+#include "parallel/parallel_for.h"
 
 /// \file block_collection.h
 /// A block collection B with its aggregate statistics (paper Sec. 3):
@@ -31,6 +36,27 @@
 /// per-element comparability branches in the hot loop.
 
 namespace sper {
+
+/// std::allocator, except that a resize() leaves new trivial elements
+/// unwritten, so AddBlocks() writes each member once.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0) {
+      ::new (static_cast<void*>(p)) U;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+};
 
 /// An ordered collection of blocks plus the ER-task geometry needed to
 /// count comparisons (ER type and Clean-Clean split index). Block ids are
@@ -56,6 +82,45 @@ class BlockCollection {
               std::initializer_list<ProfileId> members) {
     return Add(key, std::span<const ProfileId>(members.begin(),
                                                members.size()));
+  }
+
+  /// Appends one block per entry of `sizes` on `num_threads` threads, over
+  /// ranges of about equal membership: block k gets the key key(k) and the
+  /// sizes[k] members that fill(k, out) writes to `out`, sorted ascending
+  /// and duplicate-free. The result is the one Add() would build block by
+  /// block. Every buffer is sized on the calling thread first, so the
+  /// threads allocate nothing.
+  template <typename KeyFn, typename FillFn>
+  void AddBlocks(std::span<const std::uint64_t> sizes, KeyFn&& key,
+                 FillFn&& fill, std::size_t num_threads) {
+    const std::size_t first = size();
+    const std::size_t count = sizes.size();
+    member_offsets_.resize(first + count + 1);
+    key_offsets_.resize(first + count + 1);
+    for (std::size_t k = 0; k < count; ++k) {
+      member_offsets_[first + k + 1] = member_offsets_[first + k] + sizes[k];
+      key_offsets_[first + k + 1] = key_offsets_[first + k] + key(k).size();
+    }
+    members_.resize(member_offsets_.back());
+    key_arena_.resize(key_offsets_.back());
+    split_offsets_.resize(first + count);
+    cardinalities_.resize(first + count);
+    const std::vector<IndexRange> ranges = BalancedChunks(sizes, num_threads);
+    std::vector<std::uint64_t> range_cardinality(ranges.size());
+    ParallelForRanges(ranges, [&](std::size_t r, IndexRange range) {
+      std::uint64_t sum = 0;
+      for (std::size_t k = range.begin; k < range.end; ++k) {
+        const BlockId id = static_cast<BlockId>(first + k);
+        fill(k, members_.data() + member_offsets_[id]);
+        const std::string_view block_key = key(k);
+        std::copy(block_key.begin(), block_key.end(),
+                  key_arena_.begin() +
+                      static_cast<std::ptrdiff_t>(key_offsets_[id]));
+        sum += SetSplit(id);
+      }
+      range_cardinality[r] = sum;
+    });
+    for (std::uint64_t sum : range_cardinality) aggregate_cardinality_ += sum;
   }
 
   /// Pre-sizes the flat arrays for a known build (kills reallocation
@@ -156,13 +221,17 @@ class BlockCollection {
   std::uint64_t ComputeCardinality(std::span<const ProfileId> members) const;
 
  private:
+  /// Sets block `id`'s split offset and cardinality from its members, in
+  /// place; returns the cardinality.
+  std::uint64_t SetSplit(BlockId id);
+
   ErType er_type_;
   ProfileId split_index_;
 
   // CSR members: block id -> [member_offsets_[id], member_offsets_[id+1])
   // into members_; split_offsets_[id] is the absolute position of the
   // first source-2 member (== the end offset for Dirty ER).
-  std::vector<ProfileId> members_;
+  std::vector<ProfileId, DefaultInitAllocator<ProfileId>> members_;
   std::vector<std::uint64_t> member_offsets_;  // size() + 1
   std::vector<std::uint64_t> split_offsets_;   // size(), indexed by id
 

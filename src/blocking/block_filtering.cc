@@ -18,7 +18,7 @@ BlockCollection BlockFiltering(const BlockCollection& input,
   for (ProfileId p : input.all_members()) {
     num_profiles = std::max(num_profiles, p + 1);
   }
-  const ProfileIndex index(input, num_profiles);
+  const ProfileIndex index(input, num_profiles, options.num_threads);
 
   // A block's rank is (|b|, id) packed into one integer: smaller blocks
   // first, block id as the deterministic tie.
@@ -70,17 +70,62 @@ BlockCollection BlockFiltering(const BlockCollection& input,
   // block-id order; blocks left without a comparison are dropped. The
   // input's totals bound the output's, so nothing reallocates.
   BlockCollection out(input.er_type(), input.split_index());
-  out.Reserve(input.size(), input.total_members(), input.total_key_bytes());
-  std::vector<ProfileId> kept;
-  for (BlockId b = 0; b < input.size(); ++b) {
-    const std::uint64_t block_rank = rank(b);
-    kept.clear();
-    for (ProfileId p : input.members(b)) {
-      if (block_rank <= cuts[p]) kept.push_back(p);
-    }
-    if (out.ComputeCardinality(kept) == 0) continue;
-    out.Add(input.key(b), kept);
+  std::vector<std::uint64_t> sizes;
+  std::vector<IndexRange> block_ranges;
+  if (options.num_threads > 1) {
+    sizes.resize(input.size());
+    for (BlockId b = 0; b < input.size(); ++b) sizes[b] = input.block_size(b);
+    block_ranges = BalancedChunks(sizes, options.num_threads);
   }
+  if (block_ranges.size() <= 1) {
+    out.Reserve(input.size(), input.total_members(), input.total_key_bytes());
+    std::vector<ProfileId> kept;
+    for (BlockId b = 0; b < input.size(); ++b) {
+      const std::uint64_t block_rank = rank(b);
+      kept.clear();
+      for (ProfileId p : input.members(b)) {
+        if (block_rank <= cuts[p]) kept.push_back(p);
+      }
+      if (out.ComputeCardinality(kept) == 0) continue;
+      out.Add(input.key(b), kept);
+    }
+    return out;
+  }
+  // On the threads, over block ranges of equal membership: count each
+  // block's admitted members (0 for a block that is dropped), then
+  // assemble the survivors from the counts.
+  const ProfileId split = input.split_index();
+  const bool dirty = input.er_type() == ErType::kDirty;
+  ParallelForRanges(block_ranges, [&](std::size_t, IndexRange range) {
+    for (std::size_t b = range.begin; b < range.end; ++b) {
+      const std::uint64_t block_rank = rank(static_cast<BlockId>(b));
+      std::uint64_t kept = 0, kept1 = 0;  // kept1: kept in source 1
+      for (ProfileId p : input.members(static_cast<BlockId>(b))) {
+        const bool admitted = block_rank <= cuts[p];
+        kept += admitted;
+        kept1 += admitted & (p < split);
+      }
+      const std::uint64_t cardinality =
+          dirty ? kept * (kept - 1) / 2 : kept1 * (kept - kept1);
+      sizes[b] = cardinality == 0 ? 0 : kept;
+    }
+  });
+  std::vector<BlockId> survivors;
+  std::vector<std::uint64_t> survivor_sizes;
+  for (BlockId b = 0; b < input.size(); ++b) {
+    if (sizes[b] == 0) continue;
+    survivors.push_back(b);
+    survivor_sizes.push_back(sizes[b]);
+  }
+  out.AddBlocks(
+      survivor_sizes, [&](std::size_t k) { return input.key(survivors[k]); },
+      [&](std::size_t k, ProfileId* members) {
+        const std::uint64_t block_rank = rank(survivors[k]);
+        for (ProfileId p : input.members(survivors[k])) {
+          if (block_rank <= cuts[p]) *members++ = p;
+        }
+      },
+      options.num_threads);
   return out;
 }
 

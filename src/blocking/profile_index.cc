@@ -1,9 +1,23 @@
 #include "blocking/profile_index.h"
 
+#include "core/page_resource.h"
+#include "parallel/parallel_for.h"
+
 namespace sper {
 
 ProfileIndex::ProfileIndex(const BlockCollection& blocks,
-                           std::size_t num_profiles) {
+                           std::size_t num_profiles,
+                           std::size_t num_threads) {
+  std::vector<IndexRange> ranges;
+  if (num_threads > 1) {
+    std::vector<std::uint64_t> sizes(blocks.size());
+    for (BlockId b = 0; b < blocks.size(); ++b) sizes[b] = blocks.block_size(b);
+    ranges = BalancedChunks(sizes, num_threads);
+  }
+  if (ranges.size() > 1) {
+    BuildInRanges(blocks, num_profiles, ranges);
+    return;
+  }
   offsets_.assign(num_profiles + 1, 0);
   // One streaming pass over the CSR member array counts memberships;
   // block boundaries are irrelevant for the histogram.
@@ -18,6 +32,51 @@ ProfileIndex::ProfileIndex(const BlockCollection& blocks,
       flat_[cursor[p]++] = id;
     }
   }
+}
+
+void ProfileIndex::BuildInRanges(const BlockCollection& blocks,
+                                 std::size_t num_profiles,
+                                 std::span<const IndexRange> ranges) {
+  // Range r counts its memberships of each profile p into
+  // cursors[r * num_profiles + p]; one prefix over (p, r) turns the counts
+  // into the range's write cursors, so that p's ids from range r follow
+  // those from ranges 0..r-1. The counters start as zero pages, so
+  // nothing zero-fills them here.
+  const std::span<const ProfileId> all = blocks.all_members();
+  const auto members_of = [&](IndexRange range) {
+    const std::size_t begin = blocks.members(range.begin).data() - all.data();
+    const std::size_t end = range.end < blocks.size()
+                                ? blocks.members(range.end).data() - all.data()
+                                : all.size();
+    return all.subspan(begin, end - begin);
+  };
+  ZeroedPages<std::uint64_t> cursors(ranges.size() * num_profiles);
+  ParallelForRanges(ranges, [&](std::size_t r, IndexRange range) {
+    std::uint64_t* const count = cursors.data() + r * num_profiles;
+    for (ProfileId p : members_of(range)) ++count[p];
+  });
+  offsets_.resize(num_profiles + 1);
+  std::uint64_t total = 0;
+  for (std::size_t p = 0; p < num_profiles; ++p) {
+    offsets_[p] = total;
+    for (std::size_t r = 0; r < ranges.size(); ++r) {
+      std::uint64_t& cursor = cursors[r * num_profiles + p];
+      const std::uint64_t count = cursor;
+      cursor = total;
+      total += count;
+    }
+  }
+  offsets_[num_profiles] = total;
+  flat_.resize(total);
+  ParallelForRanges(ranges, [&](std::size_t r, IndexRange range) {
+    std::uint64_t* const cursor = cursors.data() + r * num_profiles;
+    BlockId* const flat = flat_.data();
+    for (std::size_t id = range.begin; id < range.end; ++id) {
+      for (ProfileId p : blocks.members(static_cast<BlockId>(id))) {
+        flat[cursor[p]++] = static_cast<BlockId>(id);
+      }
+    }
+  });
 }
 
 BlockId ProfileIndex::LeastCommonBlock(ProfileId a, ProfileId b) const {

@@ -7,6 +7,8 @@
 #include <cstddef>
 #include <memory_resource>
 #include <new>
+#include <type_traits>
+#include <utility>
 
 /// \file page_resource.h
 /// A memory resource for buffers reserved far beyond what they will hold,
@@ -50,6 +52,45 @@ inline std::pmr::memory_resource* Pages() {
   static PageResource resource;
   return &resource;
 }
+
+/// `n` elements of a trivial type in a mapping of their own, never written
+/// here: every element reads as all-zero bits (0, +0.0) until written, and
+/// only the pages written cost memory. Scratch that must start zeroed
+/// saves the zero-fill a vector's resize would write on the allocating
+/// thread.
+template <typename T>
+class ZeroedPages {
+  static_assert(std::is_trivial_v<T>);
+
+ public:
+  ZeroedPages() = default;
+  explicit ZeroedPages(std::size_t n)
+      : data_(n == 0 ? nullptr
+                     : static_cast<T*>(
+                           Pages()->allocate(n * sizeof(T), alignof(T)))),
+        size_(n) {}
+  ZeroedPages(ZeroedPages&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)) {}
+  ZeroedPages& operator=(ZeroedPages&& other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+    return *this;
+  }
+  ~ZeroedPages() {
+    if (data_ != nullptr) {
+      Pages()->deallocate(data_, size_ * sizeof(T), alignof(T));
+    }
+  }
+
+  T* data() const { return data_; }
+  std::size_t size() const { return size_; }
+  T& operator[](std::size_t k) const { return data_[k]; }
+
+ private:
+  T* data_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 }  // namespace sper
 

@@ -1,9 +1,11 @@
 #ifndef SPER_PARALLEL_PARALLEL_FOR_H_
 #define SPER_PARALLEL_PARALLEL_FOR_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <span>
 #include <thread>
 #include <utility>
@@ -165,6 +167,86 @@ auto AccumulateOrdered(std::size_t n, std::size_t num_threads,
                   std::make_move_iterator(part.end()));
   }
   return merged;
+}
+
+/// How many of the first `k` outputs of a stable merge of sorted `a` and
+/// `b` come from `a` (std::merge's rule: on a tie, `a`'s element first).
+template <typename T, typename Less>
+std::size_t MergeSplit(std::span<const T> a, std::span<const T> b,
+                       std::size_t k, Less& less) {
+  std::size_t lo = k > b.size() ? k - b.size() : 0;
+  std::size_t hi = std::min(k, a.size());
+  while (lo < hi) {
+    const std::size_t i = lo + (hi - lo) / 2;
+    // Too few from `a` while a[i] would precede b[k - i - 1].
+    if (!less(b[k - i - 1], a[i])) {
+      lo = i + 1;
+    } else {
+      hi = i;
+    }
+  }
+  return lo;
+}
+
+/// Sorts `items` by `less` on `num_threads` fork-join threads: each
+/// static chunk is sorted by std::sort on a thread of its own, then rounds
+/// of pairwise std::merge join the chunks through a buffer the calling
+/// thread allocates, every round split into equal parts of its output
+/// (MergeSplit), one per thread. Nothing is allocated on the threads. With
+/// one chunk this is std::sort. Elements that compare equal end in an
+/// order that depends on the chunking, as std::sort's does on the input;
+/// under a total order the result is std::sort's at every thread count.
+template <typename T, typename Less>
+void ParallelSort(std::span<T> items, std::size_t num_threads, Less less) {
+  std::vector<IndexRange> runs = StaticChunks(items.size(), num_threads);
+  if (runs.size() <= 1) {
+    std::sort(items.begin(), items.end(), less);
+    return;
+  }
+  const std::unique_ptr<T[]> buffer =
+      std::make_unique_for_overwrite<T[]>(items.size());
+  ParallelForRanges(runs, [&](std::size_t, IndexRange run) {
+    std::sort(items.begin() + run.begin, items.begin() + run.end, less);
+  });
+  const std::vector<IndexRange> parts =
+      StaticChunks(items.size(), runs.size());
+  std::span<T> from = items, to(buffer.get(), items.size());
+  while (runs.size() > 1) {
+    // Pair run 2m with run 2m + 1; an odd last run is copied.
+    ParallelForRanges(parts, [&](std::size_t, IndexRange part) {
+      for (std::size_t m = 0; m < runs.size(); m += 2) {
+        const IndexRange left = runs[m];
+        const std::size_t end =
+            m + 1 < runs.size() ? runs[m + 1].end : left.end;
+        const std::size_t begin = std::max(part.begin, left.begin);
+        const std::size_t stop = std::min(part.end, end);
+        if (begin >= stop) continue;
+        const std::span<const T> a = from.subspan(left.begin, left.size());
+        const std::span<const T> b =
+            from.subspan(left.end, end - left.end);
+        const std::size_t a0 = MergeSplit(a, b, begin - left.begin, less);
+        const std::size_t a1 = MergeSplit(a, b, stop - left.begin, less);
+        const std::size_t b0 = begin - left.begin - a0;
+        const std::size_t b1 = stop - left.begin - a1;
+        std::merge(a.begin() + a0, a.begin() + a1, b.begin() + b0,
+                   b.begin() + b1, to.begin() + begin, less);
+      }
+    });
+    std::vector<IndexRange> merged;
+    for (std::size_t m = 0; m < runs.size(); m += 2) {
+      merged.push_back({runs[m].begin, m + 1 < runs.size()
+                                           ? runs[m + 1].end
+                                           : runs[m].end});
+    }
+    runs = std::move(merged);
+    std::swap(from, to);
+  }
+  if (from.data() != items.data()) {
+    ParallelForRanges(parts, [&](std::size_t, IndexRange part) {
+      std::copy(from.begin() + part.begin, from.begin() + part.end,
+                items.begin() + part.begin);
+    });
+  }
 }
 
 }  // namespace sper

@@ -9,7 +9,7 @@ PbsEmitter::PbsEmitter(const ProfileStore& store,
                        const PbsOptions& options)
     : store_(store),
       scheduled_(BlockScheduling(blocks, options.telemetry)),
-      index_(scheduled_, store.size()),
+      index_(scheduled_, store.size(), options.num_threads),
       weighter_(scheduled_, index_, store, options.scheme,
                 options.num_threads, options.telemetry) {}
 

@@ -19,16 +19,16 @@ namespace sper {
 
 namespace {
 
+/// A checked profile's accumulator entry: adding a block share (>= 0)
+/// leaves it unchanged, and it never reads as a first touch (== 0.0).
+constexpr double kChecked = -std::numeric_limits<double>::infinity();
+
 /// Algorithm 5's per-node facts, computed independently per profile.
 struct NodeInit {
   double likelihood = 0.0;
   Comparison top;
   std::size_t neighbors = 0;
 };
-
-/// A checked profile's accumulator entry: adding a block share (>= 0)
-/// leaves it unchanged, and it never reads as a first touch (== 0.0).
-constexpr double kChecked = -std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -40,8 +40,9 @@ constexpr double kChecked = -std::numeric_limits<double>::infinity();
 struct PpsEmitter::RefillScratch final : BatchSource::Scratch {
   RefillScratch(std::size_t num_profiles, std::size_t max_blocks,
                 std::size_t max_neighbors)
-      : weights(num_profiles, 0.0),
-        // Not zero-filled: a refill writes only the pages it reaches.
+      // Neither is written here: a refill writes only the pages it
+      // reaches, and the accumulator's zero pages read as 0.0.
+      : weights(num_profiles),
         touched(std::make_unique_for_overwrite<ProfileId[]>(num_profiles)),
         ranges(std::make_unique<MemberRange[]>(max_blocks)) {
     // A refill's candidates are some of its profile's neighbors.
@@ -50,7 +51,7 @@ struct PpsEmitter::RefillScratch final : BatchSource::Scratch {
 
   /// kChecked for a profile ranked before `ranked`; otherwise its running
   /// weight in the refill under way, 0 until touched.
-  std::vector<double> weights;
+  ZeroedPages<double> weights;
   /// The refill's unchecked neighbours in first-touch order. |P| entries:
   /// a refill has at most |P| - 1 unchecked neighbours.
   std::unique_ptr<ProfileId[]> touched;
@@ -64,7 +65,7 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
                        const PpsOptions& options)
     : store_(store),
       blocks_(std::move(blocks)),
-      index_(blocks_, store.size()),
+      index_(blocks_, store.size(), options.num_threads),
       weighter_(blocks_, index_, store, options.scheme,
                 options.num_threads, options.telemetry),
       options_(options) {
@@ -91,27 +92,32 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
   const std::vector<IndexRange> ranges =
       BalancedChunks(work, options_.num_threads);
   work = std::vector<std::uint64_t>();
+  for (ProfileId i = 0; i < store_.size(); ++i) {
+    max_blocks_ = std::max(max_blocks_, index_.NumBlocksOf(i));
+  }
   // Each range's gather buffers: the accumulator and the touched list of
   // one node's neighbors, 12 B * |P| in all (size num_threads accordingly
   // on huge stores), plus its block ranges. They are sized here so the
   // workers allocate nothing, and are page mappings of their own
-  // (core/page_resource.h), returned whole when the pass ends.
-  for (ProfileId i = 0; i < store_.size(); ++i) {
-    max_blocks_ = std::max(max_blocks_, index_.NumBlocksOf(i));
-  }
+  // (core/page_resource.h), returned whole when the pass ends. The
+  // accumulator starts as zero pages, so only the entries the gathers
+  // reach are ever written.
   struct RangeScratch {
-    std::pmr::vector<double> weights{Pages()};
-    std::pmr::vector<ProfileId> touched{Pages()};
+    ZeroedPages<double> weights;
+    ZeroedPages<ProfileId> touched;
     std::pmr::vector<MemberRange> ranges{Pages()};
   };
   std::vector<RangeScratch> scratch(ranges.size());
   for (RangeScratch& s : scratch) {
-    s.weights.resize(store_.size(), 0.0);
-    s.touched.resize(store_.size());
+    s.weights = ZeroedPages<double>(store_.size());
+    s.touched = ZeroedPages<ProfileId>(store_.size());
     s.ranges.resize(max_blocks_);
   }
   std::vector<NodeInit> nodes(store_.size());
-  ParallelForRanges(ranges, [&](std::size_t r, IndexRange range) {
+  // The pass is kept out of line: inlined into the constructor, the
+  // one-range pass ran about 15% slower.
+  ParallelForRanges(ranges, [&](std::size_t r, IndexRange range)
+                                __attribute__((noinline)) {
     RangeScratch& s = scratch[r];
     double* const weights = s.weights.data();
     ProfileId* const touched = s.touched.data();
@@ -151,42 +157,36 @@ PpsEmitter::PpsEmitter(const ProfileStore& store, BlockCollection blocks,
     }
   });
 
+  // topComparisonsSet: a set, so a pair that is the top comparison of
+  // both its endpoints is stored once, from the smaller id, as the first
+  // insert into a set would keep it (the two copies' ECBS and EJS weights
+  // can differ in the last bit). Node i skips its top (i, j) when j < i
+  // already holds it; no container decides an order.
   std::vector<Comparison> top_comparisons;
   for (ProfileId i = 0; i < store_.size(); ++i) {
     if (nodes[i].neighbors == 0) continue;
     max_neighbors_ = std::max(max_neighbors_, nodes[i].neighbors);
     sorted_profiles_.emplace_back(i, nodes[i].likelihood);
-    top_comparisons.push_back(nodes[i].top);
+    const Comparison& top = nodes[i].top;
+    const ProfileId j = top.i == i ? top.j : top.i;
+    if (j < i && nodes[j].top.SamePair(top)) continue;
+    top_comparisons.push_back(top);
   }
-  // topComparisonsSet: a set, so the same pair contributed from both
-  // endpoints is stored once. Dedup by the canonical pair key with a
-  // stable sort + unique (first-encountered survives, as with a hash
-  // set's first insert) — deliberately not an unordered container, whose
-  // iteration order would otherwise feed the initial list
-  // (tools/lint_determinism.py rule unordered-iteration).
-  std::stable_sort(top_comparisons.begin(), top_comparisons.end(),
-                   [](const Comparison& a, const Comparison& b) {
-                     return PairKey(a.i, a.j) < PairKey(b.i, b.j);
-                   });
-  top_comparisons.erase(
-      std::unique(top_comparisons.begin(), top_comparisons.end(),
-                  [](const Comparison& a, const Comparison& b) {
-                    return PairKey(a.i, a.j) == PairKey(b.i, b.j);
-                  }),
-      top_comparisons.end());
 
   // Sort profiles by decreasing duplication likelihood (deterministic tie
-  // on id) and the initial Comparison List by decreasing weight.
-  std::sort(sorted_profiles_.begin(), sorted_profiles_.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
+  // on id) and the initial Comparison List by decreasing weight. Both
+  // orders are total, so the threads do not change them.
+  ParallelSort(std::span(sorted_profiles_), options_.num_threads,
+               [](const auto& a, const auto& b) {
+                 if (a.second != b.second) return a.second > b.second;
+                 return a.first < b.first;
+               });
+  ParallelSort(std::span(top_comparisons), options_.num_threads,
+               ByWeightDesc());
   initial_.Reserve(top_comparisons.size());
   for (const Comparison& comparison : top_comparisons) {
     initial_.Add(comparison);
   }
-  initial_.SortDescending();
 }
 
 std::size_t PpsEmitter::Gather(ProfileId i, MemberRange* ranges,
@@ -248,7 +248,7 @@ void PpsEmitter::AppendRefill(std::size_t index, Scratch& scratch,
   // so marking the prefix is amortized O(1) per refill; a step back
   // clears the accumulator and re-marks from the start.
   if (s.ranked > rank + 1) {
-    std::fill(s.weights.begin(), s.weights.end(), 0.0);
+    std::fill_n(s.weights.data(), s.weights.size(), 0.0);
     s.ranked = 0;
   }
   while (s.ranked <= rank) {
