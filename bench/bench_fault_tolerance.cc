@@ -232,11 +232,16 @@ int main(int argc, char** argv) {
                   FormatDouble(best.wall_ms, 1), FormatDouble(p50, 2),
                   FormatDouble(p99, 2), match ? "match" : "MISMATCH"});
     sper::bench::JsonRecord record{
-        dataset.value().name,  scale,
-        options.num_threads,   path.name,
-        best.wall_ms,          speedup,
-        options.num_shards,    options.lookahead,
-        static_cast<std::size_t>(batch)};
+        .dataset = dataset.value().name,
+        .scale = scale,
+        .threads = options.num_threads,
+        .path = path.name,
+        .wall_ms = best.wall_ms,
+        .speedup = speedup,
+        .shards = options.num_shards,
+        .lookahead = options.lookahead,
+        .batch_size = static_cast<std::size_t>(batch),
+        .extras = {}};
     record.extras.emplace_back("slice_p50_ms", p50);
     record.extras.emplace_back("slice_p99_ms", p99);
     record.extras.emplace_back("requests",

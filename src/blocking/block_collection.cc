@@ -26,11 +26,11 @@ BlockId BlockCollection::Add(std::string_view key,
   key_offsets_.push_back(key_arena_.size());
   split_offsets_.emplace_back();
   cardinalities_.emplace_back();
-  aggregate_cardinality_ += SetSplit(id);
+  aggregate_cardinality_ += FinishBlock(id);
   return id;
 }
 
-std::uint64_t BlockCollection::SetSplit(BlockId id) {
+std::uint64_t BlockCollection::FinishBlock(BlockId id) {
   // One lower_bound per block at build time buys branch-free scans on
   // every later traversal.
   const std::span<const ProfileId> block = members(id);

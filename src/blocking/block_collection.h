@@ -4,12 +4,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
-#include <new>
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/macros.h"
@@ -36,27 +33,6 @@
 /// per-element comparability branches in the hot loop.
 
 namespace sper {
-
-/// std::allocator, except that a resize() leaves new trivial elements
-/// unwritten, so AddBlocks() writes each member once.
-template <typename T>
-struct DefaultInitAllocator : std::allocator<T> {
-  template <typename U>
-  struct rebind {
-    using other = DefaultInitAllocator<U>;
-  };
-  DefaultInitAllocator() = default;
-  template <typename U>
-  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    if constexpr (sizeof...(Args) == 0) {
-      ::new (static_cast<void*>(p)) U;
-    } else {
-      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-    }
-  }
-};
 
 /// An ordered collection of blocks plus the ER-task geometry needed to
 /// count comparisons (ER type and Clean-Clean split index). Block ids are
@@ -116,7 +92,7 @@ class BlockCollection {
         std::copy(block_key.begin(), block_key.end(),
                   key_arena_.begin() +
                       static_cast<std::ptrdiff_t>(key_offsets_[id]));
-        sum += SetSplit(id);
+        sum += FinishBlock(id);
       }
       range_cardinality[r] = sum;
     });
@@ -223,7 +199,7 @@ class BlockCollection {
  private:
   /// Sets block `id`'s split offset and cardinality from its members, in
   /// place; returns the cardinality.
-  std::uint64_t SetSplit(BlockId id);
+  std::uint64_t FinishBlock(BlockId id);
 
   ErType er_type_;
   ProfileId split_index_;
@@ -231,7 +207,7 @@ class BlockCollection {
   // CSR members: block id -> [member_offsets_[id], member_offsets_[id+1])
   // into members_; split_offsets_[id] is the absolute position of the
   // first source-2 member (== the end offset for Dirty ER).
-  std::vector<ProfileId, DefaultInitAllocator<ProfileId>> members_;
+  std::vector<ProfileId> members_;
   std::vector<std::uint64_t> member_offsets_;  // size() + 1
   std::vector<std::uint64_t> split_offsets_;   // size(), indexed by id
 

@@ -16,8 +16,9 @@ struct BlockFilteringOptions {
   /// Every profile is kept in ceil(ratio * |B_i|) of its smallest blocks:
   /// all of them at ratio >= 1, none at ratio 0.
   double ratio = 0.8;
-  /// Threads for the per-profile cut pass (0 or 1 = sequential). The
-  /// result is identical at every thread count.
+  /// Threads for the Profile Index, the per-profile cut pass and the
+  /// block assembly (0 or 1 = sequential). The result is identical at
+  /// every thread count.
   std::size_t num_threads = 1;
 };
 

@@ -24,9 +24,9 @@ class ComparisonList {
 
   /// Sorts the comparisons from position `from` on by descending weight
   /// (deterministic ties). A refill appends its comparisons, then sorts
-  /// just that tail — the path for producers with no useful order (PBS
-  /// blocks, the PPS initial top-comparison set) — so several refills
-  /// can share one buffer (an emission pipeline slot) in refill order.
+  /// just that tail — the path for producers with no useful order, such
+  /// as PBS blocks — so several refills can share one buffer (an emission
+  /// pipeline slot) in refill order.
   void SortDescending(std::size_t from = 0) {
     std::sort(items_.begin() + static_cast<std::ptrdiff_t>(from),
               items_.end(), ByWeightDesc());

@@ -28,9 +28,9 @@ namespace sper {
 struct PbsOptions {
   /// Blocking-graph scheme used to order comparisons inside a block.
   WeightingScheme scheme = WeightingScheme::kArcs;
-  /// Threads for the initialization phase (the kEjs degree pass; the rest
-  /// of PBS initialization is already lazy). Emission may run on other
-  /// threads through the BatchSource interface.
+  /// Threads for the initialization phase (the Profile Index and the kEjs
+  /// degree pass; the rest of PBS initialization is already lazy).
+  /// Emission may run on other threads through the BatchSource interface.
   std::size_t num_threads = 1;
   /// Telemetry sink for the initialization phase timers
   /// ("block_scheduling", "edge_weighting").

@@ -39,11 +39,12 @@ struct PpsOptions {
   /// graph edge is eventually emitted — the Same Eventual Quality
   /// configuration).
   std::size_t kmax = 100;
-  /// Threads for the initialization phase (per-profile duplication
-  /// likelihoods + top comparisons, over profile ranges of equal gather
-  /// work, each with its own 12 B·|P| of gather buffers). Emission may run
-  /// on other threads through the BatchSource interface. The emitted
-  /// sequence is identical at every thread count.
+  /// Threads for the initialization phase: the Profile Index, the
+  /// per-profile duplication likelihoods + top comparisons (over profile
+  /// ranges of equal gather work, each with its own 12 B·|P| of gather
+  /// buffers) and the two sorts. Emission may run on other threads
+  /// through the BatchSource interface. The emitted sequence is identical
+  /// at every thread count.
   std::size_t num_threads = 1;
   /// Telemetry sink for the initialization phase timers
   /// ("edge_weighting", "profile_scheduling").

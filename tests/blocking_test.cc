@@ -16,6 +16,8 @@
 #include "blocking/standard_blocking.h"
 #include "blocking/suffix_forest.h"
 #include "blocking/token_blocking.h"
+#include "datagen/datagen.h"
+#include "progressive/workflow.h"
 
 namespace sper {
 namespace {
@@ -305,6 +307,68 @@ TEST(ProfileIndexTest, ForEachCommonBlockVisitsAscending) {
   std::vector<BlockId> visited;
   index.ForEachCommonBlock(1, 2, [&](BlockId b) { visited.push_back(b); });
   EXPECT_EQ(visited, (std::vector<BlockId>{0, 2}));
+}
+
+/// Every offset and every list of `got` equal `expected`'s.
+void ExpectSameIndex(const ProfileIndex& got, const ProfileIndex& expected) {
+  ASSERT_EQ(got.num_profiles(), expected.num_profiles());
+  for (ProfileId p = 0; p < expected.num_profiles(); ++p) {
+    ASSERT_EQ(got.NumEntriesIn(0, p), expected.NumEntriesIn(0, p))
+        << "offset of profile " << p;
+    const std::span<const BlockId> a = got.BlocksOf(p);
+    const std::span<const BlockId> b = expected.BlocksOf(p);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "blocks of profile " << p;
+  }
+  EXPECT_EQ(got.NumEntriesIn(0, got.num_profiles()),
+            expected.NumEntriesIn(0, expected.num_profiles()));
+}
+
+TEST(ProfileIndexTest, EveryThreadCountBuildsTheOneThreadIndex) {
+  // The parallel transpose splits the blocks into ranges of equal
+  // membership; each range's ids of a profile must follow the earlier
+  // ranges', on Dirty (cora) and Clean-Clean (dbpedia) workflow blocks.
+  DatagenOptions small;
+  small.scale = 0.02;
+  for (const auto& [name, gen] :
+       {std::pair<const char*, DatagenOptions>{"cora", {}},
+        std::pair<const char*, DatagenOptions>{"dbpedia", small}}) {
+    SCOPED_TRACE(name);
+    Result<DatasetBundle> dataset = GenerateDataset(name, gen);
+    ASSERT_TRUE(dataset.ok());
+    const ProfileStore& store = dataset.value().store;
+    const BlockCollection blocks = BuildTokenWorkflowBlocks(store, {});
+    ASSERT_GT(blocks.size(), 8u);
+    const ProfileIndex expected(blocks, store.size());
+    for (std::size_t threads : {1u, 2u, 3u, 4u, 7u, 8u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      ExpectSameIndex(ProfileIndex(blocks, store.size(), threads), expected);
+    }
+  }
+}
+
+TEST(ProfileIndexTest, ParallelIndexHandlesEdgeShapes) {
+  // No blocks at all; profiles in no block (0, 5 and the last, 9); more
+  // threads than blocks.
+  const BlockCollection empty(ErType::kDirty, 10);
+  BlockCollection sparse(ErType::kDirty, 10);
+  sparse.Add("b0", {1, 2});
+  sparse.Add("b1", {2, 3, 4});
+  sparse.Add("b2", {1, 6, 7, 8});
+  for (const BlockCollection* blocks :
+       {&empty, static_cast<const BlockCollection*>(&sparse)}) {
+    const ProfileIndex expected(*blocks, 10);
+    for (std::size_t threads : {1u, 2u, 3u, 4u, 7u, 8u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      ExpectSameIndex(ProfileIndex(*blocks, 10, threads), expected);
+    }
+  }
+  const ProfileIndex index(sparse, 10, 8);
+  EXPECT_EQ(index.NumBlocksOf(0), 0u);
+  EXPECT_EQ(index.NumBlocksOf(5), 0u);
+  EXPECT_EQ(index.NumBlocksOf(9), 0u);
+  EXPECT_EQ(index.NumBlocksOf(2), 2u);
+  EXPECT_EQ(index.BlocksOf(1)[1], 2u);
 }
 
 // ------------------------------------------------------------ SuffixForest

@@ -614,21 +614,30 @@ TEST_P(PpsReferenceTest, PpsEmissionMatchesReferenceBitwise) {
                              std::size_t{100}, std::size_t{SIZE_MAX}}) {
       SCOPED_TRACE(std::string("scheme ") + ToString(scheme) + ", kmax " +
                    std::to_string(kmax));
-      PpsOptions options;
-      options.scheme = scheme;
-      options.kmax = kmax;
-      PpsEmitter pps(store, blocks, options);
-      const std::vector<Comparison> expected =
-          ReferencePpsEmission(pps, store, blocks, scheme, kmax);
-      const std::vector<Comparison> got =
-          Drain(pps, std::numeric_limits<std::size_t>::max());
-      ASSERT_GT(expected.size(), 0u);
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t k = 0; k < expected.size(); ++k) {
-        ASSERT_TRUE(got[k].SamePair(expected[k])) << "emission " << k;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k].weight),
-                  std::bit_cast<std::uint64_t>(expected[k].weight))
-            << "emission " << k;
+      // One reference, from the one-thread build's Sorted Profile List,
+      // for the builds at 1 and 4 threads: the 4-thread build dedups and
+      // sorts its lists on the threads.
+      std::vector<Comparison> expected;
+      for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(std::to_string(num_threads) + " threads");
+        PpsOptions options;
+        options.scheme = scheme;
+        options.kmax = kmax;
+        options.num_threads = num_threads;
+        PpsEmitter pps(store, blocks, options);
+        if (expected.empty()) {
+          expected = ReferencePpsEmission(pps, store, blocks, scheme, kmax);
+        }
+        const std::vector<Comparison> got =
+            Drain(pps, std::numeric_limits<std::size_t>::max());
+        ASSERT_GT(expected.size(), 0u);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t k = 0; k < expected.size(); ++k) {
+          ASSERT_TRUE(got[k].SamePair(expected[k])) << "emission " << k;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k].weight),
+                    std::bit_cast<std::uint64_t>(expected[k].weight))
+              << "emission " << k;
+        }
       }
     }
   }

@@ -345,6 +345,8 @@ TEST(DeterminismTest, WorkflowBlocksAreThreadCountInvariant) {
         std::span<const ProfileId> expected = reference.members(b);
         ASSERT_TRUE(std::equal(members.begin(), members.end(),
                                expected.begin(), expected.end()));
+        ASSERT_EQ(blocks.source1(b).size(), reference.source1(b).size());
+        ASSERT_EQ(blocks.Cardinality(b), reference.Cardinality(b));
       }
     }
   }

@@ -1,7 +1,8 @@
 // The parallel runtime (src/parallel/) carries the library's determinism
 // contract onto multiple threads: static chunking, per-chunk accumulation,
-// ordered merges. These tests pin fork-join exception propagation and the
-// chunking invariants every parallel call site relies on.
+// ordered merges. These tests pin fork-join exception propagation, the
+// chunking invariants every parallel call site relies on, and the
+// fork-join sort.
 
 #include <gtest/gtest.h>
 
@@ -9,10 +10,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "parallel/parallel_for.h"
@@ -266,6 +271,81 @@ TEST(AccumulateOrderedTest, MergeOrderIsThreadCountInvariant) {
           return part;
         });
     EXPECT_EQ(merged, expected) << "threads " << threads;
+  }
+}
+
+/// `n` seeded keys from a small range, so most of them tie.
+std::vector<int> TiedKeys(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> key(0, static_cast<int>(n / 8));
+  std::vector<int> keys(n);
+  for (int& k : keys) k = key(rng);
+  return keys;
+}
+
+TEST(ParallelSortTest, EqualsStdSortOnTiedKeys) {
+  // Equal ints cannot be told apart, so every correct sort agrees.
+  for (std::size_t n : {0u, 1u, 2u, 7u, 100u, 1001u, 40000u}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      const std::vector<int> input = TiedKeys(n, seed);
+      std::vector<int> expected = input;
+      std::sort(expected.begin(), expected.end());
+      for (std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        std::vector<int> got = input;
+        ParallelSort(std::span(got), threads, std::less<int>());
+        EXPECT_EQ(got, expected)
+            << "n " << n << ", seed " << seed << ", threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(ParallelSortTest, TotalOrderMatchesStableSortOfTheKeys) {
+  // Ties on the key broken by input position form a total order, whose
+  // one sorted sequence is std::stable_sort's by key alone: the merge
+  // rounds must neither drop nor reorder any element.
+  for (std::size_t n : {5u, 999u, 40000u}) {
+    for (std::uint64_t seed : {4u, 5u}) {
+      const std::vector<int> keys = TiedKeys(n, seed);
+      std::vector<std::pair<int, std::size_t>> input;
+      for (std::size_t i = 0; i < n; ++i) input.emplace_back(keys[i], i);
+      std::vector<std::pair<int, std::size_t>> expected = input;
+      std::stable_sort(
+          expected.begin(), expected.end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        std::vector<std::pair<int, std::size_t>> got = input;
+        ParallelSort(std::span(got), threads,
+                     std::less<std::pair<int, std::size_t>>());
+        EXPECT_EQ(got, expected)
+            << "n " << n << ", seed " << seed << ", threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(ParallelSortTest, MergeSplitFollowsStdMergesTieRule) {
+  // For every prefix length k of a merge with ties, MergeSplit's count
+  // from `a` is exactly the a-elements among std::merge's first k.
+  const std::vector<std::pair<int, char>> a = {
+      {1, 'a'}, {2, 'a'}, {2, 'a'}, {4, 'a'}, {7, 'a'}};
+  const std::vector<std::pair<int, char>> b = {
+      {0, 'b'}, {2, 'b'}, {4, 'b'}, {4, 'b'}, {9, 'b'}};
+  const auto by_key = [](const auto& x, const auto& y) {
+    return x.first < y.first;
+  };
+  std::vector<std::pair<int, char>> merged;
+  std::merge(a.begin(), a.end(), b.begin(), b.end(),
+             std::back_inserter(merged), by_key);
+  auto less = by_key;
+  for (std::size_t k = 0; k <= merged.size(); ++k) {
+    const std::size_t from_a = static_cast<std::size_t>(
+        std::count_if(merged.begin(), merged.begin() + k,
+                      [](const auto& x) { return x.second == 'a'; }));
+    EXPECT_EQ(MergeSplit(std::span<const std::pair<int, char>>(a),
+                         std::span<const std::pair<int, char>>(b), k, less),
+              from_a)
+        << "k " << k;
   }
 }
 
