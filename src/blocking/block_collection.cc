@@ -6,49 +6,39 @@ namespace sper {
 
 std::uint64_t BlockCollection::ComputeCardinality(
     std::span<const ProfileId> members) const {
-  if (er_type_ == ErType::kDirty) {
-    const std::uint64_t n = members.size();
-    return n * (n - 1) / 2;
-  }
-  const auto first2 =
-      std::lower_bound(members.begin(), members.end(), split_index_);
-  const std::uint64_t n1 = static_cast<std::uint64_t>(first2 - members.begin());
-  const std::uint64_t n2 = members.size() - n1;
-  return n1 * n2;
+  return SplitOf(members).second;
 }
 
 BlockId BlockCollection::Add(std::string_view key,
                              std::span<const ProfileId> members) {
-  const BlockId id = static_cast<BlockId>(size());
+  const auto [local_split, card] = SplitOf(members);
+  const std::uint64_t begin = members_.size();
   members_.insert(members_.end(), members.begin(), members.end());
   member_offsets_.push_back(members_.size());
+  split_offsets_.push_back(begin + local_split);
   key_arena_.append(key);
   key_offsets_.push_back(key_arena_.size());
-  split_offsets_.emplace_back();
-  cardinalities_.emplace_back();
-  aggregate_cardinality_ += FinishBlock(id);
-  return id;
+  cardinalities_.push_back(card);
+  aggregate_cardinality_ += card;
+  return static_cast<BlockId>(cardinalities_.size() - 1);
 }
 
-std::uint64_t BlockCollection::FinishBlock(BlockId id) {
+std::pair<std::size_t, std::uint64_t> BlockCollection::SplitOf(
+    std::span<const ProfileId> members) const {
+  SPER_DCHECK(std::is_sorted(members.begin(), members.end()));
   // One lower_bound per block at build time buys branch-free scans on
   // every later traversal.
-  const std::span<const ProfileId> block = members(id);
-  SPER_DCHECK(std::is_sorted(block.begin(), block.end()));
   const std::size_t local_split =
       er_type_ == ErType::kDirty
-          ? block.size()
+          ? members.size()
           : static_cast<std::size_t>(
-                std::lower_bound(block.begin(), block.end(), split_index_) -
-                block.begin());
-  const std::uint64_t n = block.size();
+                std::lower_bound(members.begin(), members.end(),
+                                 split_index_) -
+                members.begin());
+  const std::uint64_t n = members.size();
   const std::uint64_t n1 = local_split;
   const std::uint64_t n2 = n - n1;
-  const std::uint64_t card =
-      er_type_ == ErType::kDirty ? n * (n - 1) / 2 : n1 * n2;
-  split_offsets_[id] = member_offsets_[id] + local_split;
-  cardinalities_[id] = card;
-  return card;
+  return {local_split, er_type_ == ErType::kDirty ? n * (n - 1) / 2 : n1 * n2};
 }
 
 void BlockCollection::Reserve(std::size_t num_blocks,

@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/macros.h"
@@ -92,7 +93,10 @@ class BlockCollection {
         std::copy(block_key.begin(), block_key.end(),
                   key_arena_.begin() +
                       static_cast<std::ptrdiff_t>(key_offsets_[id]));
-        sum += FinishBlock(id);
+        const auto [local_split, card] = SplitOf(members(id));
+        split_offsets_[id] = member_offsets_[id] + local_split;
+        cardinalities_[id] = card;
+        sum += card;
       }
       range_cardinality[r] = sum;
     });
@@ -197,9 +201,10 @@ class BlockCollection {
   std::uint64_t ComputeCardinality(std::span<const ProfileId> members) const;
 
  private:
-  /// Sets block `id`'s split offset and cardinality from its members, in
-  /// place; returns the cardinality.
-  std::uint64_t FinishBlock(BlockId id);
+  /// A block's Clean-Clean split point (its number of source-1 members)
+  /// and its cardinality, from its sorted members.
+  std::pair<std::size_t, std::uint64_t> SplitOf(
+      std::span<const ProfileId> members) const;
 
   ErType er_type_;
   ProfileId split_index_;

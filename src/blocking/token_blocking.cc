@@ -253,7 +253,7 @@ std::size_t PartitionOf(std::uint32_t tag, std::size_t partitions) {
 /// thread sizes every buffer, so the workers allocate nothing.
 void MergeTables(std::vector<ChunkTokens>& chunks,
                  std::span<const std::size_t> bases, TokenInterner& tokens,
-                 std::vector<std::uint32_t>& global_ids,
+                 ZeroedPages<std::uint32_t>& global_ids,
                  std::vector<std::uint64_t>& counts) {
   const std::size_t num_chunks = chunks.size();
   const std::size_t positions = bases[num_chunks];
@@ -271,10 +271,10 @@ void MergeTables(std::vector<ChunkTokens>& chunks,
 
   // Each chunk reads its tags off its slots and counts its tokens per
   // partition, which sizes the partitions' tables.
-  const auto tags = std::make_unique_for_overwrite<std::uint32_t[]>(positions);
+  ZeroedPages<std::uint32_t> tags(positions);
   std::vector<std::uint64_t> in_partition(num_chunks * stride);
   ParallelForRanges(one_each, [&](std::size_t c, IndexRange) {
-    std::uint32_t* const chunk_tags = tags.get() + bases[c];
+    std::uint32_t* const chunk_tags = tags.data() + bases[c];
     chunks[c].tokens.CopyTags(chunk_tags);
     for (std::size_t l = 0; l < chunks[c].tokens.size(); ++l) {
       ++in_partition[c * stride + PartitionOf(chunk_tags[l], num_chunks)];
@@ -293,7 +293,7 @@ void MergeTables(std::vector<ChunkTokens>& chunks,
 
   // Each partition finds the first occurrence of its tokens, sums their
   // profile counts there, and tallies each chunk's new tokens and bytes.
-  const auto first = std::make_unique_for_overwrite<std::uint32_t[]>(positions);
+  ZeroedPages<std::uint32_t> first(positions);
   ZeroedPages<std::uint64_t> totals(positions);
   std::vector<std::uint64_t> new_tokens(num_chunks * stride);
   std::vector<std::uint64_t> new_bytes(num_chunks * stride);
@@ -348,7 +348,7 @@ void MergeTables(std::vector<ChunkTokens>& chunks,
       tokens.Layout(num_tokens, num_bytes);
   char* const arena = layout.first;
   std::size_t* const ends = layout.second;
-  global_ids.resize(positions);
+  global_ids = ZeroedPages<std::uint32_t>(positions);
   counts.reserve(num_tokens + 1);  // and the end offset, in pass 2
   counts.resize(num_tokens);
   ParallelForRanges(one_each, [&](std::size_t c, IndexRange) {
@@ -426,10 +426,9 @@ BlockCollection TokenBlocking(const ProfileStore& store,
   for (std::size_t c = 0; c < chunks.size(); ++c) {
     bases[c + 1] = bases[c] + chunks[c].tokens.size();
   }
-  TokenInterner tokens = chunks.size() == 1
-                             ? std::move(chunks[0].tokens)
-                             : TokenInterner(std::pmr::get_default_resource());
-  std::vector<std::uint32_t> global_ids;
+  TokenInterner tokens = chunks.size() == 1 ? std::move(chunks[0].tokens)
+                                             : TokenInterner(resource);
+  ZeroedPages<std::uint32_t> global_ids;
   std::vector<std::uint64_t> offsets;  // per global id: profile count
   if (chunks.size() == 1) {
     tokens.DropSlots();
@@ -458,7 +457,7 @@ BlockCollection TokenBlocking(const ProfileStore& store,
       offsets[id] += count;
     }
   }
-  global_ids = std::vector<std::uint32_t>();
+  global_ids = ZeroedPages<std::uint32_t>();
   std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
   offsets[0] = 0;
   std::vector<ProfileId> postings(offsets.back());
