@@ -27,7 +27,8 @@ class ProfileIndex {
   /// `num_threads` > 1 the blocks are split into ranges of about equal
   /// membership, transposed each on a thread of its own; every range
   /// writes its ids after the earlier ranges' ids of the same profile, so
-  /// the index is the same at every thread count.
+  /// the index is the same at every thread count. Each range holds
+  /// 8 B·|P| of counters while the index builds.
   ProfileIndex(const BlockCollection& blocks, std::size_t num_profiles,
                std::size_t num_threads = 1);
 
