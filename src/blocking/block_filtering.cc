@@ -67,8 +67,12 @@ BlockCollection BlockFiltering(const BlockCollection& input,
   });
 
   // Pass 2: rebuild every block with the members whose cut admits it, in
-  // block-id order; blocks left without a comparison are dropped. The
-  // input's totals bound the output's, so nothing reallocates.
+  // block-id order; blocks left without a comparison are dropped. One
+  // thread reads the members once, into space the input's totals bound,
+  // so nothing reallocates. More threads split the blocks into ranges of
+  // equal membership, count each block's admitted members (0 for a block
+  // that is dropped), then assemble the survivors from the counts: a
+  // second read, which one thread would pay for with nothing to gain.
   BlockCollection out(input.er_type(), input.split_index());
   std::vector<std::uint64_t> sizes;
   std::vector<IndexRange> block_ranges;
@@ -91,9 +95,6 @@ BlockCollection BlockFiltering(const BlockCollection& input,
     }
     return out;
   }
-  // On the threads, over block ranges of equal membership: count each
-  // block's admitted members (0 for a block that is dropped), then
-  // assemble the survivors from the counts.
   const ProfileId split = input.split_index();
   const bool dirty = input.er_type() == ErType::kDirty;
   ParallelForRanges(block_ranges, [&](std::size_t, IndexRange range) {

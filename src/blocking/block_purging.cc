@@ -1,16 +1,10 @@
 #include "blocking/block_purging.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <span>
-#include <vector>
-
 namespace sper {
 
 BlockCollection BlockPurging(const BlockCollection& input,
                              std::size_t num_profiles,
-                             const BlockPurgingOptions& options,
-                             std::size_t num_threads) {
+                             const BlockPurgingOptions& options) {
   const double max_size =
       options.max_size_ratio * static_cast<double>(num_profiles);
   const auto kept = [&](BlockId id) {
@@ -18,35 +12,19 @@ BlockCollection BlockPurging(const BlockCollection& input,
   };
   // One pass over the CSR offsets (O(|B|), no member scan) sizes the
   // survivors, so the collection is built with zero reallocations.
-  BlockCollection out(input.er_type(), input.split_index());
-  if (num_threads <= 1) {
-    std::size_t kept_blocks = 0, kept_members = 0, kept_key_bytes = 0;
-    for (BlockId id = 0; id < input.size(); ++id) {
-      if (!kept(id)) continue;
-      ++kept_blocks;
-      kept_members += input.block_size(id);
-      kept_key_bytes += input.key(id).size();
-    }
-    out.Reserve(kept_blocks, kept_members, kept_key_bytes);
-    for (BlockId id = 0; id < input.size(); ++id) {
-      if (kept(id)) out.Add(input.key(id), input.members(id));
-    }
-    return out;
-  }
-  std::vector<BlockId> survivors;
-  std::vector<std::uint64_t> sizes;
+  std::size_t kept_blocks = 0, kept_members = 0, kept_key_bytes = 0;
   for (BlockId id = 0; id < input.size(); ++id) {
     if (!kept(id)) continue;
-    survivors.push_back(id);
-    sizes.push_back(input.block_size(id));
+    ++kept_blocks;
+    kept_members += input.block_size(id);
+    kept_key_bytes += input.key(id).size();
   }
-  out.AddBlocks(
-      sizes, [&](std::size_t k) { return input.key(survivors[k]); },
-      [&](std::size_t k, ProfileId* members) {
-        const std::span<const ProfileId> block = input.members(survivors[k]);
-        std::copy(block.begin(), block.end(), members);
-      },
-      num_threads);
+
+  BlockCollection out(input.er_type(), input.split_index());
+  out.Reserve(kept_blocks, kept_members, kept_key_bytes);
+  for (BlockId id = 0; id < input.size(); ++id) {
+    if (kept(id)) out.Add(input.key(id), input.members(id));
+  }
   return out;
 }
 

@@ -18,13 +18,11 @@ struct BlockPurgingOptions {
 
 /// Returns a new collection without the purged blocks. `num_profiles` is
 /// |P| (total across both sources for Clean-Clean ER). Relative block
-/// order is preserved. The decision reads only the |B| block sizes; with
-/// `num_threads` > 1 the survivors' members are copied on that many
-/// threads. The result is the same at every thread count.
+/// order is preserved. Sequential: the decision reads only the |B| block
+/// sizes, too little work to pay for starting threads.
 BlockCollection BlockPurging(const BlockCollection& input,
                              std::size_t num_profiles,
-                             const BlockPurgingOptions& options = {},
-                             std::size_t num_threads = 1);
+                             const BlockPurgingOptions& options = {});
 
 }  // namespace sper
 

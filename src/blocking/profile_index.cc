@@ -8,40 +8,15 @@ namespace sper {
 ProfileIndex::ProfileIndex(const BlockCollection& blocks,
                            std::size_t num_profiles,
                            std::size_t num_threads) {
-  std::vector<IndexRange> ranges;
-  if (num_threads > 1) {
-    std::vector<std::uint64_t> sizes(blocks.size());
-    for (BlockId b = 0; b < blocks.size(); ++b) sizes[b] = blocks.block_size(b);
-    ranges = BalancedChunks(sizes, num_threads);
-  }
-  if (ranges.size() > 1) {
-    BuildInRanges(blocks, num_profiles, ranges);
-    return;
-  }
-  offsets_.assign(num_profiles + 1, 0);
-  // One streaming pass over the CSR member array counts memberships;
-  // block boundaries are irrelevant for the histogram.
-  for (ProfileId p : blocks.all_members()) ++offsets_[p + 1];
-  for (std::size_t i = 1; i <= num_profiles; ++i) {
-    offsets_[i] += offsets_[i - 1];
-  }
-  flat_.resize(offsets_[num_profiles]);
-  std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (BlockId id = 0; id < blocks.size(); ++id) {
-    for (ProfileId p : blocks.members(id)) {
-      flat_[cursor[p]++] = id;
-    }
-  }
-}
-
-void ProfileIndex::BuildInRanges(const BlockCollection& blocks,
-                                 std::size_t num_profiles,
-                                 std::span<const IndexRange> ranges) {
-  // Range r counts its memberships of each profile p into
+  // The blocks split into ranges of about equal membership. Range r
+  // counts its memberships of each profile p into
   // cursors[r * num_profiles + p]; one prefix over (p, r) turns the counts
   // into the range's write cursors, so that p's ids from range r follow
   // those from ranges 0..r-1. The counters start as zero pages, so
   // nothing zero-fills them here.
+  std::vector<std::uint64_t> sizes(blocks.size());
+  for (BlockId b = 0; b < blocks.size(); ++b) sizes[b] = blocks.block_size(b);
+  const std::vector<IndexRange> ranges = BalancedChunks(sizes, num_threads);
   const std::span<const ProfileId> all = blocks.all_members();
   const auto members_of = [&](IndexRange range) {
     const std::size_t begin = blocks.members(range.begin).data() - all.data();

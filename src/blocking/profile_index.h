@@ -7,7 +7,6 @@
 
 #include "blocking/block_collection.h"
 #include "core/types.h"
-#include "parallel/parallel_for.h"
 
 /// \file profile_index.h
 /// The Profile Index of Sec. 5.2: an inverted index from profile id to the
@@ -22,13 +21,12 @@ namespace sper {
 class ProfileIndex {
  public:
   /// Builds the index over a block collection for `num_profiles` profiles.
-  /// Blocks are visited in id order, so each profile's list is ascending —
-  /// the property both LeCoBI and Edge Weighting rely on. With
-  /// `num_threads` > 1 the blocks are split into ranges of about equal
+  /// The blocks are split into `num_threads` ranges of about equal
   /// membership, transposed each on a thread of its own; every range
   /// writes its ids after the earlier ranges' ids of the same profile, so
-  /// the index is the same at every thread count. Each range holds
-  /// 8 B·|P| of counters while the index builds.
+  /// each profile's list is ascending — the property both LeCoBI and Edge
+  /// Weighting rely on — and the index is the same at every thread count.
+  /// Each range holds 8 B·|P| of counters while the index builds.
   ProfileIndex(const BlockCollection& blocks, std::size_t num_profiles,
                std::size_t num_threads = 1);
 
@@ -79,10 +77,6 @@ class ProfileIndex {
   std::size_t num_profiles() const { return offsets_.size() - 1; }
 
  private:
-  /// The transpose over two or more block ranges, each on its own thread.
-  void BuildInRanges(const BlockCollection& blocks, std::size_t num_profiles,
-                     std::span<const IndexRange> ranges);
-
   std::vector<std::uint64_t> offsets_;  // size num_profiles + 1
   std::vector<BlockId> flat_;
 };

@@ -9,10 +9,8 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
-#include "core/macros.h"
 #include "core/page_resource.h"
 #include "parallel/parallel_for.h"
 
@@ -67,23 +65,6 @@ class TokenInterner {
   /// Frees the hash slots once every token is interned; key() keeps
   /// working, and a later Intern() rebuilds them.
   void DropSlots() { Free(slots_); }
-
-  /// Writes every id's hash tag to tags[id].
-  void CopyTags(std::uint32_t* tags) const {
-    for (const Slot& slot : slots_) {
-      if (slot.id != kEmpty) tags[slot.id] = slot.tag;
-    }
-  }
-
-  /// Sizes an empty table for `tokens` ids of `bytes` bytes in all, to be
-  /// written in place: id g's bytes end at ends[g], in arena order, with
-  /// no hash slots (as after DropSlots()). Returns {arena, ends}.
-  std::pair<char*, std::size_t*> Layout(std::size_t tokens,
-                                        std::size_t bytes) {
-    arena_.resize(bytes);
-    ends_.resize(tokens);
-    return {arena_.data(), ends_.data()};
-  }
 
   /// Frees every buffer, leaving an empty table.
   void Clear() {
@@ -224,157 +205,8 @@ struct alignas(kCacheLine) ChunkTokens {
   /// merge, where the chunk's next posting of it goes.
   std::pmr::vector<std::uint64_t> counts;
   std::pmr::vector<ProfileId> last_profile;  // per local id, during Scan
+  std::vector<std::uint32_t> global_ids;     // per local id, chunks 1..
 };
-
-/// A slot of a merge partition's table: a token's position in the chunk
-/// tables laid end to end, plus one (0 marks an empty slot, so a table
-/// starts as zero pages), and its hash tag.
-struct MergeSlot {
-  std::uint32_t position_plus_one;
-  std::uint32_t tag;
-};
-
-/// The partition in [0, partitions) of a token with hash tag `tag`.
-std::size_t PartitionOf(std::uint32_t tag, std::size_t partitions) {
-  return static_cast<std::size_t>((std::uint64_t{tag} * partitions) >> 32);
-}
-
-/// Merges two or more chunk tables on one thread per chunk, with the ids
-/// an in-order merge would give: chunk c's new tokens follow every
-/// earlier chunk's, in its own first-occurrence order. Each token goes to
-/// the partition its hash tag picks; partition q walks every chunk's
-/// tokens of q in chunk order and keeps, in a table of its own, the
-/// position of each one's first occurrence. One prefix over the chunks
-/// then numbers the new tokens, and a last pass gives every other token
-/// its first occurrence's id. Fills `tokens` with each token's bytes
-/// under its id, `global_ids` with the id of every chunk position
-/// (chunk c's local id l at position bases[c] + l), and `counts` with
-/// the number of profiles per id; frees the chunk tables. The calling
-/// thread sizes every buffer, so the workers allocate nothing.
-void MergeTables(std::vector<ChunkTokens>& chunks,
-                 std::span<const std::size_t> bases, TokenInterner& tokens,
-                 ZeroedPages<std::uint32_t>& global_ids,
-                 std::vector<std::uint64_t>& counts) {
-  const std::size_t num_chunks = chunks.size();
-  const std::size_t positions = bases[num_chunks];
-  SPER_CHECK(positions < UINT32_MAX);
-  const std::vector<IndexRange> one_each = StaticChunks(num_chunks, num_chunks);
-  // Per-(chunk, partition) tallies, a cache line apart per writer.
-  const std::size_t stride = num_chunks + kCacheLine / sizeof(std::uint64_t);
-  const auto key_at = [&](std::size_t position) {
-    const std::size_t c =
-        std::upper_bound(bases.begin(), bases.end(), position) -
-        bases.begin() - 1;
-    return chunks[c].tokens.key(
-        static_cast<std::uint32_t>(position - bases[c]));
-  };
-
-  // Each chunk reads its tags off its slots and counts its tokens per
-  // partition, which sizes the partitions' tables.
-  ZeroedPages<std::uint32_t> tags(positions);
-  std::vector<std::uint64_t> in_partition(num_chunks * stride);
-  ParallelForRanges(one_each, [&](std::size_t c, IndexRange) {
-    std::uint32_t* const chunk_tags = tags.data() + bases[c];
-    chunks[c].tokens.CopyTags(chunk_tags);
-    for (std::size_t l = 0; l < chunks[c].tokens.size(); ++l) {
-      ++in_partition[c * stride + PartitionOf(chunk_tags[l], num_chunks)];
-    }
-  });
-  std::vector<ZeroedPages<MergeSlot>> tables(num_chunks);
-  for (std::size_t q = 0; q < num_chunks; ++q) {
-    std::size_t size = 0;
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      size += in_partition[c * stride + q];
-    }
-    tables[q] = ZeroedPages<MergeSlot>(
-        std::bit_ceil(std::max<std::size_t>(2 * size, 16)));
-  }
-  for (ChunkTokens& chunk : chunks) chunk.tokens.DropSlots();
-
-  // Each partition finds the first occurrence of its tokens, sums their
-  // profile counts there, and tallies each chunk's new tokens and bytes.
-  ZeroedPages<std::uint32_t> first(positions);
-  ZeroedPages<std::uint64_t> totals(positions);
-  std::vector<std::uint64_t> new_tokens(num_chunks * stride);
-  std::vector<std::uint64_t> new_bytes(num_chunks * stride);
-  ParallelForRanges(one_each, [&](std::size_t q, IndexRange) {
-    MergeSlot* const table = tables[q].data();
-    const std::size_t mask = tables[q].size() - 1;
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      const ChunkTokens& chunk = chunks[c];
-      for (std::uint32_t l = 0; l < chunk.tokens.size(); ++l) {
-        const std::uint32_t position =
-            static_cast<std::uint32_t>(bases[c] + l);
-        const std::uint32_t tag = tags[position];
-        if (PartitionOf(tag, num_chunks) != q) continue;
-        const std::string_view key = chunk.tokens.key(l);
-        for (std::size_t s = tag & mask;; s = (s + 1) & mask) {
-          const MergeSlot slot = table[s];
-          if (slot.position_plus_one == 0) {
-            table[s] = {position + 1, tag};
-            first[position] = position;
-            totals[position] = chunk.counts[l];
-            ++new_tokens[q * stride + c];
-            new_bytes[q * stride + c] += key.size();
-            break;
-          }
-          const std::uint32_t earlier = slot.position_plus_one - 1;
-          if (slot.tag == tag && key_at(earlier) == key) {
-            first[position] = earlier;
-            totals[earlier] += chunk.counts[l];
-            break;
-          }
-        }
-      }
-    }
-  });
-  tables.clear();
-
-  // Chunk c's new tokens take the ids and arena bytes after chunks
-  // 0..c-1's, in local order; then every later occurrence takes its first
-  // occurrence's id.
-  std::vector<std::uint32_t> id_base(num_chunks);
-  std::vector<std::size_t> byte_base(num_chunks);
-  std::size_t num_tokens = 0, num_bytes = 0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    id_base[c] = static_cast<std::uint32_t>(num_tokens);
-    byte_base[c] = num_bytes;
-    for (std::size_t q = 0; q < num_chunks; ++q) {
-      num_tokens += new_tokens[q * stride + c];
-      num_bytes += new_bytes[q * stride + c];
-    }
-  }
-  const std::pair<char*, std::size_t*> layout =
-      tokens.Layout(num_tokens, num_bytes);
-  char* const arena = layout.first;
-  std::size_t* const ends = layout.second;
-  global_ids = ZeroedPages<std::uint32_t>(positions);
-  counts.reserve(num_tokens + 1);  // and the end offset, in pass 2
-  counts.resize(num_tokens);
-  ParallelForRanges(one_each, [&](std::size_t c, IndexRange) {
-    std::uint32_t id = id_base[c];
-    std::size_t byte = byte_base[c];
-    for (std::uint32_t l = 0; l < chunks[c].tokens.size(); ++l) {
-      const std::size_t position = bases[c] + l;
-      if (first[position] != position) continue;
-      const std::string_view key = chunks[c].tokens.key(l);
-      std::copy(key.begin(), key.end(), arena + byte);
-      byte += key.size();
-      ends[id] = byte;
-      counts[id] = totals[position];
-      global_ids[position] = id++;
-    }
-  });
-  ParallelForRanges(one_each, [&](std::size_t c, IndexRange) {
-    for (std::size_t position = bases[c]; position < bases[c + 1];
-         ++position) {
-      if (first[position] != position) {
-        global_ids[position] = global_ids[first[position]];
-      }
-    }
-  });
-  for (ChunkTokens& chunk : chunks) chunk.tokens.Clear();
-}
 
 }  // namespace
 
@@ -417,26 +249,32 @@ BlockCollection TokenBlocking(const ProfileStore& store,
     Free(chunk.last_profile);
   }
 
-  // Merge the tables. Chunk 0's ids are global ids already; a later
-  // chunk's new tokens follow every earlier chunk's in its own
+  // Merge the tables in chunk order. Chunk 0's ids are global ids already;
+  // a later chunk's new tokens follow every earlier chunk's in its own
   // first-occurrence order, so global ids keep first-seen order over the
-  // whole store, whatever the thread count. `global_ids` maps chunk c's
-  // local id l, at position bases[c] + l, to its global id.
-  std::vector<std::size_t> bases(chunks.size() + 1, 0);
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    bases[c + 1] = bases[c] + chunks[c].tokens.size();
+  // whole store, whatever the thread count. Each merged table is freed.
+  std::size_t sum_tokens = 0, sum_bytes = 0;
+  for (const ChunkTokens& chunk : chunks) {
+    sum_tokens += chunk.tokens.size();
+    sum_bytes += chunk.tokens.bytes();
   }
-  TokenInterner tokens = chunks.size() == 1 ? std::move(chunks[0].tokens)
-                                             : TokenInterner(resource);
-  ZeroedPages<std::uint32_t> global_ids;
+  TokenInterner tokens = std::move(chunks[0].tokens);
+  tokens.Reserve(sum_tokens, sum_bytes);
   std::vector<std::uint64_t> offsets;  // per global id: profile count
-  if (chunks.size() == 1) {
-    tokens.DropSlots();
-    offsets.reserve(chunks[0].counts.size() + 1);
-    offsets.assign(chunks[0].counts.begin(), chunks[0].counts.end());
-  } else {
-    MergeTables(chunks, bases, tokens, global_ids, offsets);
+  offsets.reserve(sum_tokens + 1);
+  offsets.assign(chunks[0].counts.begin(), chunks[0].counts.end());
+  for (std::size_t c = 1; c < chunks.size(); ++c) {
+    ChunkTokens& chunk = chunks[c];
+    chunk.global_ids.resize(chunk.counts.size());
+    for (std::uint32_t local = 0; local < chunk.counts.size(); ++local) {
+      const std::uint32_t id = tokens.Intern(chunk.tokens.key(local));
+      if (id == offsets.size()) offsets.push_back(0);
+      offsets[id] += chunk.counts[local];
+      chunk.global_ids[local] = id;
+    }
+    chunk.tokens.Clear();
   }
+  tokens.DropSlots();
   const std::size_t num_tokens = tokens.size();
 
   // Pass 2: counts become CSR offsets. A chunk's postings of a token start
@@ -450,14 +288,13 @@ BlockCollection TokenBlocking(const ProfileStore& store,
   for (std::size_t c = 0; c < chunks.size(); ++c) {
     ChunkTokens& chunk = chunks[c];
     for (std::uint32_t local = 0; local < chunk.counts.size(); ++local) {
-      const std::uint32_t id =
-          c == 0 ? local : global_ids[bases[c] + local];
+      const std::uint32_t id = c == 0 ? local : chunk.global_ids[local];
       const std::uint64_t count = chunk.counts[local];
       chunk.counts[local] = offsets[id];
       offsets[id] += count;
     }
+    Free(chunk.global_ids);
   }
-  global_ids = ZeroedPages<std::uint32_t>();
   std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
   offsets[0] = 0;
   std::vector<ProfileId> postings(offsets.back());
@@ -481,24 +318,14 @@ BlockCollection TokenBlocking(const ProfileStore& store,
   // with one sort of their keys, and append them to the CSR collection.
   BlockCollection collection(store.er_type(), store.split_index());
   std::vector<std::uint32_t> kept;
-  std::size_t kept_members = 0, kept_key_bytes = 0;
   for (std::uint32_t id = 0; id < num_tokens; ++id) {
     if (collection.ComputeCardinality(postings_of(id)) == 0) continue;
     kept.push_back(id);
-    kept_members += postings_of(id).size();
-    kept_key_bytes += tokens.key(id).size();
   }
   ParallelSort(std::span(kept), num_threads,
                [&](std::uint32_t a, std::uint32_t b) {
                  return tokens.key(a) < tokens.key(b);
                });
-  if (ranges.size() == 1) {
-    collection.Reserve(kept.size(), kept_members, kept_key_bytes);
-    for (std::uint32_t id : kept) {
-      collection.Add(tokens.key(id), postings_of(id));
-    }
-    return collection;
-  }
   std::vector<std::uint64_t> sizes(kept.size());
   for (std::size_t k = 0; k < kept.size(); ++k) {
     sizes[k] = postings_of(kept[k]).size();

@@ -28,11 +28,11 @@ struct TokenBlockingOptions {
 /// Blocks are ordered by key; profiles inside a block are sorted
 /// ascending. The profiles are split into `num_threads` static chunks,
 /// each interning its tokens into a table of its own on its own thread;
-/// the tables merge as they would in chunk order, so every token keeps
-/// the dense id of its first occurrence in the whole store, and the
-/// postings are scattered per chunk. The merge, the key sort and the
-/// block assembly run on the threads too. The result depends only on the
-/// store and the tokenizer options, never on `num_threads`.
+/// the tables merge in chunk order, so every token keeps the dense id of
+/// its first occurrence in the whole store, and the postings are scattered
+/// per chunk. The key sort and the block assembly run on the threads too.
+/// The result depends only on the store and the tokenizer options, never
+/// on `num_threads`.
 BlockCollection TokenBlocking(const ProfileStore& store,
                               const TokenBlockingOptions& options = {},
                               std::size_t num_threads = 1);

@@ -15,8 +15,7 @@ BlockCollection BuildTokenWorkflowBlocks(const ProfileStore& store,
   if (options.enable_purging) {
     obs::ScopedPhase phase(options.telemetry, "block_purging",
                            &timing->purging_seconds);
-    blocks = BlockPurging(blocks, store.size(), options.purging,
-                          options.num_threads);
+    blocks = BlockPurging(blocks, store.size(), options.purging);
   }
   if (options.enable_filtering) {
     obs::ScopedPhase phase(options.telemetry, "block_filtering",

@@ -26,8 +26,8 @@ struct TokenWorkflowOptions {
   /// Disable individual steps (used by the workflow ablation bench).
   bool enable_purging = true;
   bool enable_filtering = true;
-  /// Threads for token blocking, Block Purging's block assembly and Block
-  /// Filtering. Overrides `filtering.num_threads`; the collection is
+  /// Threads for token blocking and Block Filtering (purging is
+  /// sequential). Overrides `filtering.num_threads`; the collection is
   /// identical at every thread count.
   std::size_t num_threads = 1;
   /// Telemetry sink for the per-step phase timers (spans + gauges);
